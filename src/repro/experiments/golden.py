@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -38,6 +39,15 @@ GOLDEN_SCENARIOS = (
     "scenario:streaming",
 )
 
+#: Event-level resilience runs pinned beside them.  ``campaign:month`` is
+#: the month campaign over all three failover modes with the hedged geo
+#: client, at campaign scale 0.02 (campaign scale compresses simulated
+#: time, so it is not ``GOLDEN_SCALE``).  Its hedge delay mostly sits at
+#: the policy's floor, so a drifted latency percentile would pass it;
+#: ``drill:hedge``, the hedged-vs-unhedged latency-spike drill, launches
+#: and wins hedges at the exact online percentile and pins it.
+GOLDEN_RESILIENCE = ("campaign:month", "drill:hedge")
+
 
 def canonical_data(value):
     """Coerce report data (enum keys, tuples, numpy scalars) to plain
@@ -53,12 +63,16 @@ def canonical_data(value):
     return str(value)
 
 
-def digest_report(report) -> str:
-    """SHA-256 of the report's data payload at full float precision."""
+def _digest(document) -> str:
     payload = json.dumps(
-        canonical_data(report.data), sort_keys=True, separators=(",", ":")
+        canonical_data(document), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def digest_report(report) -> str:
+    """SHA-256 of the report's data payload at full float precision."""
+    return _digest(report.data)
 
 
 def digest_scenario(
@@ -74,11 +88,20 @@ def digest_scenario(
     from repro.scenarios import get_scenario, run_scenario
 
     spec = get_scenario(name).scaled(scale)
-    result = run_scenario(spec, seed=seed, mode="batched")
-    payload = json.dumps(
-        canonical_data(result.summary()), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(run_scenario(spec, seed=seed, mode="batched").summary())
+
+
+def digest_resilience(eid: str, seed: int = GOLDEN_SEED) -> str:
+    """SHA-256 of a :data:`GOLDEN_RESILIENCE` run's report."""
+    from repro.resilience.campaign import month_campaign_spec, run_campaign
+    from repro.resilience.drills import run_hedge_drill
+
+    if eid == "campaign:month":
+        spec = month_campaign_spec(seed, scale=0.02)
+        return _digest(run_campaign(spec).to_dict())
+    if eid == "drill:hedge":
+        return _digest(asdict(run_hedge_drill(seed=seed)))
+    raise KeyError(eid)
 
 
 def collect_digests(
@@ -90,13 +113,15 @@ def collect_digests(
     """Run each experiment/scenario and return ``{id: digest}``.
 
     Ids of the form ``scenario:<name>`` digest the named registered
-    scenario via :func:`digest_scenario`; every other id is an
+    scenario via :func:`digest_scenario`, :data:`GOLDEN_RESILIENCE` ids
+    go to :func:`digest_resilience`; every other id is an
     experiment-registry id.
     """
     from repro.experiments.registry import run_experiment
 
     ids: Iterable[str] = (
-        experiment_ids or GOLDEN_EXPERIMENTS + GOLDEN_SCENARIOS
+        experiment_ids
+        or GOLDEN_EXPERIMENTS + GOLDEN_SCENARIOS + GOLDEN_RESILIENCE
     )
     out: Dict[str, str] = {}
     for eid in ids:
@@ -104,6 +129,8 @@ def collect_digests(
             out[eid] = digest_scenario(
                 eid.split(":", 1)[1], scale=scale, seed=seed
             )
+        elif eid in GOLDEN_RESILIENCE:
+            out[eid] = digest_resilience(eid, seed=seed)
         else:
             out[eid] = digest_report(
                 run_experiment(eid, scale=scale, seed=seed, jobs=jobs)

@@ -7,6 +7,7 @@ these primitives, so every experiment reports from the same machinery.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,9 +17,12 @@ import numpy as np
 class Tally:
     """Streaming summary of scalar observations (Welford's algorithm).
 
-    Keeps all samples as well, since the experiments need percentiles and
-    histograms; sample counts in this project are modest (≤ a few million
-    floats).
+    Keeps all samples as well, retained in ascending order (``samples()``
+    returns them sorted): each ``observe`` costs an O(log n) search plus
+    an insert memmove, ``percentile`` is an O(1) lookup and
+    ``fraction_below`` an O(log n) search, with no array materialized.
+    The hedge delay reads a percentile on every hedged call.  Sample
+    counts in this project are modest (≤ a few million floats).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -26,19 +30,17 @@ class Tally:
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
         self._samples: List[float] = []
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"tally {self.name!r} cannot observe NaN")
         self._n += 1
         delta = value - self._mean
         self._mean += delta / self._n
         self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-        self._samples.append(value)
+        insort(self._samples, value)
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
@@ -65,29 +67,42 @@ class Tally:
     def minimum(self) -> float:
         if self._n == 0:
             raise ValueError(f"tally {self.name!r} is empty")
-        return self._min
+        return self._samples[0]
 
     @property
     def maximum(self) -> float:
         if self._n == 0:
             raise ValueError(f"tally {self.name!r} is empty")
-        return self._max
+        return self._samples[-1]
 
     @property
     def total(self) -> float:
         return self._mean * self._n
 
     def percentile(self, q: float) -> float:
+        """``np.percentile(samples, q)`` bit for bit (its default
+        ``linear`` rule and two-sided lerp), read off the sorted list."""
         if self._n == 0:
             raise ValueError(f"tally {self.name!r} is empty")
-        return float(np.percentile(np.asarray(self._samples), q))
+        if not 0 <= q <= 100:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        vi = (self._n - 1) * (float(q) / 100)
+        if vi >= self._n - 1:
+            # numpy lerps the last sample with itself at weight vi + 1
+            # (so an infinite last sample gives NaN).
+            lo = hi = -1
+        else:
+            lo = math.floor(vi)
+            hi = lo + 1
+        t = vi - lo
+        a, b = self._samples[lo], self._samples[hi]
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
     def fraction_below(self, threshold: float) -> float:
         """P(X <= threshold) over the observed samples."""
         if self._n == 0:
             raise ValueError(f"tally {self.name!r} is empty")
-        arr = np.asarray(self._samples)
-        return float((arr <= threshold).mean())
+        return bisect_right(self._samples, threshold) / self._n
 
     def samples(self) -> np.ndarray:
         return np.asarray(self._samples, dtype=float)
@@ -100,7 +115,8 @@ class Tally:
             return f"<Tally {self.name!r} empty>"
         return (
             f"<Tally {self.name!r} n={self._n} mean={self._mean:.4g}"
-            f" std={self.std:.4g} min={self._min:.4g} max={self._max:.4g}>"
+            f" std={self.std:.4g} min={self.minimum:.4g}"
+            f" max={self.maximum:.4g}>"
         )
 
 

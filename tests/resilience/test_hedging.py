@@ -1,5 +1,6 @@
 """Unit tests for request hedging."""
 
+import numpy as np
 import pytest
 
 from repro.resilience import HedgePolicy, hedged_call
@@ -47,6 +48,23 @@ def test_hedge_delay_tracks_percentile_after_warmup():
     for latency in (1.0, 1.0, 1.0, 1.0):
         policy.latency.observe(latency)
     assert policy.hedge_delay() == pytest.approx(1.0)
+
+
+def test_hedge_delay_is_exact_percentile_every_observation():
+    policy = HedgePolicy(percentile=99.0, default_delay_s=2.0, warmup=16)
+    rng = np.random.default_rng(3)
+    # Lognormal latencies plus repeated values (ties), some below the
+    # minimum delay.
+    samples = np.concatenate([
+        rng.lognormal(-3.0, 1.2, 1500), np.round(rng.exponential(0.1, 500), 2)
+    ])
+    rng.shuffle(samples)
+    for n, value in enumerate(samples.tolist(), start=1):
+        policy.latency.observe(value)
+        want = 2.0 if n < 16 else max(
+            policy.min_delay_s, float(np.percentile(samples[:n], 99.0))
+        )
+        assert policy.hedge_delay() == want
 
 
 def test_fast_primary_never_hedges():
