@@ -19,6 +19,17 @@ Two entry points share one solver:
   component(s) of links/flows reachable from the dirty set, reusing
   the stored rates of untouched components.
 
+Each link also counts its members by shape: ``_multi`` counts flows
+crossing more than one distinct link, ``_capped`` single-link flows with
+a finite cap.  A link with no multi-link members is a component on its
+own — exactly its membership — so :meth:`FairShareState._solve_link`
+solves it straight from that membership, with no graph traversal:
+uncapped members share the capacity equally in one pass; with caps,
+inert members (cap ≤ ``_EPS``) get 0.0 and the one-iteration share and
+uniform-cap cases are stamped directly before falling back to
+progressive filling.  Only components spanning several links are
+collected by breadth-first search.
+
 Bit-identity contract: the allocation is solved **per connected
 component**, and a component's rates are a pure function of that
 component's members, caps and link capacities.  The per-component
@@ -68,7 +79,7 @@ class FairShareState:
 
     __slots__ = (
         "rates", "_members", "_flow_links", "_flow_linkset", "_flow_caps",
-        "_blockers", "_dirty_flows", "_dirty_links",
+        "_multi", "_capped", "_dirty_flows", "_dirty_links",
     )
 
     def __init__(self) -> None:
@@ -82,11 +93,13 @@ class FairShareState:
         self._flow_linkset: Dict[Hashable, Tuple[Link, ...]] = {}
         #: flow id -> cap as float (math.inf = uncapped).
         self._flow_caps: Dict[Hashable, float] = {}
-        #: link -> count of members that are multi-link or capped.  Zero
-        #: means the link is its own component with uncapped members —
-        #: the dominant shape under churn — solvable in one pass with no
-        #: traversal (see _solve_component's fast path).
-        self._blockers: Dict[Link, int] = {}
+        #: link -> count of members crossing several distinct links.
+        #: Zero means the link is a component on its own (_solve_link).
+        self._multi: Dict[Link, int] = {}
+        #: link -> count of single-link members with a finite cap.  Zero
+        #: as well means every member is uncapped — the dominant shape
+        #: under churn — and one pass stamps the equal share.
+        self._capped: Dict[Link, int] = {}
         self._dirty_flows: Set[Hashable] = set()
         self._dirty_links: Set[Link] = set()
 
@@ -111,18 +124,23 @@ class FairShareState:
         linkset = tuple(dict.fromkeys(links))
         self._flow_linkset[fid] = linkset
         self._flow_caps[fid] = cap_f
-        blocker = len(linkset) > 1 or cap_f != _INF
+        multi = len(linkset) > 1
+        capped = not multi and cap_f != _INF
         members = self._members
-        blockers = self._blockers
+        multis = self._multi
+        cappeds = self._capped
         for link in linkset:
             group = members.get(link)
             if group is None:
                 members[link] = {fid}
-                blockers[link] = 1 if blocker else 0
+                multis[link] = 1 if multi else 0
+                cappeds[link] = 1 if capped else 0
             else:
                 group.add(fid)
-                if blocker:
-                    blockers[link] += 1
+                if multi:
+                    multis[link] += 1
+                elif capped:
+                    cappeds[link] += 1
         self._dirty_flows.add(fid)
 
     def remove_flow(self, fid: Hashable) -> None:
@@ -132,20 +150,25 @@ class FairShareState:
         cap_f = self._flow_caps.pop(fid)
         self.rates.pop(fid, None)
         self._dirty_flows.discard(fid)
-        blocker = len(linkset) > 1 or cap_f != _INF
+        multi = len(linkset) > 1
+        capped = not multi and cap_f != _INF
         members = self._members
-        blockers = self._blockers
+        multis = self._multi
+        cappeds = self._capped
         dirty_links = self._dirty_links
         for link in linkset:
             group = members[link]
             group.discard(fid)
             if group:
-                if blocker:
-                    blockers[link] -= 1
+                if multi:
+                    multis[link] -= 1
+                elif capped:
+                    cappeds[link] -= 1
                 dirty_links.add(link)
             else:
                 del members[link]
-                del blockers[link]
+                del multis[link]
+                del cappeds[link]
                 dirty_links.discard(link)
 
     def set_cap(self, fid: Hashable, cap: Optional[float]) -> None:
@@ -158,11 +181,8 @@ class FairShareState:
             self._flow_caps[fid] = cap_f
             self._dirty_flows.add(fid)
             linkset = self._flow_linkset[fid]
-            if len(linkset) <= 1 and (cap_f == _INF) != (old == _INF):
-                delta = -1 if cap_f == _INF else 1
-                blockers = self._blockers
-                for link in linkset:
-                    blockers[link] += delta
+            if len(linkset) == 1 and (cap_f == _INF) != (old == _INF):
+                self._capped[linkset[0]] += -1 if cap_f == _INF else 1
 
     # -- solving -----------------------------------------------------------
     def recompute(self) -> List[Hashable]:
@@ -218,31 +238,18 @@ class FairShareState:
         affected: List[Hashable],
     ) -> None:
         """Collect the connected component containing ``seed`` and solve it."""
+        seed_links = self._flow_linkset[seed]
+        if len(seed_links) == 1:
+            link = seed_links[0]
+            if not self._multi[link]:
+                seen_links.add(link)
+                self._solve_link(link, affected)
+                return
+
         members = self._members
         flow_linkset = self._flow_linkset
         flow_caps = self._flow_caps
         rates = self.rates
-
-        seed_links = flow_linkset[seed]
-        if len(seed_links) == 1:
-            link = seed_links[0]
-            if not self._blockers[link]:
-                # Every member is single-link and uncapped: the component
-                # is exactly this link's membership, one progressive-
-                # filling iteration saturates it, and the equal share is
-                # exact — stamp it without traversal or set building.
-                group = members[link]
-                capacity = link.capacity_mbps
-                share = capacity / len(group)
-                if capacity - share * len(group) <= _EPS * (
-                    capacity if capacity > 1.0 else 1.0
-                ):
-                    seen_links.add(link)
-                    affected.extend(group)
-                    for fid in group:
-                        rates[fid] = share
-                    return
-
         comp_flows: List[Hashable] = [seed]
         seen_flows.add(seed)
         comp_links: List[Link] = []
@@ -262,52 +269,84 @@ class FairShareState:
                             comp_flows.append(other)
         affected.extend(comp_flows)
 
+        # A traversed component spans several links (one-link components
+        # went to _solve_link above) or is a lone linkless flow.
         # Active = flows that can take rate at all; others are inert.
         active: Set[Hashable] = set()
-        min_cap = _INF
         for fid in comp_flows:
+            if flow_caps[fid] > _EPS:
+                active.add(fid)
+            else:
+                rates[fid] = 0.0
+        if active:
+            self._fill(comp_flows, comp_links, active)
+
+    def _solve_link(self, link: Link, affected: List[Hashable]) -> None:
+        """Solve a component that is exactly ``link``'s membership.
+
+        Computes what progressive filling would for one link, taking
+        the one-iteration cases without building any set: the link
+        saturates at the equal share (when that is no larger than every
+        cap), or every active member freezes at one common cap.
+        """
+        group = self._members[link]
+        affected.extend(group)
+        rates = self.rates
+        flow_caps = self._flow_caps
+        capacity = link.capacity_mbps
+        tolerance = _EPS * (capacity if capacity > 1.0 else 1.0)
+        if not self._capped[link]:
+            # Every member uncapped: one iteration saturates the link
+            # and the equal share is exact — stamp it in one pass.
+            share = capacity / len(group)
+            if capacity - share * len(group) <= tolerance:
+                for fid in group:
+                    rates[fid] = share
+                return
+            self._fill(group, [link], set(group))
+            return
+
+        n = 0
+        min_cap = _INF
+        for fid in group:
             cap = flow_caps[fid]
             if cap > _EPS:
-                active.add(fid)
+                n += 1
                 if cap < min_cap:
                     min_cap = cap
             else:
-                rates[fid] = 0.0
-        if not active:
+                rates[fid] = 0.0  # inert: can take no rate at all
+        if not n:
             return
-
-        if len(comp_links) == 1:
-            link = comp_links[0]
-            capacity = link.capacity_mbps
-            n = len(active)
-            share = capacity / n
-            if share <= min_cap:
-                # One progressive-filling iteration: the link saturates
-                # (or ties with the smallest cap) and freezes everyone.
-                # Guard the exactness condition rather than assume it.
-                if capacity - share * n <= _EPS * (
-                    capacity if capacity > 1.0 else 1.0
-                ):
-                    for fid in active:
+        share = capacity / n
+        if share <= min_cap:
+            # One progressive-filling iteration: the link saturates (or
+            # ties with the smallest cap) and freezes everyone.  Guard
+            # the exactness condition rather than assume it.
+            if capacity - share * n <= tolerance:
+                for fid in group:
+                    if flow_caps[fid] > _EPS:
                         rates[fid] = share
-                    return
+                return
+        else:
+            for fid in group:
+                cap = flow_caps[fid]
+                if cap > _EPS and cap != min_cap:
+                    break
             else:
-                uniform = True
-                for fid in active:
-                    if flow_caps[fid] != min_cap:
-                        uniform = False
-                        break
-                if uniform:
-                    # One iteration again: every flow cap-freezes at the
-                    # same level (0.0 + min_cap == min_cap exactly).
-                    for fid in active:
+                # One iteration again: every active flow cap-freezes at
+                # the same level (0.0 + min_cap == min_cap exactly).
+                for fid in group:
+                    if flow_caps[fid] > _EPS:
                         rates[fid] = min_cap
-                    return
-        self._fill(comp_flows, comp_links, active)
+                return
+        self._fill(
+            group, [link], {fid for fid in group if flow_caps[fid] > _EPS}
+        )
 
     def _fill(
         self,
-        comp_flows: List[Hashable],
+        comp_flows: Iterable[Hashable],
         comp_links: List[Link],
         active: Set[Hashable],
     ) -> None:

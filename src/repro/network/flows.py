@@ -9,20 +9,37 @@ The allocation runs on an incremental
 :class:`~repro.network.fairshare.FairShareState`: per-link flow
 membership persists across churn, and only the connected component of
 links/flows touched by an arrival, completion, abort, or cap change is
-re-solved — untouched components keep their rates.  Completion timers
-use the kernel's cancellable events: a superseded timer is
-:meth:`~repro.simcore.Event.cancel`-led and the scheduler discards it at
-pop time, instead of the timer firing as a stale-generation no-op.
-Both changes are bit-neutral: rates, completion instants, and event
-sequence numbers are identical to the batch engine they replaced (the
-golden-output tests pin this).
+re-solved — untouched components keep their rates.  Per-link counts of
+multi-link and capped members let it solve a link that no multi-link
+flow crosses straight from its membership, without graph traversal.
+Completion timers use the kernel's cancellable events: a superseded
+timer is :meth:`~repro.simcore.Event.cancel`-led and the scheduler
+discards it at pop time, instead of the timer firing as a
+stale-generation no-op.  Both are bit-neutral: rates and completion
+instants are identical to the batch engine they replaced.
+
+Flow state is struct-of-arrays: each active flow owns a slot in two
+numpy arrays (residual megabytes and allocated rate), kept dense by
+swap-remove.  The passes every event makes over *all* active flows —
+draining the elapsed interval, the next-completion minimum and finish
+detection — are a few ufunc calls instead of Python loops.  Each
+performs the same IEEE operation per flow as the scalar loop it
+replaced (the drain is a separate multiply and subtract, never a fused
+multiply-add; a minimum is exact), so residuals, timers and completion
+instants are bit-identical to it (the golden-output tests pin this).
+The allocator re-rates only the flows of the re-solved components, and
+their rates are stored one by one through a memoryview: a scalar store
+is cheaper than building an index array for a few dozen flows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.network.fairshare import FairShareState
 from repro.network.links import Link
@@ -31,16 +48,25 @@ from repro.simcore import Environment, Event
 #: Residual megabytes below which a flow counts as complete.
 _DONE_EPS = 1e-9
 
+#: Initial length of the per-slot flow arrays (doubled when full).
+_INITIAL_SLOTS = 64
+
+_flow_id = attrgetter("id")
+
 
 class Flow:
-    """One in-flight transfer across a path of links."""
+    """One in-flight transfer across a path of links.
+
+    ``remaining_mb`` and ``rate_mbps`` are read from the owning
+    network's arrays while the flow is active; a completed or aborted
+    flow keeps its final values.
+    """
 
     _ids = itertools.count()
 
     __slots__ = (
-        "id", "links", "cap", "size_mb", "remaining_mb",
-        "rate_mbps", "start_time", "done", "label",
-        "_cap_key", "_eff_cap",
+        "id", "links", "cap", "size_mb", "start_time", "done", "label",
+        "_cap_key", "_eff_cap", "_net", "_slot", "_remaining", "_rate",
     )
 
     def __init__(
@@ -55,8 +81,6 @@ class Flow:
         self.links = tuple(links)
         self.cap = cap
         self.size_mb = float(size_mb)
-        self.remaining_mb = float(size_mb)
-        self.rate_mbps = 0.0
         self.start_time = env.now
         self.done: Event = env.event()
         self.label = label
@@ -64,6 +88,23 @@ class Flow:
         #: (cap-epoch, active-flow count) — see FlowNetwork._reschedule.
         self._cap_key: Optional[Tuple[int, int]] = None
         self._eff_cap: Optional[float] = None
+        #: The network whose arrays hold this flow's state at index
+        #: ``_slot`` while it is active; ``None`` otherwise, when
+        #: ``_remaining``/``_rate`` hold the values.
+        self._net: Optional[FlowNetwork] = None
+        self._slot = -1
+        self._remaining = self.size_mb
+        self._rate = 0.0
+
+    @property
+    def remaining_mb(self) -> float:
+        net = self._net
+        return self._remaining if net is None else net._rem_view[self._slot]
+
+    @property
+    def rate_mbps(self) -> float:
+        net = self._net
+        return self._rate if net is None else net._rate_view[self._slot]
 
     def __repr__(self) -> str:
         return (
@@ -103,6 +144,14 @@ class FlowNetwork:
         #: other than concurrency (poke(), a new hook); invalidates the
         #: per-flow effective-cap memo.
         self._cap_epoch = 0
+        #: slot -> active flow; slots ``[0, len(_slots))`` of the arrays
+        #: below are live.
+        self._slots: List[Flow] = []
+        self._rem = np.empty(_INITIAL_SLOTS)
+        self._rate = np.empty(_INITIAL_SLOTS)
+        self._scratch = np.empty(_INITIAL_SLOTS)
+        self._rem_view = memoryview(self._rem)
+        self._rate_view = memoryview(self._rate)
 
     # -- public API --------------------------------------------------------
     def transfer(
@@ -120,22 +169,22 @@ class FlowNetwork:
             raise ValueError("flow needs at least one link or a cap")
         self._advance_progress()
         flow = Flow(self.env, links, size_mb, cap, label)
-        self.flows.add(flow)
+        self._attach(flow)
         self._state.add_flow(flow, flow.links, cap)
         self._reschedule()
         return flow
 
     def abort(self, flow: Flow) -> None:
         """Cancel an in-flight transfer; its ``done`` event never fires."""
-        if flow in self.flows:
+        if flow._net is self:
             self._advance_progress()
-            self.flows.discard(flow)
+            self._detach(flow)
             self._state.remove_flow(flow)
             self._reschedule()
 
     @property
     def active_count(self) -> int:
-        return len(self.flows)
+        return len(self._slots)
 
     def current_rate(self, flow: Flow) -> float:
         return flow.rate_mbps
@@ -146,7 +195,7 @@ class FlowNetwork:
         """Register a dynamic per-flow rate-cap hook."""
         self._cap_hooks.append(hook)
         self._cap_epoch += 1
-        if not self.flows:
+        if not self._slots:
             return  # nothing to re-rate; no timer to churn
         self._advance_progress()
         self._reschedule()
@@ -154,19 +203,67 @@ class FlowNetwork:
     def poke(self) -> None:
         """Force a rate recomputation (call after hook inputs change)."""
         self._cap_epoch += 1
-        if not self.flows:
+        if not self._slots:
             return
         self._advance_progress()
         self._reschedule()
 
+    # -- slot bookkeeping ----------------------------------------------------
+    def _attach(self, flow: Flow) -> None:
+        """Give a new flow the next free slot, at rate 0 until re-rated."""
+        slot = len(self._slots)
+        if slot == len(self._rem):
+            self._grow()
+        self._slots.append(flow)
+        self.flows.add(flow)
+        flow._net = self
+        flow._slot = slot
+        self._rem_view[slot] = flow._remaining
+        self._rate_view[slot] = 0.0
+
+    def _detach(self, flow: Flow) -> None:
+        """Free a flow's slot (swap-remove), keeping its final values."""
+        slot = flow._slot
+        rem_view = self._rem_view
+        rate_view = self._rate_view
+        flow._remaining = rem_view[slot]
+        flow._rate = rate_view[slot]
+        flow._net = None
+        flow._slot = -1
+        self.flows.discard(flow)
+        last = self._slots.pop()
+        if last is not flow:
+            end = len(self._slots)
+            self._slots[slot] = last
+            last._slot = slot
+            rem_view[slot] = rem_view[end]
+            rate_view[slot] = rate_view[end]
+
+    def _grow(self) -> None:
+        size = 2 * len(self._rem)
+        self._rem = np.resize(self._rem, size)
+        self._rate = np.resize(self._rate, size)
+        self._scratch = np.empty(size)
+        self._rem_view = memoryview(self._rem)
+        self._rate_view = memoryview(self._rate)
+
     # -- internals -----------------------------------------------------------
     def _advance_progress(self) -> None:
         """Drain bytes for time elapsed since the last recomputation."""
-        elapsed = self.env.now - self._last_update
+        now = self.env.now
+        elapsed = now - self._last_update
         if elapsed > 0:
-            for flow in self.flows:
-                flow.remaining_mb -= flow.rate_mbps * elapsed
-        self._last_update = self.env.now
+            self._drain(elapsed)
+        self._last_update = now
+
+    def _drain(self, elapsed: float) -> None:
+        # ``rem -= rate * elapsed`` per flow: two separately rounded
+        # operations, exactly as the scalar expression evaluates.
+        n = len(self._slots)
+        scratch = self._scratch[:n]
+        rem = self._rem[:n]
+        np.multiply(self._rate[:n], elapsed, out=scratch)
+        np.subtract(rem, scratch, out=rem)
 
     def _effective_cap(self, flow: Flow, n: int) -> Optional[float]:
         cap = flow.cap
@@ -183,26 +280,30 @@ class FlowNetwork:
             if not timer._processed:
                 timer.cancel()
             self._timer = None
-        if not self.flows:
+        n = len(self._slots)
+        if not n:
             return
         state = self._state
         if self._cap_hooks:
-            key = (self._cap_epoch, len(self.flows))
-            n = key[1]
-            for flow in self.flows:
+            key = (self._cap_epoch, n)
+            for flow in self._slots:
                 if flow._cap_key != key:
                     flow._cap_key = key
                     flow._eff_cap = self._effective_cap(flow, n)
                 state.set_cap(flow, flow._eff_cap)
+        rates = state.rates
+        rate_view = self._rate_view
         for flow in state.recompute():
-            flow.rate_mbps = state.rates[flow]
-        next_done = math.inf
-        for flow in self.flows:
-            rate = flow.rate_mbps
-            if rate > 0:
-                projected = flow.remaining_mb / rate
-                if projected < next_done:
-                    next_done = projected
+            rate_view[flow._slot] = rates[flow]
+        # The earliest ``remaining / rate`` over flows with a positive
+        # rate; starved flows never finish.
+        rate = self._rate[:n]
+        projected = self._scratch[:n]
+        moving = rate > 0
+        np.divide(self._rem[:n], rate, out=projected, where=moving)
+        next_done = float(
+            np.minimum.reduce(projected, where=moving, initial=math.inf)
+        )
         if math.isinf(next_done):
             # Every flow starved (all rates zero): nothing to schedule;
             # a future transfer()/abort() will recompute.
@@ -212,35 +313,30 @@ class FlowNetwork:
         self._timer = timer
 
     def _on_timer(self, _timer: Event) -> None:
-        # Fused drain + finish detection: one pass updates every flow's
-        # residual for the elapsed interval and collects the finished.
         now = self.env.now
         elapsed = now - self._last_update
-        finished: List[Flow] = []
         if elapsed > 0:
-            for flow in self.flows:
-                remaining = flow.remaining_mb - flow.rate_mbps * elapsed
-                flow.remaining_mb = remaining
-                if remaining <= _DONE_EPS:
-                    finished.append(flow)
-        else:
-            for flow in self.flows:
-                if flow.remaining_mb <= _DONE_EPS:
-                    finished.append(flow)
+            self._drain(elapsed)
         self._last_update = now
-        # Sort by flow id: self.flows is a set, and the succeed() order
-        # below assigns event sequence numbers, which must not depend on
-        # object addresses when several flows finish simultaneously.
-        finished.sort(key=lambda f: f.id)
+        slots = self._slots
+        n = len(slots)
+        finished = [
+            slots[i]
+            for i in np.flatnonzero(self._rem[:n] <= _DONE_EPS).tolist()
+        ]
+        # Sort by flow id: slot order depends on the churn history, and
+        # the succeed() order below assigns event sequence numbers when
+        # several flows finish simultaneously.
+        finished.sort(key=_flow_id)
         state = self._state
         for flow in finished:
-            self.flows.discard(flow)
+            self._detach(flow)
             state.remove_flow(flow)
-            flow.remaining_mb = 0.0
+            flow._remaining = 0.0
             self.completed_count += 1
             flow.done.succeed(flow)
         self._reschedule()
 
     def snapshot(self) -> Dict[str, float]:
         """Current rate by flow label (diagnostics)."""
-        return {f"{f.label}#{f.id}": f.rate_mbps for f in self.flows}
+        return {f"{f.label}#{f.id}": f.rate_mbps for f in self._slots}

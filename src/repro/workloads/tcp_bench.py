@@ -26,6 +26,10 @@ from repro.cluster.sizes import get_size
 from repro.network import BackgroundTraffic, Datacenter, FlowNetwork, LatencyModel
 from repro.simcore import Distribution, Environment, RandomStreams
 
+#: Simulated seconds after which an unfinished run raises instead of
+#: simulating the never-ending background traffic forever.
+_HORIZON_S = 3600.0 * 24 * 14
+
 
 @dataclass
 class TcpBenchResult:
@@ -144,10 +148,8 @@ def run_tcp_test(
         pair = TcpEndpointPair(network, datacenter, latency_model, vm_a, vm_b)
         env.process(bandwidth_proc(env, pair, streams.stream(f"tcp.pace{i}")))
 
-    # Background sources run forever; stop once the measurements finish.
-    horizon = 3600.0 * 24 * 14
-    drained = {"latency": False, "bandwidth": False}
-
+    # Background sources run forever; stop once the measurements finish,
+    # and fail rather than spin if they never do.
     def watchdog(env):
         target_lat = per_latency_pair * len(latency_pairs)
         target_bw = per_bandwidth_pair * len(bandwidth_pairs)
@@ -155,12 +157,12 @@ def run_tcp_test(
             len(result.latency_s) < target_lat
             or len(result.bandwidth_mbps) < target_bw
         ):
+            if env.now > _HORIZON_S:
+                raise RuntimeError(
+                    f"TCP benchmark did not finish within {_HORIZON_S} s"
+                    " of simulated time"
+                )
             yield env.timeout(30.0)
-        drained["latency"] = drained["bandwidth"] = True
 
-    watcher = env.process(watchdog(env))
-    env.run(until=watcher)
-    if not (drained["latency"] and drained["bandwidth"]):
-        raise RuntimeError("TCP benchmark did not finish within the horizon")
-    del horizon
+    env.run(until=env.process(watchdog(env)))
     return result

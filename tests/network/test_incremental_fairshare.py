@@ -201,3 +201,115 @@ def test_cap_hook_memo_invalidated_by_poke():
     ceiling["cap"] = 25.0
     net.poke()
     assert flow.rate_mbps == 25.0
+
+
+# -- single-link components with caps -------------------------------------
+
+_TEXTBOOK_EPS = 1e-12
+
+
+def _textbook_single_link(capacity, caps):
+    """Per-flow progressive filling on one link, written from scratch.
+
+    Every unfrozen flow's allocation grows by the same increment each
+    round; a round ends when the link saturates or the smallest
+    remaining cap is reached.  Flows whose cap is (near) zero never
+    take rate.
+    """
+    caps = [math.inf if cap is None else cap for cap in caps]
+    alloc = [0.0] * len(caps)
+    unfrozen = [i for i, cap in enumerate(caps) if cap > _TEXTBOOK_EPS]
+    left = capacity
+    tolerance = _TEXTBOOK_EPS * max(capacity, 1.0)
+    while unfrozen:
+        increment = min(
+            left / len(unfrozen), min(caps[i] - alloc[i] for i in unfrozen)
+        )
+        for i in unfrozen:
+            alloc[i] = alloc[i] + increment
+        left -= increment * len(unfrozen)
+        if left <= tolerance:
+            break
+        still = [i for i in unfrozen if alloc[i] < caps[i] - _TEXTBOOK_EPS]
+        if len(still) == len(unfrozen):
+            break  # numerical guard, as in the allocator
+        unfrozen = still
+    return alloc
+
+
+_CAPPED_GROUPS = {
+    "below_and_above_share": (100.0, [10.0, 25.0, 60.0, None, 90.0]),
+    "inert_zero_caps": (100.0, [0.0, 40.0, 0.0, None, 1e-13]),
+    "all_caps_equal_below_share": (100.0, [12.5] * 5),
+    "all_caps_equal_above_share": (40.0, [40.0] * 7),
+    "caps_tie_with_share": (100.0, [20.0, 20.0, 20.0, 20.0, 20.0]),
+    "odd_capacity": (125.0, [7.3, 41.0, None, None, 19.9, 0.0]),
+    "only_inert": (100.0, [0.0, 0.0]),
+    "uncapped_inexact_share": (0.3, [None] * 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_GROUPS))
+def test_capped_single_link_group_matches_textbook(name):
+    capacity, caps = _CAPPED_GROUPS[name]
+    link = Link("uplink", capacity)
+    state = FairShareState()
+    for i, cap in enumerate(caps):
+        state.add_flow(i, (link,), cap)
+    state.recompute()
+    assert [state.rates[i] for i in range(len(caps))] == (
+        _textbook_single_link(capacity, caps)
+    )
+
+
+def test_capped_group_keeps_rates_while_multi_link_flow_joins_and_leaves():
+    """A multi-link flow bottlenecked elsewhere does not move a capped
+    group, and after it leaves the group is solved without traversal
+    to the same bits again."""
+    a, b = Link("a", 100.0), Link("b", 4.0)
+    state = FairShareState()
+    group = {"c10": 10.0, "c20": 20.0, "inert": 0.0, "c20b": 20.0}
+    for fid, cap in group.items():
+        state.add_flow(fid, (a,), cap)
+    state.recompute()
+    alone = {fid: state.rates[fid] for fid in group}
+    assert alone == {"c10": 10.0, "c20": 20.0, "inert": 0.0, "c20b": 20.0}
+
+    state.add_flow("ab", (a, b), None)
+    assert state._multi[a] == 1 and state._capped[a] == len(group)
+    assert set(state.recompute()) == set(group) | {"ab"}
+    assert {fid: state.rates[fid] for fid in group} == alone
+    assert state.rates["ab"] == 4.0
+
+    state.remove_flow("ab")
+    assert state._multi[a] == 0  # back on the traversal-free path
+    assert set(state.recompute()) == set(group)
+    assert {fid: state.rates[fid] for fid in group} == alone
+    specs = [(fid, (a,), cap) for fid, cap in group.items()]
+    assert max_min_fair(specs) == alone
+
+
+def test_allocation_independent_of_insertion_order_and_link_identity():
+    """Links hash by identity, so set and dict orders follow object
+    addresses; the allocation must not.  Rebuild the same flow set over
+    fresh link objects in permuted orders and compare bit for bit."""
+    rng = random.Random(23)
+    capacities = [10.0, 40.0, 100.0, 125.0, 100.0, 3.0]
+    specs = []
+    for i in range(70):
+        path = tuple(rng.sample(range(len(capacities)), rng.randint(1, 3)))
+        specs.append((f"f{i}", path, _random_cap(rng)))
+
+    def allocate(order):
+        links = [Link(f"l{i}", c) for i, c in enumerate(capacities)]
+        state = FairShareState()
+        for fid, path, cap in order:
+            state.add_flow(fid, tuple(links[i] for i in path), cap)
+        state.recompute()
+        return state.rates
+
+    reference = allocate(specs)
+    for _ in range(6):
+        order = specs[:]
+        rng.shuffle(order)
+        assert allocate(order) == reference

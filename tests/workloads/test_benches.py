@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads import tcp_bench
 from repro.workloads import (
     build_platform,
     run_blob_test,
@@ -106,6 +107,17 @@ def test_tcp_bench_collects_samples():
     assert result.total_pairs == 10
     assert all(0 < bw <= 126 for bw in result.bandwidth_mbps)
     assert all(0 < lat < 0.5 for lat in result.latency_s)
+
+
+def test_tcp_bench_raises_past_horizon(monkeypatch):
+    """A run whose measurements outlast the horizon fails instead of
+    simulating the endless background traffic forever."""
+    monkeypatch.setattr(tcp_bench, "_HORIZON_S", 10.0)
+    with pytest.raises(RuntimeError, match="did not finish"):
+        run_tcp_test(
+            latency_samples=4, bandwidth_samples=10, transfer_mb=2000.0,
+            seed=3,
+        )
 
 
 def test_tcp_bench_stable_across_heap_layouts():
