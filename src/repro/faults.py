@@ -39,13 +39,14 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.service.spec import OpSpec
 from repro.simcore import Environment
 from repro.storage.errors import (
     ConnectionFailureError,
     OperationTimeoutError,
     ServerBusyError,
 )
-from repro.storage.partition import OpSpec, PartitionServer
+from repro.storage.partition import PartitionServer
 
 FAULT_KINDS = (
     "server_busy_storm",

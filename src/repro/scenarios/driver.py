@@ -314,11 +314,13 @@ def _setup_services(
                 if parts is None
                 else [f"p{i}" for i in range(parts)]
             )
-            for pk in pks:
-                key = (pk, "shared-row")
-                p.account.tables._tables["bench"][key] = make_entity(
-                    *key, size_kb=shared_op.mean_size_kb
-                )
+            tables.seed_entities(
+                "bench",
+                (
+                    make_entity(pk, "shared-row", size_kb=shared_op.mean_size_kb)
+                    for pk in pks
+                ),
+            )
     if "queue" in services:
         queues = p.account.queues
         qnames = (

@@ -152,8 +152,8 @@ class RequestPipeline:
         2. *base latency* — one ``latency.draw`` over ``base_latency_s``;
         3. ``precheck()`` — early semantic validation;
         4. *routing* — ``router(route)`` picks the partition server and
-           ``op`` (evaluated now if callable) runs on it, measuring
-           queue/latch wait through the server's observer hook;
+           ``op`` (evaluated now if callable) runs on it; the server
+           returns the request's queue/latch wait;
         5. *work* — a deterministic ``work_s`` server-side delay;
         6. *transfer* — the flow runs on ``network`` with connection
            accounting and a ``poke`` on completion;
@@ -166,9 +166,10 @@ class RequestPipeline:
         :class:`~repro.observability.spans.SpanTracer`, the request also
         emits a span tree — one server span (parented under the ambient
         client-attempt context if one is bound) with one child per
-        executed stage, wait spans under the routing stage, and a flow
-        span under the transfer stage.  Span capture reads the clock
-        only: no RNG draw, no kernel event.
+        executed stage, wait spans under the routing stage (fed by the
+        server's observer hook), and a flow span under the transfer
+        stage.  Span capture reads the clock only: no RNG draw, no
+        kernel event.  Without it, no span closure is built at all.
         """
         env = self.env
         trace = RequestTrace(
@@ -188,15 +189,16 @@ class RequestPipeline:
                 service=self.service,
                 op=kind,
             )
+            emit = spans.emit
+            server_ctx = server_span.context
 
-        def stage_span(name: str, start_s: float, **attrs: Any) -> None:
-            if spans is not None and server_span is not None:
-                spans.emit(
+            def stage_span(name: str, start_s: float, **attrs: Any) -> None:
+                emit(
                     f"stage:{name}",
                     spanlib.STAGE,
                     start_s,
                     env.now,
-                    parent=server_span.context,
+                    parent=server_ctx,
                     **attrs,
                 )
 
@@ -206,19 +208,22 @@ class RequestPipeline:
                 if injector is not None:
                     entered = env.now
                     yield from injector.intercept(self.owner, admit_op)
-                    stage_span("admission", entered)
+                    if spans is not None:
+                        stage_span("admission", entered)
 
             if base_latency_s > 0:
                 delay = self.latency.draw(self.rng, base_latency_s)
                 trace.base_latency_s = delay
                 entered = env.now
                 yield env.timeout(delay)
-                stage_span("base_latency", entered)
+                if spans is not None:
+                    stage_span("base_latency", entered)
 
             if precheck is not None:
                 entered = env.now
                 precheck()
-                stage_span("precheck", entered)
+                if spans is not None:
+                    stage_span("precheck", entered)
 
             if route is not None:
                 if self.router is None:
@@ -233,46 +238,47 @@ class RequestPipeline:
                         f"{self.service}: routed op {kind!r} needs an OpSpec"
                     )
                 trace.size_mb = spec.payload_mb
-                waited = [0.0]
+                observer: Optional[Callable[[str, float], None]] = None
                 routing_span = None
-                if spans is not None and server_span is not None:
+                if spans is not None:
                     routing_span = spans.start(
                         "stage:routing",
                         spanlib.STAGE,
                         env.now,
-                        parent=server_span.context,
+                        parent=server_ctx,
                         payload_mb=spec.payload_mb,
                     )
+                    routing_ctx = routing_span.context
 
-                def observe_wait(stage: str, seconds: float) -> None:
-                    # Only queue/latch waits count as queue_wait_s; other
-                    # observer stages are span-only measurements.
-                    if stage.endswith("_wait"):
-                        waited[0] += seconds
-                    if spans is not None and routing_span is not None:
-                        spans.emit(
+                    def observe_wait(stage: str, seconds: float) -> None:
+                        emit(
                             stage,
                             spanlib.WAIT
                             if stage.endswith("_wait")
                             else spanlib.STAGE,
                             env.now - seconds,
                             env.now,
-                            parent=routing_span.context,
+                            parent=routing_ctx,
                         )
+
+                    observer = observe_wait
 
                 entered = env.now
                 try:
-                    yield from server.execute(spec, observer=observe_wait)
+                    # The server returns its queue/latch wait seconds.
+                    trace.queue_wait_s = yield from server.execute(
+                        spec, observer=observer
+                    )
                 finally:
                     if spans is not None and routing_span is not None:
                         spans.finish(routing_span, env.now)
                 trace.server_s = env.now - entered
-                trace.queue_wait_s = waited[0]
 
             if work_s > 0:
                 entered = env.now
                 yield env.timeout(work_s)
-                stage_span("work", entered)
+                if spans is not None:
+                    stage_span("work", entered)
 
             if transfer is not None:
                 xfer = transfer() if callable(transfer) else transfer
@@ -297,12 +303,12 @@ class RequestPipeline:
                     # network re-solve the affected component.
                     self.network.poke()
                 trace.transfer_s = env.now - started
-                if spans is not None and server_span is not None:
+                if spans is not None:
                     stage = spans.start(
                         "stage:transfer",
                         spanlib.STAGE,
                         started,
-                        parent=server_span.context,
+                        parent=server_ctx,
                         size_mb=xfer.size_mb,
                     )
                     spans.emit(
@@ -318,7 +324,8 @@ class RequestPipeline:
             if commit is not None:
                 entered = env.now
                 result = commit()
-                stage_span("commit", entered)
+                if spans is not None:
+                    stage_span("commit", entered)
             else:
                 result = None
         except BaseException as error:

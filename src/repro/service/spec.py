@@ -7,9 +7,6 @@ front-end weight).  The spec is consumed by
 :meth:`repro.storage.partition.PartitionServer.execute`; the services
 build their op tables from it instead of hand-rolling per-service
 request plumbing.
-
-Historically this class lived in :mod:`repro.storage.partition`, which
-still re-exports it for compatibility.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ and overload shedding -- the mechanisms from which the paper's Fig. 2
 and Fig. 3 concurrency shapes emerge.
 """
 
+from repro.service.spec import OpSpec
 from repro.storage.account import (
     GeoReplicatedAccount,
     ReplicationConfig,
@@ -36,7 +37,7 @@ from repro.storage.errors import (
     ServerBusyError,
     StorageError,
 )
-from repro.storage.partition import OpSpec, PartitionServer
+from repro.storage.partition import PartitionServer
 from repro.storage.queue import QueueMessage, QueueService
 from repro.storage.table import Entity, TableService
 

@@ -33,6 +33,7 @@ from repro import calibration as cal
 from repro.network.flows import Flow, FlowNetwork
 from repro.network.links import Link
 from repro.service.pipeline import LatencyProfile, RequestPipeline, TransferSpec
+from repro.service.spec import OpSpec
 from repro.service.tracing import RequestTracer
 from repro.simcore import Environment
 from repro.storage.errors import (
@@ -41,7 +42,6 @@ from repro.storage.errors import (
     CorruptBlobError,
     PreconditionFailedError,
 )
-from repro.storage.partition import OpSpec
 
 #: Admission-time op descriptors handed to an attached fault injector.
 _GET_OP = OpSpec("blob.get")

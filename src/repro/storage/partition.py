@@ -37,9 +37,7 @@ from repro.service.spec import OpSpec
 from repro.simcore import Environment, Resource
 from repro.storage.errors import OperationTimeoutError
 
-#: OpSpec historically lived here; it now belongs to the unified request
-#: path (:mod:`repro.service.spec`) and is re-exported for compatibility.
-__all__ = ["OpSpec", "PartitionServer", "PartitionStats"]
+__all__ = ["PartitionServer", "PartitionStats"]
 
 
 @dataclass
@@ -126,24 +124,27 @@ class PartitionServer:
     ) -> Generator:
         """Process one operation; yields inside the caller's process.
 
+        Returns the seconds the request spent *queued*: for the CPU pool
+        (``"cpu_wait"``) plus for the exclusive latch (``"latch_wait"``).
+
         ``observer``, if given, is called as ``observer(stage, seconds)``
-        with the time the request spent *queued* for the CPU pool
-        (``"cpu_wait"``) and the exclusive latch (``"latch_wait"``), and
-        with the busy segments it then spent being served
-        (``"frontend"``, ``"cpu_work"``, ``"latch_work"``).  Only the
-        ``*_wait`` stages are queueing; callers aggregating queue wait
-        must filter on that suffix.  It is a pure measurement hook: it
-        draws no randomness and schedules nothing, so tracing cannot
-        perturb the simulation.
+        with each of those waits and with the busy segments the request
+        then spent being served (``"frontend"``, ``"cpu_work"``,
+        ``"latch_work"``).  It is a pure measurement hook: it draws no
+        randomness and schedules nothing, so tracing cannot perturb the
+        simulation.
 
         Raises :class:`OperationTimeoutError` if the request is shed.
         """
         env = self.env
+        stats = self.stats
         self._active += 1
         self._inflight_payload_mb += op.payload_mb
-        self.stats.started += 1
-        self.stats.peak_concurrency = max(self.stats.peak_concurrency, self._active)
-        self.stats.ops_by_name[op.name] = self.stats.ops_by_name.get(op.name, 0) + 1
+        stats.started += 1
+        if self._active > stats.peak_concurrency:
+            stats.peak_concurrency = self._active
+        stats.ops_by_name[op.name] = stats.ops_by_name.get(op.name, 0) + 1
+        waited = 0.0
         try:
             # (0) scheduled fault windows (drills, Section 6.3).
             if self.fault_injector is not None:
@@ -154,7 +155,7 @@ class PartitionServer:
             if excess > 0:
                 p_shed = min(self.overload_slope_per_mb * excess, 0.5)
                 if self.rng.random() < p_shed:
-                    self.stats.shed += 1
+                    stats.shed += 1
                     yield env.timeout(self.server_timeout_s)
                     raise OperationTimeoutError(
                         f"{self.name}: request {op.name} timed out server-side",
@@ -179,10 +180,12 @@ class PartitionServer:
                 with self.cpu.request() as slot:
                     queued_at = env.now
                     yield slot
+                    wait = env.now - queued_at
+                    waited += wait
                     if observer is not None:
-                        observer("cpu_wait", env.now - queued_at)
+                        observer("cpu_wait", wait)
                     work = self._jitter(op.cpu_s, op)
-                    self.stats.busy_cpu_s += work
+                    stats.busy_cpu_s += work
                     yield env.timeout(work)
                     if observer is not None:
                         observer("cpu_work", work)
@@ -196,17 +199,20 @@ class PartitionServer:
                 with self.latch(op.latch_key).request() as grant:
                     queued_at = env.now
                     yield grant
+                    wait = env.now - queued_at
+                    waited += wait
                     if observer is not None:
-                        observer("latch_wait", env.now - queued_at)
+                        observer("latch_wait", wait)
                     held = self._jitter(op.exclusive_s, op)
                     yield env.timeout(held)
                     if observer is not None:
                         observer("latch_work", held)
 
-            self.stats.completed += 1
+            stats.completed += 1
         finally:
             self._active -= 1
             self._inflight_payload_mb -= op.payload_mb
+        return waited
 
     def _jitter(self, mean: float, op: OpSpec) -> float:
         if op.deterministic or mean <= 0:

@@ -38,10 +38,11 @@ import numpy as np
 
 from repro import calibration as cal
 from repro.service.pipeline import LatencyProfile, RequestPipeline
+from repro.service.spec import OpSpec
 from repro.service.tracing import RequestTracer
 from repro.simcore import Environment
 from repro.storage.errors import MessageNotFoundError, QueueEmptyError
-from repro.storage.partition import OpSpec, PartitionServer
+from repro.storage.partition import PartitionServer
 
 _msg_ids = itertools.count(1)
 _receipts = itertools.count(1)

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple,
+)
 
 import numpy as np
 
 from repro import calibration as cal
 from repro.service.pipeline import LatencyProfile, RequestPipeline
+from repro.service.spec import OpSpec
 from repro.service.tracing import RequestTracer
 from repro.simcore import Environment
 from repro.storage.errors import (
@@ -33,20 +36,26 @@ from repro.storage.errors import (
     EntityNotFoundError,
     PreconditionFailedError,
 )
-from repro.storage.partition import OpSpec, PartitionServer
+from repro.storage.partition import PartitionServer
 
 _etags = itertools.count(1)
 
 
 @dataclass
 class Entity:
-    """One table row: property bag plus system columns."""
+    """One table row: property bag plus system columns.
+
+    Once stored, an entity changes only through :class:`TableService`
+    operations (insert, update, delete, batch, seeding): the property
+    scan cache relies on every such change bumping the partition's
+    epoch, so mutating a stored entity in place is unsupported.
+    """
 
     partition_key: str
     row_key: str
     properties: Dict[str, Any] = field(default_factory=dict)
     size_kb: float = 1.0
-    etag: int = field(default_factory=lambda: next(_etags))
+    etag: int = field(default_factory=_etags.__next__)
     timestamp: float = 0.0
 
     @property
@@ -54,11 +63,65 @@ class Entity:
         return (self.partition_key, self.row_key)
 
 
+class _Partition(Dict[str, Entity]):
+    """One partition's rows, ``RowKey -> Entity`` in insertion order,
+    plus its mutation epoch and the scan state valid for that epoch.
+
+    Every committed write calls :meth:`bump`, which drops the scan
+    state.  Within one epoch all property scans share one immutable
+    snapshot, and the matches of the last (snapshot, predicate) pair
+    are kept -- at most one entry, predicate compared by identity.
+    """
+
+    __slots__ = ("epoch", "_snapshot", "_match")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.epoch = 0
+        self._snapshot: Optional[Tuple[Entity, ...]] = None
+        self._match: Optional[
+            Tuple[Tuple[Entity, ...], Callable[[Entity], bool], Tuple[Entity, ...]]
+        ] = None
+
+    def bump(self) -> None:
+        """Start a new mutation epoch (call after every write)."""
+        self.epoch += 1
+        self._snapshot = None
+        self._match = None
+
+    def snapshot(self) -> Tuple[Entity, ...]:
+        """The rows as of now, shared by every scan in this epoch."""
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = tuple(self.values())
+        return snap
+
+    def matches(
+        self,
+        snapshot: Tuple[Entity, ...],
+        predicate: Callable[[Entity], bool],
+    ) -> List[Entity]:
+        """A fresh list of the ``snapshot`` entities ``predicate``
+        accepts.  Only a snapshot of the current epoch is cached, so a
+        scan that outlives a write re-filters its own snapshot, exactly
+        as an uncached scan would."""
+        hit = self._match
+        if hit is not None and hit[0] is snapshot and hit[1] is predicate:
+            return list(hit[2])
+        found = tuple(filter(predicate, snapshot))
+        if snapshot is self._snapshot:
+            self._match = (snapshot, predicate, found)
+        return list(found)
+
+
 class TableService:
     """A table storage account endpoint.
 
     All operations are generators to be driven from a simulation process
     (typically via the client SDK, which adds timeout racing and retry).
+
+    Rows are indexed ``table -> PartitionKey -> RowKey``, so a point op
+    is two dict lookups and :meth:`entity_count` of a partition is O(1).
     """
 
     def __init__(
@@ -78,7 +141,7 @@ class TableService:
         # paper's workload uses a single partition, so contention
         # concentrates exactly as it did in the measurement.
         self._servers: Dict[Tuple[str, str], PartitionServer] = {}
-        self._tables: Dict[str, Dict[Tuple[str, str], Entity]] = {}
+        self._tables: Dict[str, Dict[str, _Partition]] = {}
         self.pipeline = RequestPipeline(
             env,
             rng,
@@ -101,10 +164,11 @@ class TableService:
         return sorted(self._tables)
 
     def entity_count(self, table: str, partition_key: Optional[str] = None) -> int:
-        rows = self._entities(table)
+        partitions = self._partitions(table)
         if partition_key is None:
-            return len(rows)
-        return sum(1 for (pk, _rk) in rows if pk == partition_key)
+            return sum(len(rows) for rows in partitions.values())
+        rows = partitions.get(partition_key)
+        return 0 if rows is None else len(rows)
 
     def server_for(self, table: str, partition_key: str) -> PartitionServer:
         key = (table, partition_key)
@@ -129,26 +193,55 @@ class TableService:
         return [self._servers[key] for key in sorted(self._servers)]
 
     def seed_entity(self, table: str, entity: Entity) -> Entity:
-        """Administratively materialize an entity (and its partition
-        server) without paying request latency — the replica-priming
-        analogue of :meth:`BlobService.seed_blob`.  No events, no RNG."""
-        rows = self._entities(table)
-        if entity.key in rows:
-            raise EntityAlreadyExistsError(
-                f"{entity.key} already exists", service=self.name,
-                op="table.insert",
-            )
-        entity.timestamp = self.env.now
-        rows[entity.key] = entity
-        self.server_for(table, entity.partition_key)
+        """Administratively materialize one entity (see
+        :meth:`seed_entities`)."""
+        self.seed_entities(table, (entity,))
         return entity
 
-    def _entities(self, table: str) -> Dict[Tuple[str, str], Entity]:
-        rows = self._tables.get(table)
-        if rows is None:
+    def seed_entities(self, table: str, entities: Iterable[Entity]) -> None:
+        """Administratively materialize entities (and their partition
+        servers) without paying request latency -- the replica-priming
+        analogue of :meth:`BlobService.seed_blob`.  No events, no RNG.
+
+        Entities are stored in iteration order; a key that already
+        exists raises :class:`EntityAlreadyExistsError` (the entities
+        before it stay seeded).
+        """
+        partitions = self._partitions(table)
+        now = self.env.now
+        touched: Dict[str, _Partition] = {}
+        for entity in entities:
+            rows = touched.get(entity.partition_key)
+            if rows is None:
+                # One bump per touched partition; seeding is synchronous,
+                # so no scan can run between it and the writes below.
+                rows = self._partition(table, partitions, entity.partition_key)
+                rows.bump()
+                touched[entity.partition_key] = rows
+            if entity.row_key in rows:
+                raise EntityAlreadyExistsError(
+                    f"{entity.key} already exists", service=self.name,
+                    op="table.insert",
+                )
+            entity.timestamp = now
+            rows[entity.row_key] = entity
+
+    def _partitions(self, table: str) -> Dict[str, _Partition]:
+        partitions = self._tables.get(table)
+        if partitions is None:
             raise EntityNotFoundError(
                 f"table {table!r} does not exist", service=self.name
             )
+        return partitions
+
+    def _partition(
+        self, table: str, partitions: Dict[str, _Partition], partition_key: str
+    ) -> _Partition:
+        """The partition's rows, created (with its server) on first write."""
+        rows = partitions.get(partition_key)
+        if rows is None:
+            rows = partitions[partition_key] = _Partition()
+            self.server_for(table, partition_key)
         return rows
 
     def _op(self, kind: str, size_kb: float, latch_key: Any) -> OpSpec:
@@ -163,17 +256,19 @@ class TableService:
     # -- data plane ------------------------------------------------------------
     def insert(self, table: str, entity: Entity) -> Generator:
         """Insert a new entity; fails if the key already exists."""
-        rows = self._entities(table)
+        partitions = self._partitions(table)
 
         def commit() -> Entity:
-            if entity.key in rows:
+            rows = self._partition(table, partitions, entity.partition_key)
+            if entity.row_key in rows:
                 raise EntityAlreadyExistsError(
                     f"{entity.key} already exists",
                     service=self.name,
                     op="table.insert",
                 )
             entity.timestamp = self.env.now
-            rows[entity.key] = entity
+            rows[entity.row_key] = entity
+            rows.bump()
             return entity
 
         result = yield from self.pipeline.execute(
@@ -187,13 +282,14 @@ class TableService:
 
     def query(self, table: str, partition_key: str, row_key: str) -> Generator:
         """Point query by PartitionKey + RowKey (the fast, indexed path)."""
-        rows = self._entities(table)
+        partitions = self._partitions(table)
         found: List[Optional[Entity]] = [None]
 
         def op() -> OpSpec:
             # Sized from the entity as it exists after the base latency
             # (you pay for the bytes the lookup touches).
-            found[0] = hit = rows.get((partition_key, row_key))
+            rows = partitions.get(partition_key)
+            found[0] = hit = None if rows is None else rows.get(row_key)
             return self._op(
                 "query", hit.size_kb if hit else 0.5, latch_key=None
             )
@@ -226,11 +322,12 @@ class TableService:
         """Replace an entity.  ``if_match=None`` is the unconditional
         update the paper tests (no atomicity enforcement across clients,
         but the server still serializes writes to one entity)."""
-        rows = self._entities(table)
+        partitions = self._partitions(table)
 
         def commit() -> Entity:
-            current = rows.get(entity.key)
-            if current is None:
+            rows = partitions.get(entity.partition_key)
+            current = None if rows is None else rows.get(entity.row_key)
+            if rows is None or current is None:
                 raise EntityNotFoundError(
                     f"{entity.key} not found",
                     service=self.name,
@@ -245,7 +342,8 @@ class TableService:
                 )
             entity.etag = next(_etags)
             entity.timestamp = self.env.now
-            rows[entity.key] = entity
+            rows[entity.row_key] = entity
+            rows.bump()
             return entity
 
         result = yield from self.pipeline.execute(
@@ -261,24 +359,31 @@ class TableService:
 
     def delete(self, table: str, partition_key: str, row_key: str) -> Generator:
         """Delete an entity by key."""
-        rows = self._entities(table)
+        partitions = self._partitions(table)
         found: List[Optional[Entity]] = [None]
 
         def op() -> OpSpec:
-            found[0] = hit = rows.get((partition_key, row_key))
+            rows = partitions.get(partition_key)
+            found[0] = hit = None if rows is None else rows.get(row_key)
             return self._op(
                 "delete", hit.size_kb if hit else 0.5, latch_key="index"
             )
 
         def commit() -> None:
-            hit = found[0]
-            if hit is None:
+            # A concurrent delete may have removed the row since ``op``
+            # sized the request; that one won, so this one finds nothing.
+            rows = partitions.get(partition_key)
+            if (
+                found[0] is None
+                or rows is None
+                or rows.pop(row_key, None) is None
+            ):
                 raise EntityNotFoundError(
                     f"({partition_key}, {row_key}) not found",
                     service=self.name,
                     op="table.delete",
                 )
-            del rows[hit.key]
+            rows.bump()
 
         yield from self.pipeline.execute(
             "table.delete",
@@ -308,12 +413,13 @@ class TableService:
         keys = [e.key for e in entities]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys within batch")
-        rows = self._entities(table)
+        partitions = self._partitions(table)
         partition_key = next(iter(partition_keys))
         total_kb = sum(e.size_kb for e in entities)
 
         def commit() -> List[Entity]:
-            conflicts = [key for key in keys if key in rows]
+            rows = self._partition(table, partitions, partition_key)
+            conflicts = [key for key in keys if key[1] in rows]
             if conflicts:
                 raise EntityAlreadyExistsError(
                     f"batch aborted: {conflicts[0]} already exists",
@@ -322,7 +428,8 @@ class TableService:
                 )
             for entity in entities:
                 entity.timestamp = self.env.now
-                rows[entity.key] = entity
+                rows[entity.row_key] = entity
+            rows.bump()
             return entities
 
         result = yield from self.pipeline.execute(
@@ -351,18 +458,27 @@ class TableService:
     ) -> Generator:
         """Property-filter query: scans the partition (no secondary
         indexes exist -- Section 6.1), so cost grows with partition size
-        and the scan occupies a CPU core for its duration."""
-        rows = self._entities(table)
-        scanned: List[List[Entity]] = [[]]
+        and the scan occupies a CPU core for its duration.
+
+        The result is a fresh list of the entities, in insertion order,
+        that ``predicate`` accepts at commit time among those in the
+        partition after the base latency.  Scans in one mutation epoch
+        share the snapshot and, for the same predicate object, the
+        matches (see :class:`_Partition`).
+        """
+        partitions = self._partitions(table)
+        rows: Optional[_Partition] = None
+        snapshot: Tuple[Entity, ...] = ()
 
         def op() -> OpSpec:
             # The scan set is captured after the base latency; its size
             # sets the CPU cost.
-            scanned[0] = in_partition = [
-                e for e in rows.values() if e.partition_key == partition_key
-            ]
+            nonlocal rows, snapshot
+            rows = partitions.get(partition_key)
+            if rows is not None:
+                snapshot = rows.snapshot()
             scan_cpu = cal.TABLE_SCAN_S_PER_1K_ENTITIES * (
-                len(in_partition) / 1000.0
+                len(snapshot) / 1000.0
             )
             return OpSpec(
                 name="table.scan",
@@ -373,12 +489,15 @@ class TableService:
                 deterministic=True,
             )
 
+        def commit() -> List[Entity]:
+            return [] if rows is None else rows.matches(snapshot, predicate)
+
         result = yield from self.pipeline.execute(
             "table.scan",
             op,
             base_latency_s=cal.TABLE_BASE_LATENCY_S["query"],
             route=(table, partition_key),
-            commit=lambda: [e for e in scanned[0] if predicate(e)],
+            commit=commit,
         )
         return result
 
@@ -392,11 +511,9 @@ def make_entity(
     """Convenience constructor mirroring the paper's test schema:
     {int, int, String, String} plus the keys, with the last string sized
     to reach ``size_kb``."""
-    props = {"f1": 0, "f2": 0, "f3": "meta", "payload_kb": size_kb}
-    props.update(properties)
     return Entity(
-        partition_key=partition_key,
-        row_key=row_key,
-        properties=props,
-        size_kb=size_kb,
+        partition_key,
+        row_key,
+        {"f1": 0, "f2": 0, "f3": "meta", "payload_kb": size_kb, **properties},
+        size_kb,
     )

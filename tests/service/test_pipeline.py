@@ -225,3 +225,66 @@ def test_work_stage_advances_clock():
     assert env.now == pytest.approx(3.5)
     (trace,) = tracer.records()
     assert trace.latency_s == pytest.approx(3.5)
+
+
+def _contended_run(with_spans):
+    """Twelve jittered requests queueing for one core and two latches.
+
+    Returns the request tracer, the span tracer (or None) and the
+    partition server's per-request return values in completion order.
+    """
+    from repro.observability.spans import SpanTracer
+    from repro.storage import PartitionServer
+
+    returned = []
+
+    class RecordingServer(PartitionServer):
+        def execute(self, op, observer=None):
+            waited = yield from super().execute(op, observer)
+            returned.append(waited)
+            return waited
+
+    env = Environment()
+    tracer = RequestTracer(capacity=None)
+    spans = SpanTracer(capacity=None) if with_spans else None
+    tracer.spans = spans
+    server = RecordingServer(env, _rng(1), cores=1)
+    pipe = RequestPipeline(
+        env, _rng(2), service="svc", router=lambda key: server, tracer=tracer
+    )
+    for i in range(12):
+        op = OpSpec(
+            name="op",
+            cpu_s=0.2,
+            exclusive_s=0.3 if i % 3 else 0.0,
+            latch_key=f"k{i % 2}",
+        )
+        env.process(
+            pipe.execute(f"op{i}", op, base_latency_s=0.01 * i, route="k")
+        )
+    env.run()
+    return tracer, spans, returned
+
+
+def test_queue_wait_is_the_same_with_spans_on_and_off():
+    plain, _, plain_returned = _contended_run(with_spans=False)
+    traced, spans, traced_returned = _contended_run(with_spans=True)
+    waits = [t.queue_wait_s for t in plain.records()]
+    assert [t.queue_wait_s for t in traced.records()] == waits
+    assert sum(w > 0 for w in waits) >= 6  # the run really contends
+    # The pipeline takes queue_wait_s from the server's return value.
+    assert plain_returned == traced_returned == waits
+
+    # ... which is the sum of the request's cpu_wait/latch_wait spans.
+    all_spans = spans.spans()
+    by_id = {s.span_id: s for s in all_spans}
+    span_wait = {}
+    for s in all_spans:
+        if s.name in ("cpu_wait", "latch_wait"):
+            op = by_id[by_id[s.parent_id].parent_id].attributes["op"]
+            span_wait[op] = span_wait.get(op, 0.0) + s.duration_s
+    assert len(span_wait) == 12  # every request waits for the core
+    for trace in traced.records():
+        assert span_wait[trace.op] == pytest.approx(
+            trace.queue_wait_s, abs=1e-12
+        )

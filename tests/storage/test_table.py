@@ -135,8 +135,7 @@ def test_property_scan_cost_grows_with_partition_size():
     env2 = Environment()
     svc2 = _svc(env2)
     svc2.create_table("t")
-    for i in range(5000):
-        svc2._tables["t"][("p", f"r{i}")] = make_entity("p", f"r{i}")
+    svc2.seed_entities("t", (make_entity("p", f"r{i}") for i in range(5000)))
     t0 = env2.now
     _run(env2, svc2.query_by_property("t", "p", lambda e: False))
     large_cost = env2.now - t0
@@ -173,3 +172,26 @@ def test_entity_key_and_timestamp():
     _run(env, svc.insert("t", e))
     assert e.timestamp > 0
     assert e.size_kb == 2.0
+
+
+def test_seed_entities_is_free_and_rejects_duplicates():
+    env = Environment()
+    svc = _svc(env)
+    svc.create_table("t")
+    state = svc.rng.bit_generator.state
+    svc.seed_entities(
+        "t", [make_entity("a", "r1"), make_entity("b", "r1"), make_entity("a", "r2")]
+    )
+    # No RNG draw, no scheduled event; servers exist for both partitions.
+    assert svc.rng.bit_generator.state == state
+    assert env.peek() == float("inf")
+    assert [s.name for s in svc.servers()] == ["tables/t/a", "tables/t/b"]
+    assert svc.entity_count("t", "a") == 2 and svc.entity_count("t") == 3
+    with pytest.raises(EntityAlreadyExistsError):
+        svc.seed_entities("t", [make_entity("c", "r1"), make_entity("a", "r2")])
+    # Entities before the duplicate stay seeded; seed_entity delegates.
+    assert svc.entity_count("t", "c") == 1
+    with pytest.raises(EntityAlreadyExistsError):
+        svc.seed_entity("t", make_entity("b", "r1"))
+    found, err = _run(env, svc.query("t", "b", "r1"))
+    assert err is None and found.partition_key == "b"
