@@ -15,10 +15,8 @@ from repro.artifacts.dash import (
 from repro.artifacts.ingest import (
     bench_record,
     campaign_record,
-    cohort_record,
     ingest_bench,
     ingest_campaign,
-    ingest_cohort,
     ingest_scenario_run,
     ops_record,
     run_scenario_sweep,
@@ -64,11 +62,9 @@ __all__ = [
     "bench_record",
     "campaign_record",
     "canonical_json",
-    "cohort_record",
     "config_hash",
     "ingest_bench",
     "ingest_campaign",
-    "ingest_cohort",
     "ingest_scenario_run",
     "ops_record",
     "pareto_frontier",

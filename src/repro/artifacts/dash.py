@@ -183,7 +183,7 @@ def _render_campaign(record: RunRecord) -> List[str]:
 
 
 def _render_flat(record: RunRecord) -> List[str]:
-    """Generic KPI table over a flat metrics dict (bench/cohort/ops)."""
+    """Generic KPI table over a flat metrics dict (bench/ops)."""
 
     def rows(prefix: str, doc: Dict[str, Any]) -> List[List[Any]]:
         out: List[List[Any]] = []

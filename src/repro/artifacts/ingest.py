@@ -1,11 +1,11 @@
 """Adapters from the run drivers into catalog records.
 
 Each driver's ``--catalog`` path lands here: a scenario run or seed ×
-level sweep, a campaign report, a bench snapshot or a cohort trial is
-folded into one :class:`~repro.artifacts.records.RunRecord` — spec
-document, config hash, per-cell summaries with bit-precision digests,
-and the serialized tracer/histogram snapshots the dashboard reads —
-then written through the store's simulated blob service.
+level sweep, a campaign report or a bench snapshot is folded into one
+:class:`~repro.artifacts.records.RunRecord` — spec document, config
+hash, per-cell summaries with bit-precision digests, and the serialized
+tracer/histogram snapshots the dashboard reads — then written through
+the store's simulated blob service.
 
 Cataloging is strictly post-hoc observation: every adapter consumes
 finished results (or runs the stock drivers unmodified) and touches
@@ -159,52 +159,6 @@ def ingest_bench(store: CatalogStore, snapshot: Dict[str, Any]) -> str:
     return store.put_record(bench_record(snapshot))
 
 
-def cohort_record(spec: Any, result: Any, seed: int) -> RunRecord:
-    """Build a record from one cohort trial."""
-    from repro.scenarios import dist_to_dict
-
-    spec_doc = {
-        "service": spec.service,
-        "op": spec.op,
-        "n_clients": spec.n_clients,
-        "ops_per_client": spec.ops_per_client,
-        "think_time": (
-            dist_to_dict(spec.think_time)
-            if spec.think_time is not None
-            else None
-        ),
-        "size_kb": spec.size_kb,
-        "size_mb": spec.size_mb,
-        "ramp_s": spec.ramp_s,
-        "timeout_s": spec.timeout_s,
-    }
-    summary = result.summary()
-    return RunRecord(
-        run_id="",
-        kind="cohort",
-        name=f"{spec.service}.{spec.op}",
-        config_hash=config_hash(spec_doc),
-        spec=spec_doc,
-        seed_grid=[seed],
-        level_grid=[spec.n_clients],
-        cells=[
-            CellResult(
-                seed=seed,
-                level=spec.n_clients,
-                digest=payload_digest(summary),
-                metrics=summary,
-            )
-        ],
-        metrics={"mode": result.mode},
-    )
-
-
-def ingest_cohort(
-    store: CatalogStore, spec: Any, result: Any, seed: int
-) -> str:
-    return store.put_record(cohort_record(spec, result, seed))
-
-
 def ops_record(
     name: str,
     registry_snapshot: Dict[str, Any],
@@ -232,10 +186,8 @@ def ops_record(
 __all__ = [
     "bench_record",
     "campaign_record",
-    "cohort_record",
     "ingest_bench",
     "ingest_campaign",
-    "ingest_cohort",
     "ingest_scenario_run",
     "ops_record",
     "run_scenario_sweep",

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional
 
 #: Record kinds the catalog understands (free-form kinds are allowed;
 #: these are the ones the shipped drivers emit).
-RUN_KINDS = ("scenario", "campaign", "bench", "cohort", "ops")
+RUN_KINDS = ("scenario", "campaign", "bench", "ops")
 
 
 def canonical_json(value: Any) -> str:

@@ -44,8 +44,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.experiment == "cohort" or args.cohort:
-        return _cmd_cohort(args)
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failures = 0
     exported = {}
@@ -78,65 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if failures:
         print(f"{failures} experiment(s) had failing shape checks")
     return 1 if failures else 0
-
-
-def _cmd_cohort(args: argparse.Namespace) -> int:
-    """One cohort trial: N statistically identical closed-loop clients.
-
-    ``repro run cohort --clients 100000 --cohort`` forces the batched
-    fluid driver; without ``--cohort`` the mode is ``auto`` (exact
-    per-client simulation up to 32 members, batched beyond).
-    """
-    from repro.simcore import Distribution
-    from repro.workloads.cohort import CohortSpec, run_cohort
-
-    try:
-        service, _, op = args.cohort_op.partition(".")
-        spec = CohortSpec(
-            service=service,
-            op=op,
-            n_clients=args.clients,
-            ops_per_client=args.ops_per_client,
-            think_time=(
-                Distribution.exponential(args.think_ms / 1000.0)
-                if args.think_ms > 0
-                else None
-            ),
-            size_mb=args.size_mb,
-        )
-    except ValueError as exc:
-        print(f"bad cohort spec: {exc}", file=sys.stderr)
-        return 2
-    mode = "batched" if args.cohort else "auto"
-    start = time.time()
-    result = run_cohort(spec, seed=args.seed, mode=mode)
-    elapsed = time.time() - start
-    print(
-        f"cohort {args.cohort_op} x{args.clients} clients "
-        f"({result.mode} driver, seed {args.seed}):"
-    )
-    for key, value in result.summary().items():
-        print(f"  {key:24s} {value:>14,.4f}")
-    rate = args.clients / elapsed if elapsed > 0 else float("inf")
-    print(f"  (finished in {elapsed:.2f}s wall-clock — "
-          f"{rate:,.0f} simulated clients/s)")
-    if args.catalog:
-        from repro.artifacts import CatalogStore, ingest_cohort
-
-        run_id = ingest_cohort(
-            CatalogStore(args.catalog), spec, result, args.seed
-        )
-        print(f"catalogued as {run_id} in {args.catalog}/")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(
-                {"mode": result.mode, "summary": result.summary()},
-                fh, indent=2, sort_keys=True,
-            )
-        print(f"wrote machine-readable cohort summary to {args.json}")
-    return 0
 
 
 def _jsonable(value):
@@ -268,7 +207,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "n_clients": args.clients,
             "clients_per_s": rate,
         }
-        print(f"cohort driver at {args.clients:,} clients: "
+        print(f"closed batched driver at {args.clients:,} clients: "
               f"{rate:,.0f} simulated clients/s\n")
     kernel = snapshot["kernel"]
     print("kernel throughput (best of repeated runs):")
@@ -745,40 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list available experiments")
     p_list.set_defaults(func=_cmd_list)
 
-    p_run = sub.add_parser(
-        "run", help="run an experiment (or 'all', or a 'cohort' trial)"
-    )
+    p_run = sub.add_parser("run", help="run an experiment (or 'all')")
     p_run.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "cohort"],
-        help="experiment id ('cohort' = an aggregated client-population trial)",
-    )
-    p_run.add_argument(
-        "--clients", type=int, default=1000, metavar="N",
-        help="cohort population size (cohort runs only)",
-    )
-    p_run.add_argument(
-        "--cohort", action="store_true",
-        help=(
-            "force the batched (fluid) cohort driver; default is auto "
-            "(exact per-client simulation up to 32 clients)"
-        ),
-    )
-    p_run.add_argument(
-        "--cohort-op", default="table.insert", metavar="SERVICE.OP",
-        help="cohort operation, e.g. table.insert, queue.add, blob.download",
-    )
-    p_run.add_argument(
-        "--ops-per-client", type=int, default=10, metavar="K",
-        help="operations each cohort member performs",
-    )
-    p_run.add_argument(
-        "--think-ms", type=float, default=100.0,
-        help="mean exponential think time between ops (0 = none)",
-    )
-    p_run.add_argument(
-        "--size-mb", type=float, default=1.0,
-        help="blob transfer size for blob cohort ops",
+        "experiment", choices=sorted(EXPERIMENTS) + ["all"],
+        help="experiment id",
     )
     p_run.add_argument(
         "--scale", type=float, default=1.0,
@@ -796,14 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write machine-readable results to this JSON file",
-    )
-    p_run.add_argument(
-        "--catalog", metavar="DIR", nargs="?", const="catalog",
-        default=None,
-        help=(
-            "catalog a cohort trial as a run record in this directory "
-            "(default ./catalog); cohort runs only"
-        ),
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -923,11 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--cohort", action="store_true",
-        help="also measure the batched cohort driver at --clients scale",
+        help="also measure closed batched table clients at --clients scale",
     )
     p_bench.add_argument(
         "--clients", type=int, default=100_000, metavar="N",
-        help="cohort population for --cohort (default 100000)",
+        help="client population for --cohort (default 100000)",
     )
     p_bench.add_argument(
         "--catalog", metavar="DIR", nargs="?", const="catalog",

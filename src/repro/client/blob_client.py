@@ -13,9 +13,10 @@ from repro.storage.blob import BlobService, NetworkEndpoint
 class BlobClient(ServiceClient):
     """Blob operations bound to one network endpoint (a VM).
 
-    Large transfers are not raced against a client timeout (the real SDK
-    streamed them with per-chunk timeouts, so a slow-but-moving transfer
-    never tripped it); transport-level failures still retry.
+    By default large transfers are not raced against a client timeout
+    (the real SDK streamed them with per-chunk timeouts, so a
+    slow-but-moving transfer never tripped it); ``timeout_s`` sets one.
+    Transport-level failures still retry.
 
     Optional resilience hooks (see :mod:`repro.resilience`):
 
@@ -30,6 +31,7 @@ class BlobClient(ServiceClient):
         self,
         service: BlobService,
         endpoint: NetworkEndpoint,
+        timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         budget: Optional[Any] = None,
         breaker: Optional[Any] = None,
@@ -37,7 +39,7 @@ class BlobClient(ServiceClient):
         **replica_kwargs: Any,
     ) -> None:
         super().__init__(
-            service, timeout_s=None, retry=retry,
+            service, timeout_s=timeout_s, retry=retry,
             budget=budget, breaker=breaker, hedge=hedge,
             **replica_kwargs,
         )

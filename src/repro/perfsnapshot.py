@@ -189,22 +189,23 @@ def failover_churn(n_clients: int = 20, ops: int = 50) -> int:
 
 
 def cohort_churn(n_clients: int = 20_000, ops: int = 5) -> int:
-    """The batched cohort driver at scale: one kernel process simulates
-    ``n_clients`` closed-loop table clients through the fluid model
-    (vectorized RNG draws, batch histogram ingestion, sharded scheduler
-    at this population).  The rate is *simulated clients per second* —
-    the headline number the cohort layer exists for."""
-    from repro.simcore import Distribution
-    from repro.workloads.cohort import CohortSpec, run_cohort
-
-    spec = CohortSpec(
-        service="table",
-        op="insert",
-        n_clients=n_clients,
-        ops_per_client=ops,
-        think_time=Distribution.exponential(0.1),
+    """Closed-loop table clients at scale through the scenario driver's
+    batched mode: one kernel process simulates ``n_clients`` clients
+    through the fluid model (vectorized RNG draws, batch histogram
+    ingestion, sharded scheduler at this population).  The rate is
+    *simulated clients per second*."""
+    from repro.scenarios import (
+        ArrivalSpec, OpSpec, PhaseSpec, ScenarioSpec, run_scenario,
     )
-    run_cohort(spec, seed=3, mode="batched")
+    from repro.simcore import Distribution
+
+    spec = ScenarioSpec(
+        name="churn",
+        phases=(PhaseSpec("main", (OpSpec("table", "insert"),),
+                          ops_per_client=ops),),
+        arrival=ArrivalSpec(think=Distribution.exponential(0.1)),
+    )
+    run_scenario(spec, n_clients=n_clients, seed=3, mode="batched")
     return n_clients
 
 
@@ -224,7 +225,7 @@ def campaign_horizon(scale: float = 1.0) -> int:
 
 
 def rng_batch(n_draws: int = 500_000, block: int = 4096) -> int:
-    """Vectorized stream draws: the cohort driver's RNG hot path
+    """Vectorized stream draws: the batched drivers' RNG hot path
     (exponential jitter blocks plus distribution batches)."""
     from repro.simcore import Distribution, RandomStreams
 

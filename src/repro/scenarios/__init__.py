@@ -5,7 +5,7 @@ plus a golden digest").
 :mod:`~repro.scenarios.loader` reads TOML/JSON config files,
 :mod:`~repro.scenarios.registry` names built-ins and shipped packs, and
 :mod:`~repro.scenarios.driver` runs any spec — exactly (per-client
-processes on the shared harness) or batched (cohort fluid machinery)
+processes on the shared harness) or batched (the fluid model)
 for 10^4+ populations.
 """
 

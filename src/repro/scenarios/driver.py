@@ -6,12 +6,16 @@ One engine runs any :class:`~repro.scenarios.spec.ScenarioSpec`:
   kernel process per client through the real client stack, on the
   shared harness primitives (:func:`~repro.workloads.harness.run_clients`
   / :func:`~repro.workloads.harness.measured_loop`);
-* **batched mode** (10^4+ clients) — closed-loop specs fan out over the
-  cohort fluid driver (:func:`~repro.workloads.cohort.run_cohort`);
-  open-arrival specs run a windowed stationary solver directly: per
-  window, the realized MMPP/diurnal rate integral sets a Poisson op
-  count, the cohort fixed point prices each op's response time, and the
-  latencies are drawn vectorized.
+* **batched mode** (10^4+ clients) — both arrival kinds price requests
+  with the fluid model of :mod:`repro.workloads.cohort`.  Closed-loop
+  specs split the population across the mix and drive each op's share
+  from one kernel process over numpy arrays (streams ``cohort.latency``,
+  ``cohort.think``, ``cohort.arrival``); open-arrival specs run a
+  windowed stationary solver without a kernel: per window, the realized
+  MMPP/diurnal rate integral sets a Poisson op count, the fixed point
+  prices each op's response time, and the latencies are drawn
+  vectorized.  Both clamp at the spec's timeout, or else each service
+  client's own default.
 
 Bit-reproducibility contract: every stochastic scenario feature draws
 from its own named stream (``scenario.mix``, ``scenario.size``,
@@ -40,6 +44,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 import numpy as np
 
+from repro import calibration as cal
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.skew import ZipfRouter
 from repro.scenarios.spec import (
@@ -50,7 +55,7 @@ from repro.scenarios.spec import (
     SkewSpec,
 )
 from repro.service.tracing import RequestTracer
-from repro.simcore import Environment, RandomStreams
+from repro.simcore import Distribution, Environment, RandomStreams
 from repro.workloads.harness import (
     ClientRun,
     Platform,
@@ -63,6 +68,18 @@ from repro.workloads.harness import (
 #: Largest population ``mode="auto"`` simulates exactly (the default
 #: platform's host count); beyond this the driver goes batched.
 EXACT_MAX_SCENARIO_CLIENTS = 256
+
+#: Closed batched mode's aggregation quantum: client wakes within one
+#: window share one kernel event.
+_BATCH_WINDOW_S = 0.05
+
+#: Each service client's default timeout (``BlobClient`` has none: the
+#: SDK streamed large transfers with per-chunk timeouts).
+_CLIENT_TIMEOUT_S: Dict[str, Optional[float]] = {
+    "table": cal.TABLE_CLIENT_TIMEOUT_S,
+    "queue": 30.0,
+    "blob": None,
+}
 
 
 class LinkDropError(Exception):
@@ -308,12 +325,10 @@ def _setup_services(
             ),
             None,
         )
+        pks = (
+            ["bench-pk"] if parts is None else [f"p{i}" for i in range(parts)]
+        )
         if shared_op is not None:
-            pks = (
-                ["bench-pk"]
-                if parts is None
-                else [f"p{i}" for i in range(parts)]
-            )
             tables.seed_entities(
                 "bench",
                 (
@@ -321,6 +336,24 @@ def _setup_services(
                     for pk in pks
                 ),
             )
+        # A single-op delete phase deletes the c{idx}-r{op_i} rows: seed
+        # them unless an earlier phase inserts (or seeded) them.
+        rows_exist = False
+        for phase in spec.phases:
+            keys = [op.key for op in phase.ops]
+            if keys == ["table.delete"] and not rows_exist:
+                size_kb = phase.ops[0].mean_size_kb
+                tables.seed_entities(
+                    "bench",
+                    (
+                        make_entity(pk, f"c{idx}-r{op_i}", size_kb=size_kb)
+                        for pk in pks
+                        for idx in range(n_clients)
+                        for op_i in range(phase.ops_per_client)
+                    ),
+                )
+                rows_exist = True
+            rows_exist = rows_exist or "table.insert" in keys
     if "queue" in services:
         queues = p.account.queues
         qnames = (
@@ -722,7 +755,7 @@ def _open_member(
 
 def _link_overhead_s(link: LinkSpec, op: OpSpec) -> float:
     """Mean per-request link delay (closed batched folds this into the
-    think time; the stochastic parts live in the open batched path)."""
+    think time; open batched draws the stochastic parts per request)."""
     payload_mb = (
         op.mean_size_mb if op.service == "blob" else op.mean_size_kb / 1024.0
     )
@@ -733,14 +766,128 @@ def _link_overhead_s(link: LinkSpec, op: OpSpec) -> float:
     return extra
 
 
+def _fluid_timeout_s(spec: ScenarioSpec, service: str) -> Optional[float]:
+    """The timeout both batched engines clamp at: the spec's, or else
+    that service client's own default, as in exact mode."""
+    if spec.timeout_s is not None:
+        return spec.timeout_s
+    return _CLIENT_TIMEOUT_S[service]
+
+
+def _closed_think(spec: ScenarioSpec, op: OpSpec) -> Optional[Distribution]:
+    """The think time of ``op``'s batched clients.  The fluid model has
+    no event-level link, so a last-mile link's mean per-request delay
+    folds into a constant think time: the loop slows by the same
+    average amount."""
+    think = spec.arrival.think
+    extra_s = 0.0 if spec.link is None else _link_overhead_s(spec.link, op)
+    if extra_s > 0:
+        think = Distribution.constant(
+            (think.mean if think is not None else 0.0) + extra_s
+        )
+    return think
+
+
+def _drive_closed_op(
+    spec: ScenarioSpec,
+    op: OpSpec,
+    n: int,
+    ops_per_client: int,
+    seed: int,
+    tracer: RequestTracer,
+) -> Tuple[int, int, float]:
+    """``n`` closed-loop clients issuing ``op`` through one kernel
+    process: every client's next-wake time and remaining-op count live
+    in numpy arrays, the process wakes once per batch window, draws the
+    window's latencies and think times vectorized and folds completions
+    into ``tracer``.  A client aborts at its first failure (overload
+    shed or timeout).  Returns ``(ops, errors, makespan_s)``."""
+    from repro.workloads.cohort import (
+        draw_stationary_latencies,
+        solve_stationary,
+        stationary_op_model,
+    )
+
+    # The sharded scheduler is built for large pending sets.
+    env = Environment(scheduler="sharded" if n >= 10_000 else "heap")
+    model = stationary_op_model(
+        op.service, op.op, op.mean_size_kb, op.mean_size_mb
+    )
+    timeout_s = _fluid_timeout_s(spec, op.service)
+    think = _closed_think(spec, op)
+    think_mean = think.mean if think is not None else 0.0
+    streams = RandomStreams(seed)
+    lat_rng = streams.batched("cohort.latency")
+    think_rng = streams.batched("cohort.think")
+    arrival_rng = streams.batched("cohort.arrival")
+
+    next_wake = np.full(n, env.now, dtype=float)
+    if spec.ramp_s > 0:
+        next_wake += arrival_rng.uniform_batch(0.0, spec.ramp_s, n)
+    ops_left = np.full(n, ops_per_client, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    totals = {"ops": 0, "errors": 0, "finish": env.now}
+
+    def driver(env: Environment) -> Generator:
+        state = solve_stationary(model, float(n), think_mean)
+        solved_for = n
+        while True:
+            live_idx = np.flatnonzero(alive)
+            if live_idx.size == 0:
+                break
+            wakes = next_wake[live_idx]
+            t_next = float(wakes.min())
+            if t_next > env.now:
+                yield env.timeout(t_next - env.now)
+            due = live_idx[wakes <= env.now + _BATCH_WINDOW_S]
+            k = int(due.size)
+            if k == 0:  # numeric corner: re-loop and resync the clock
+                continue
+            remaining = int(alive.sum())
+            if abs(remaining - solved_for) > max(1, solved_for // 20):
+                state = solve_stationary(model, float(remaining), think_mean)
+                solved_for = remaining
+
+            lat, failed = draw_stationary_latencies(
+                model, state, lat_rng, k, timeout_s=timeout_s
+            )
+            ok = ~failed
+            n_ok = int(ok.sum())
+            tracer.observe_batch(
+                f"account.{op.service}s", op.key, lat[ok],
+                errors=k - n_ok, client=True,
+            )
+            totals["ops"] += n_ok
+            totals["errors"] += k - n_ok
+
+            done_at = next_wake[due] + lat
+            totals["finish"] = max(totals["finish"], float(done_at.max()))
+            ops_left[due] -= 1
+            dead = failed | (ops_left[due] <= 0)
+            alive[due[dead]] = False
+            cont = due[~dead]
+            if cont.size:
+                wake_next = done_at[~dead]
+                if think is not None:
+                    wake_next = wake_next + think_rng.draw_batch(
+                        think, int(cont.size)
+                    )
+                next_wake[cont] = wake_next
+        if totals["finish"] > env.now:
+            yield env.timeout(totals["finish"] - env.now)
+
+    env.process(driver(env))
+    env.run()
+    return totals["ops"], totals["errors"], env.now
+
+
 def _run_closed_batched(
     spec: ScenarioSpec, n_clients: int, seed: int
 ) -> ScenarioRunResult:
     """Closed-loop spec at 10^4+ clients: split the population across
-    the mix by weight (largest remainder) and run one batched cohort
-    per op, all folding into one shared tracer."""
-    from repro.workloads.cohort import CohortSpec, run_cohort
-
+    the mix by weight (largest remainder) and drive each op's share
+    batched, all folding into one shared tracer.  Batched clients abort
+    at their first failure, so every error is a failed client."""
     tracer = RequestTracer()
     result = ScenarioRunResult(spec.name, "batched", n_clients, seed)
     op_index = 0
@@ -750,20 +897,15 @@ def _run_closed_batched(
         for op, n_op in zip(phase.ops, alloc):
             if n_op == 0:
                 continue
-            cspec = CohortSpec.from_scenario(
-                spec, op, n_op, ops_per_client=phase.ops_per_client
-            )
-            res = run_cohort(
-                cspec,
-                seed=seed + 1009 * op_index,
-                mode="batched",
-                tracer=tracer,
+            ops, errors, makespan = _drive_closed_op(
+                spec, op, n_op, phase.ops_per_client,
+                seed + 1009 * op_index, tracer,
             )
             op_index += 1
-            result.ops_completed += res.ops_completed
-            result.errors += res.errors
-            result.failed_clients += res.failed_clients
-            phase_makespan = max(phase_makespan, res.makespan_s)
+            result.ops_completed += ops
+            result.errors += errors
+            result.failed_clients += errors
+            phase_makespan = max(phase_makespan, makespan)
         result.phase_makespans[phase.name] = phase_makespan
         result.makespan_s += phase_makespan
     result.per_op, roll = _op_stats(tracer)
@@ -815,7 +957,7 @@ def _run_open_batched(
 ) -> ScenarioRunResult:
     """Open-arrival spec at 10^4+ clients, without a kernel: per
     aggregation window, the realized MMPP/diurnal rate integral sets a
-    Poisson op count, the cohort stationary solver prices each op's
+    Poisson op count, the fluid stationary solver prices each op's
     response at that offered rate, and latencies are drawn vectorized
     into the shared tracer."""
     from repro.workloads.cohort import (
@@ -889,7 +1031,7 @@ def _run_open_batched(
                 responses[op.key] = response
                 lat, failed = draw_stationary_latencies(
                     model, state, lat_rng, int(k_op),
-                    timeout_s=spec.timeout_s,
+                    timeout_s=_fluid_timeout_s(spec, op.service),
                 )
                 if spec.link is not None:
                     lat, failed = _apply_link_batched(

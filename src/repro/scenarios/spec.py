@@ -6,8 +6,8 @@ distributions), how requests arrive (closed-loop think time, open
 Poisson, bursty MMPP, diurnal rate modulation), how partition keys are
 skewed (Zipf router), how many clients participate, and what last-mile
 link sits in front of them.  The unified driver in
-:mod:`repro.scenarios.driver` runs any spec through the existing
-harness/cohort machinery; the registry in
+:mod:`repro.scenarios.driver` runs any spec through the shared harness
+or the fluid model; the registry in
 :mod:`repro.scenarios.registry` maps names (and TOML/JSON config files)
 to specs.
 
@@ -24,9 +24,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.simcore import Distribution
 
-#: Every ``(service, op)`` pair the unified driver can execute.  Kept in
-#: sync with :data:`repro.workloads.cohort.SUPPORTED_OPS` (asserted by
-#: tests) so any exact-mode scenario can also run batched.
+#: Every ``(service, op)`` pair the unified driver can execute, in both
+#: exact and batched mode.
 SCENARIO_OPS = (
     ("blob", "download"),
     ("blob", "upload"),

@@ -6,12 +6,6 @@ experiment modules turn into tables/figures.
 """
 
 from repro.workloads.harness import Platform, build_platform
-from repro.workloads.cohort import (
-    CohortResult,
-    CohortSpec,
-    run_cohort,
-    sweep_cohort,
-)
 from repro.workloads.blob_bench import BlobBenchResult, run_blob_test, sweep_blob
 from repro.workloads.table_bench import (
     TableBenchResult,
@@ -29,8 +23,6 @@ from repro.workloads.tcp_bench import TcpBenchResult, run_tcp_test
 
 __all__ = [
     "BlobBenchResult",
-    "CohortResult",
-    "CohortSpec",
     "Platform",
     "QueueBenchResult",
     "TableBenchResult",
@@ -38,14 +30,12 @@ __all__ = [
     "VMCampaignResult",
     "build_platform",
     "run_blob_test",
-    "run_cohort",
     "run_property_filter_test",
     "run_queue_test",
     "run_table_test",
     "run_tcp_test",
     "run_vm_campaign",
     "sweep_blob",
-    "sweep_cohort",
     "sweep_queue",
     "sweep_table",
 ]

@@ -76,14 +76,17 @@ def test_queue_client_roundtrip():
     assert account.queues.queue_length("q") == 0
 
 
+class _EP:
+    """A bare network endpoint: one host's NIC pair."""
+
+    def __init__(self, host):
+        self.nic_tx, self.nic_rx = host.nic_tx, host.nic_rx
+
+
 def test_blob_client_roundtrip():
     env, account = _account()
     account.blobs.create_container("c")
     dc = Datacenter(racks=1, hosts_per_rack=2)
-
-    class _EP:
-        def __init__(self, host):
-            self.nic_tx, self.nic_rx = host.nic_tx, host.nic_rx
 
     client = BlobClient(account.blobs, _EP(dc.hosts[0]))
     meta, err = _run(env, client.upload("c", "b", 5.0))
@@ -93,6 +96,25 @@ def test_blob_client_roundtrip():
     pair, _ = _run(env, client.download_measured("c", "b"))
     _meta, outcome = pair
     assert outcome.ok and outcome.latency_s > 0
+
+
+def test_blob_client_timeout_races_transfers():
+    """``timeout_s`` is a real parameter (as on the table and queue
+    clients), not a keyword that collides with the no-timeout default."""
+    from repro.client.base import ClientTimeoutError
+    from repro.resilience.backoff import NO_RETRY
+
+    env, account = _account()
+    account.blobs.create_container("c")
+    dc = Datacenter(racks=1, hosts_per_rack=2)
+
+    assert BlobClient(account.blobs, _EP(dc.hosts[0])).timeout_s is None
+    client = BlobClient(
+        account.blobs, _EP(dc.hosts[0]), timeout_s=1e-3, retry=NO_RETRY
+    )
+    assert client.timeout_s == 1e-3
+    _, err = _run(env, client.upload("c", "b", 5.0))
+    assert isinstance(err, ClientTimeoutError)
 
 
 def test_management_client_full_cycle():

@@ -22,7 +22,6 @@ from repro.scenarios import (
     sweep_scenario,
 )
 from repro.simcore import Distribution
-from repro.workloads.cohort import CohortSpec
 
 _TOOLS = Path(__file__).resolve().parents[2] / "tools"
 
@@ -111,6 +110,11 @@ def test_exact_mode_caps_population():
             n_clients=EXACT_MAX_SCENARIO_CLIENTS + 1,
             mode="exact",
         )
+
+
+def test_run_scenario_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        run_scenario(_mixed_closed(), mode="fluid-ish")
 
 
 def test_auto_mode_dispatch():
@@ -221,22 +225,24 @@ def test_sweep_scenario_is_jobs_invariant():
         assert serial[level].n_clients == level
 
 
-# -- integration with cohort + campaign layers -----------------------------
+# -- integration with the fluid and campaign layers -------------------------
 
 
-def test_cohort_spec_from_scenario_folds_link_into_think():
+def test_closed_batched_folds_link_into_think():
+    from repro.scenarios.driver import _closed_think
+
     spec = _blob_spec(
         link=LinkSpec(
             profile="edge", extra_latency_ms=100.0, bandwidth_mbps=2.0,
             loss_rate=0.2, retransmit_penalty_ms=150.0,
         )
     )
-    cohort = CohortSpec.from_scenario(spec, spec.all_ops[0], n_clients=100)
-    assert (cohort.service, cohort.op) == ("blob", "download")
-    assert cohort.n_clients == 100
+    think = _closed_think(spec, spec.all_ops[0])
     # extra 0.1s + 0.25 mean retransmits * 0.15s + 0.1MB / 2MBps = 0.1875s
-    assert cohort.think_time is not None
-    assert cohort.think_time.mean == pytest.approx(0.1875)
+    assert think is not None and think.kind == "constant"
+    assert think.mean == pytest.approx(0.1875)
+    # No link: the spec's own think time, untouched.
+    assert _closed_think(_blob_spec(), spec.all_ops[0]) is None
 
 
 def test_campaign_spec_adopts_scenario_mix():
@@ -278,4 +284,17 @@ def test_cli_scenario_run_from_file_and_bad_name(tmp_path, capsys):
     spec_file.write_text(json.dumps(scenario_to_dict(_mixed_closed())))
     assert cli_main(["scenario", "run", "--file", str(spec_file)]) == 0
     assert cli_main(["scenario", "run", "no-such-scenario"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_closed_batched_runs_through_scenario_run(capsys):
+    # Large closed-loop populations run through `scenario run`; the old
+    # `run cohort` trial is gone.
+    assert cli_main([
+        "scenario", "run", "fig3-queue-add", "--clients", "10000",
+        "--mode", "batched", "--seed", "3", "--scale", "0.05",
+    ]) == 0
+    assert "batched driver" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli_main(["run", "cohort"])
     capsys.readouterr()

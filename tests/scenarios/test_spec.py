@@ -27,7 +27,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.loader import parse_toml, parse_toml_minimal
 from repro.simcore import Distribution
-from repro.workloads.cohort import SUPPORTED_OPS
+from repro.workloads.cohort import solve_stationary, stationary_op_model
 
 
 def _mixed_spec(**overrides):
@@ -59,10 +59,12 @@ def _mixed_spec(**overrides):
 # -- op-set contract -------------------------------------------------------
 
 
-def test_scenario_ops_match_cohort_supported_ops():
-    # Every exact-mode op must also run batched: the spec layer and the
-    # cohort layer must agree on the executable (service, op) pairs.
-    assert set(SCENARIO_OPS) == SUPPORTED_OPS
+def test_every_scenario_op_has_a_fluid_model():
+    # Every exact-mode op must also run batched, so the fluid model
+    # prices each (service, op) pair the spec layer accepts.
+    for service, op in SCENARIO_OPS:
+        state = solve_stationary(stationary_op_model(service, op), 100.0, 0.1)
+        assert 0.0 < state.response_s < float("inf"), (service, op)
 
 
 # -- validation ------------------------------------------------------------
