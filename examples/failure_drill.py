@@ -10,25 +10,23 @@ backoff with a retry budget, and the same plus a circuit breaker) and
 prints the SLO verdict table, then compares hedged vs unhedged blob
 reads under a latency spike.
 
-The heavy lifting lives in :mod:`repro.resilience.drills`; this example
-is the same thing the ``repro drill`` CLI subcommand runs.
+The storm is an ordinary campaign preset of
+:mod:`repro.resilience.campaign` (``repro campaign storm`` runs the
+same thing); the spike is ``repro drill spike``.
 
 Run:  python examples/failure_drill.py
 """
 
-from repro.resilience.drills import (
-    run_drill,
-    run_hedge_drill,
-    storm_drill_spec,
-)
+from repro.resilience.campaign import run_campaign, storm_drill_spec
+from repro.resilience.hedging import run_hedge_drill
 
 
 def main():
-    report = run_drill(storm_drill_spec())
+    report = run_campaign(storm_drill_spec())
     print(report.render())
 
-    seed_linear = report.result("seed-linear")
-    budgeted = report.result("jitter-budget")
+    seed_linear = report.result("seed-linear/none")
+    budgeted = report.result("jitter-budget/none")
     print(f"""
 The verdict table is the paper's operational lesson made quantitative.
 The seed's linear policy replays every rejected request on a fixed

@@ -112,9 +112,15 @@ def ingest_scenario_run(
 
 
 def campaign_record(spec: Any, report: Any) -> RunRecord:
-    """Build a record from a campaign spec + report (modes become the
-    metrics document; the SLO blocks ride along as snapshots)."""
-    spec_doc = spec.to_dict()
+    """Build a record from a campaign spec + report (cells become the
+    metrics document; the SLO blocks ride along as snapshots).  The
+    driver settings join the spec document, so an event-level and a
+    fast-forwarded run of one spec get different config hashes."""
+    spec_doc = {
+        **spec.to_dict(),
+        "fast": report.fast,
+        "guard_band_s": report.guard_band_s,
+    }
     report_doc = report.to_dict()
     return RunRecord(
         run_id="",

@@ -6,10 +6,10 @@ Usage::
     python -m repro run fig1 [--scale 0.3] [--seed 7]
     python -m repro run all  [--scale 0.2]
     python -m repro calibration
-    python -m repro drill storm [--scale 0.5] [--seed 3] [--json out.json]
-    python -m repro drill spike
+    python -m repro drill spike [--seed 3] [--json out.json]
     python -m repro campaign month [--scale 0.5] [--seed 3] [--json out.json]
     python -m repro campaign day --modes none,automatic
+    python -m repro campaign storm [--scale 0.2]
     python -m repro trace --out trace.json [--fmt chrome|jsonl|waterfall]
     python -m repro slo [--availability 0.99] [--latency-ms 500]
     python -m repro scenario list
@@ -92,57 +92,21 @@ def _jsonable(value):
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
-    from repro.resilience.drills import (
-        DRILL_SCENARIOS,
-        run_drill,
-        run_hedge_drill,
-    )
+    from repro.resilience.hedging import run_hedge_drill
 
-    exported = {}
-    scenarios = (
-        sorted(DRILL_SCENARIOS) + ["spike"]
-        if args.scenario == "all"
-        else [args.scenario]
-    )
-    for scenario in scenarios:
-        if scenario == "spike":
-            hedge_report = run_hedge_drill(seed=args.seed)
-            print(hedge_report.render())
-            print()
-            exported[scenario] = {
-                "unhedged_p99_ms": hedge_report.unhedged_p99_ms,
-                "hedged_p99_ms": hedge_report.hedged_p99_ms,
-                "p99_speedup": hedge_report.p99_speedup,
-                "duplicate_fraction": hedge_report.duplicate_fraction,
-            }
-            continue
-        spec = DRILL_SCENARIOS[scenario](seed=args.seed, scale=args.scale)
-        report = run_drill(spec)
-        print(report.render())
-        print()
-        exported[scenario] = {
-            "passed": report.passed,
-            "policies": {
-                r.policy: {
-                    "availability": r.availability,
-                    "p50_ms": r.p50_ms,
-                    "p99_ms": r.p99_ms,
-                    "goodput_ops_s": r.goodput_ops_s,
-                    "amplification": r.amplification,
-                    "window_amplification": r.window_amplification,
-                    "shed_retries": r.shed_retries,
-                    "fast_failures": r.fast_failures,
-                    "breaker_states": r.breaker_states,
-                    "slo_pass": r.slo_pass,
-                    "worst_burn_rate": r.worst_burn_rate,
-                    "slo": r.slo_dict(),
-                }
-                for r in report.results
-            },
-        }
+    report = run_hedge_drill(seed=args.seed)
+    print(report.render())
     if args.json:
         import json
 
+        exported = {
+            "spike": {
+                "unhedged_p99_ms": report.unhedged_p99_ms,
+                "hedged_p99_ms": report.hedged_p99_ms,
+                "p99_speedup": report.p99_speedup,
+                "duplicate_fraction": report.duplicate_fraction,
+            }
+        }
         with open(args.json, "w") as fh:
             json.dump(exported, fh, indent=2, sort_keys=True)
         print(f"wrote machine-readable results to {args.json}")
@@ -150,13 +114,17 @@ def _cmd_drill(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.resilience.campaign import (
         CAMPAIGN_MODES,
         CAMPAIGN_SCENARIOS,
         run_campaign,
     )
 
-    modes = None
+    spec = CAMPAIGN_SCENARIOS[args.scenario](
+        seed=args.seed, scale=args.scale
+    )
     if args.modes:
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
         unknown = [m for m in modes if m not in CAMPAIGN_MODES]
@@ -167,16 +135,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    spec = CAMPAIGN_SCENARIOS[args.scenario](
-        seed=args.seed, scale=args.scale
-    )
+        spec = replace(spec, modes=tuple(modes))
     from repro.parallel import resolve_jobs
 
     jobs = resolve_jobs(args.jobs)
     start = time.time()
     report = run_campaign(
-        spec, modes=modes, fast=args.fast,
-        guard_band_s=args.guard_band, jobs=jobs,
+        spec, fast=args.fast, guard_band_s=args.guard_band, jobs=jobs
     )
     elapsed = time.time() - start
     print(report.render())
@@ -710,20 +675,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_drill = sub.add_parser(
         "drill",
-        help="replay a chaos drill against the resilience policy matrix",
-    )
-    p_drill.add_argument(
-        "scenario",
-        choices=["storm", "crash", "burst", "spike", "all"],
         help=(
-            "storm = 503 storm vs retry policies; crash = server "
-            "crash/restart; burst = HTTP-500 burst; spike = hedged vs "
-            "unhedged blob reads under a latency spike"
+            "hedged vs unhedged blob reads under a latency spike (the "
+            "fault-window drills run as 'campaign storm|crash|burst')"
         ),
     )
     p_drill.add_argument(
-        "--scale", type=float, default=1.0,
-        help="time scale for the drill schedule (ignored by 'spike')",
+        "scenario",
+        choices=["spike"],
+        help="spike = hedged vs unhedged blob reads under a latency spike",
     )
     p_drill.add_argument("--seed", type=int, default=3)
     p_drill.add_argument(
@@ -735,17 +695,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign = sub.add_parser(
         "campaign",
         help=(
-            "replay a long-horizon correlated-failure schedule (rack/"
-            "zone/WAN outages) against the geo-failover modes and "
-            "report user-side availability + SLO burn"
+            "replay a fault schedule (rack/zone/WAN outages or server "
+            "fault windows) against a (client policy x geo-failover "
+            "mode) grid and report user-side availability + SLO burn"
         ),
     )
     p_campaign.add_argument(
         "scenario",
-        choices=["month", "day"],
+        choices=["month", "day", "storm", "crash", "burst"],
         help=(
             "month = 30 simulated days with rack, zone, WAN and region "
-            "outages; day = the 24-hour smoke schedule CI runs"
+            "outages; day = the 24-hour smoke schedule CI runs; "
+            "storm = 503 storm, crash = server crash/restart, burst = "
+            "HTTP-500 burst, each against the retry-policy matrix"
         ),
     )
     p_campaign.add_argument(
@@ -759,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument(
         "--modes", metavar="M1,M2", default=None,
         help=(
-            "comma-separated failover modes to replay (default: "
-            "none,manual,automatic)"
+            "comma-separated failover modes to replay (default: the "
+            "preset's modes)"
         ),
     )
     p_campaign.add_argument(
@@ -784,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help=(
-            "worker processes for the failover-mode grid (default: "
+            "worker processes for the policy x mode grid (default: "
             "auto = usable cores capped at 8; 1 = in-process serial; "
             "results are bit-identical for any value)"
         ),

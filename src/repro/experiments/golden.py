@@ -94,7 +94,7 @@ def digest_scenario(
 def digest_resilience(eid: str, seed: int = GOLDEN_SEED) -> str:
     """SHA-256 of a :data:`GOLDEN_RESILIENCE` run's report."""
     from repro.resilience.campaign import month_campaign_spec, run_campaign
-    from repro.resilience.drills import run_hedge_drill
+    from repro.resilience.hedging import run_hedge_drill
 
     if eid == "campaign:month":
         spec = month_campaign_spec(seed, scale=0.02)

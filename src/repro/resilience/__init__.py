@@ -10,17 +10,16 @@ retry/timeout path pluggable and measurable:
 * :mod:`repro.resilience.backoff`  — pluggable backoff strategies;
 * :mod:`repro.resilience.budget`   — per-client-group retry budgets;
 * :mod:`repro.resilience.breaker`  — a circuit breaker that fails fast;
-* :mod:`repro.resilience.hedging`  — hedged idempotent reads;
-* :mod:`repro.resilience.drills`   — the chaos-drill harness that
-  replays :mod:`repro.faults` schedules against a policy matrix and
-  renders SLO verdicts;
-* :mod:`repro.resilience.campaign` — month-horizon availability
-  campaigns replaying correlated failure-domain outages against the
-  geo-replication failover modes.
+* :mod:`repro.resilience.hedging`  — hedged idempotent reads, and the
+  hedged-vs-unhedged latency-spike drill;
+* :mod:`repro.resilience.campaign` — the fault-experiment engine:
+  server fault windows and correlated failure-domain outages replayed
+  against a (client policy × geo-failover mode) grid, rendered as SLO
+  verdicts.
 
 Internal modules import the submodules directly (never this package) so
-that :mod:`repro.client` and :mod:`repro.resilience.drills` do not form
-an import cycle.
+that :mod:`repro.client` and :mod:`repro.resilience.campaign` do not
+form an import cycle.
 """
 
 from repro.resilience.backoff import (
@@ -37,21 +36,19 @@ from repro.resilience.campaign import (
     CampaignFault,
     CampaignReport,
     CampaignSpec,
+    PolicySpec,
     day_campaign_spec,
+    default_policy_matrix,
     month_campaign_spec,
     run_campaign,
-)
-from repro.resilience.drills import (
-    DrillReport,
-    DrillSpec,
-    HedgeDrillReport,
-    PolicySpec,
-    default_policy_matrix,
-    run_drill,
-    run_hedge_drill,
     storm_drill_spec,
 )
-from repro.resilience.hedging import HedgePolicy, hedged_call
+from repro.resilience.hedging import (
+    HedgeDrillReport,
+    HedgePolicy,
+    hedged_call,
+    run_hedge_drill,
+)
 
 __all__ = [
     "NO_RETRY",
@@ -62,8 +59,6 @@ __all__ = [
     "CappedExponentialBackoff",
     "CircuitBreaker",
     "CircuitOpenError",
-    "DrillReport",
-    "DrillSpec",
     "FullJitterBackoff",
     "HedgeDrillReport",
     "HedgePolicy",
@@ -76,7 +71,6 @@ __all__ = [
     "hedged_call",
     "month_campaign_spec",
     "run_campaign",
-    "run_drill",
     "run_hedge_drill",
     "storm_drill_spec",
 ]

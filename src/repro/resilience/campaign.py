@@ -1,17 +1,20 @@
-"""Long-horizon availability campaigns over correlated failure domains.
+"""Fault campaigns: fault schedules × (client policy × failover mode) → SLO verdicts.
 
-A campaign is the month-scale companion to the minute-scale chaos
-drills: the same declarative-schedule discipline, but the faults are
-*correlated domain outages* (rack power loss, zone blackout, WAN
-partition — :class:`repro.faults.DomainFaultInjector` over a
-node → rack → zone → region tree) and the measurement is *user-side*
-availability in the sense of Naldi's cloud-availability surveys: an
-operation counts as failed only when the client's whole call — retries,
-hedges and cross-replica failover included — fails, never because one
-replica did.
+The paper's Section 6.3 lesson — monitor what the *client* sees while
+the platform fails — as one executable gate.  A campaign replays a
+declarative fault schedule against an open-loop client population once
+per grid cell, under one seed, schedule and op mix, and reports
+*user-side* availability in the sense of Naldi's cloud-availability
+surveys: an operation fails only when the client's whole call —
+retries, hedges and cross-replica failover included — fails.
 
-Each scenario is replayed once per **failover mode** under the same
-seed and schedule:
+The schedule has two layers, either of which may be empty: correlated
+**domain faults** (:class:`CampaignFault` over a node → rack → zone →
+region tree, via :class:`repro.faults.DomainFaultInjector`) and
+per-server **fault windows** (:class:`repro.faults.FaultWindow` — 503
+storms, crash/restarts, HTTP-500 bursts — on the partition every write
+hits).  The grid crosses client policies (:class:`PolicySpec`: backoff,
+retry budget, circuit breaker) with failover modes:
 
 * ``none``       — a single-region account; every domain outage is
   user-visible downtime.
@@ -21,25 +24,39 @@ seed and schedule:
 * ``automatic``  — the account's health monitor promotes the secondary
   after confirming the outage, and fails back once the primary heals.
 
-Results reuse the drill machinery (:class:`PolicySpec` for the client
-policy, :class:`PolicyResult` + the SLO engine for verdicts), adding a
-per-minute availability series so error budgets and burn rates reflect
-how the paper's Section 6.3 "monitor everything" lesson looks over a
-month of correlated failures.
+The month/day presets fix one policy and compare modes; the
+storm/crash/burst presets fix mode ``none`` and compare the policy
+matrix.  Open-loop arrivals (one op per interval, finished or not) are
+what make retry storms visible: an amplifying policy stacks its retries
+on top of fresh arrivals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis import ascii_table
 from repro.cluster.domains import FailureDomain, register_account
-from repro.faults import DomainFaultInjector
-from repro.monitoring import MetricsRegistry, attach_retry_budget
+from repro.faults import DomainFaultInjector, FaultInjector, FaultWindow
+from repro.monitoring import (
+    MetricsRegistry,
+    attach_circuit_breaker,
+    attach_retry_budget,
+)
+from repro.observability.slo import (
+    SLOReport,
+    availability_slo,
+    evaluate_slo,
+    latency_slo,
+)
 from repro.observability.windows import MinuteAvailability
-from repro.resilience.drills import PolicyResult, PolicySpec
+from repro.resilience.backoff import RetryPolicy, make_backoff
+from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.budget import RetryBudget
 from repro.resilience.hedging import HedgePolicy
 from repro.service.tracing import RequestTracer
 from repro.simcore import Environment, RandomStreams
@@ -52,6 +69,98 @@ from repro.storage.table import make_entity
 
 #: The failover modes a campaign compares, in report order.
 CAMPAIGN_MODES = ("none", "manual", "automatic")
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """Declarative description of one resilience policy under test."""
+
+    name: str
+    max_retries: int = 3
+    backoff: str = "linear"  # linear | exponential | jitter
+    backoff_base_s: float = 1.0
+    backoff_factor: float = 2.0
+    backoff_cap_s: float = 30.0
+    #: Tokens deposited per call; ``None`` disables the retry budget.
+    budget_ratio: Optional[float] = None
+    budget_initial: float = 5.0
+    budget_max: float = 50.0
+    #: Whether a circuit breaker wraps the client.
+    breaker: bool = False
+    breaker_window: int = 20
+    breaker_threshold: float = 0.5
+    breaker_min_volume: int = 10
+    breaker_open_for_s: float = 15.0
+
+    def build(
+        self, env: Environment, rng: np.random.Generator
+    ) -> Tuple[Any, Optional[RetryBudget], Optional[CircuitBreaker]]:
+        """Instantiate (retry_policy, budget, breaker) for one run."""
+        strategy = None
+        if self.backoff != "linear" or self.backoff_base_s != 1.0:
+            strategy = make_backoff(
+                self.backoff,
+                self.backoff_base_s,
+                self.backoff_factor,
+                self.backoff_cap_s,
+                rng=rng,
+            )
+        policy = RetryPolicy(
+            max_retries=self.max_retries,
+            backoff_s=self.backoff_base_s,
+            strategy=strategy,
+        )
+        budget = None
+        if self.budget_ratio is not None:
+            budget = RetryBudget(
+                ratio=self.budget_ratio,
+                initial_tokens=self.budget_initial,
+                max_tokens=self.budget_max,
+            )
+        breaker = None
+        if self.breaker:
+            breaker = CircuitBreaker(
+                env,
+                window=self.breaker_window,
+                error_threshold=self.breaker_threshold,
+                min_volume=self.breaker_min_volume,
+                open_for_s=self.breaker_open_for_s,
+                name=f"{self.name}.breaker",
+            )
+        return policy, budget, breaker
+
+
+#: The one client policy the month/day presets run (jittered
+#: exponential with a retry budget — the storm's surviving shape).
+GEO_POLICY = PolicySpec(
+    "geo-jitter-budget", max_retries=3, backoff="jitter",
+    backoff_base_s=2.0, backoff_factor=3.0, backoff_cap_s=30.0,
+    budget_ratio=0.5, budget_initial=150.0, budget_max=200.0,
+)
+
+
+def default_policy_matrix() -> List[PolicySpec]:
+    """The policy comparison the storm/crash/burst presets run.
+
+    ``seed-linear`` is the 2009 StorageClient default; the others add
+    the resilience layer's mechanisms one at a time.
+    """
+    return [
+        PolicySpec("no-retry", max_retries=0),
+        PolicySpec("seed-linear", max_retries=3, backoff="linear",
+                   backoff_base_s=1.0),
+        PolicySpec("jitter-budget", max_retries=3, backoff="jitter",
+                   backoff_base_s=20.0, backoff_factor=3.0,
+                   backoff_cap_s=60.0,
+                   budget_ratio=0.5, budget_initial=150.0,
+                   budget_max=200.0),
+        PolicySpec("jitter-budget-breaker", max_retries=3, backoff="jitter",
+                   backoff_base_s=20.0, backoff_factor=3.0,
+                   backoff_cap_s=60.0,
+                   budget_ratio=0.5, budget_initial=150.0,
+                   budget_max=200.0,
+                   breaker=True),
+    ]
 
 
 @dataclass(frozen=True)
@@ -69,16 +178,16 @@ class CampaignFault:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One reproducible campaign: correlated-fault schedule, workload,
-    replication policy and SLO targets.
-
-    Duck-types the :class:`~repro.resilience.drills.DrillSpec` fields
-    :class:`PolicyResult` reads (``name``/``duration_s``/``slo_*``), so
-    campaign verdicts run through the identical SLO machinery.
-    """
+    """One reproducible campaign: fault schedule, (policy × mode) grid,
+    workload, replication policy and SLO targets."""
 
     name: str
     faults: Tuple[CampaignFault, ...]
+    #: Per-server fault windows on the partition every write hits.
+    windows: Tuple[FaultWindow, ...] = ()
+    #: The grid: every policy is replayed under every failover mode.
+    policies: Tuple[PolicySpec, ...] = (GEO_POLICY,)
+    modes: Tuple[str, ...] = CAMPAIGN_MODES
     duration_s: float = 30 * 86400.0
     n_clients: int = 4
     op_interval_s: float = 120.0
@@ -111,8 +220,6 @@ class CampaignSpec:
         so a trace-shaped scenario pack can drive a month-scale
         availability campaign without re-stating its mix.
         """
-        from dataclasses import replace
-
         return replace(
             self,
             read_fraction=float(scenario.read_fraction()),
@@ -123,24 +230,57 @@ class CampaignSpec:
         return any(
             f.start_s <= t < f.start_s + (f.duration_s or (f.mttr_s or 0.0))
             for f in self.faults
-        )
+        ) or any(w.covers(t) for w in self.windows)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The full JSON-able spec document (fault schedule included) —
-        what the run catalog hashes as this campaign's config identity."""
-        from dataclasses import asdict
-
+        """The full JSON-able spec document (schedule and grid
+        included) — what the run catalog hashes as this campaign's
+        config identity."""
         doc = asdict(self)
-        doc["faults"] = [asdict(f) for f in self.faults]
+        for key in ("faults", "windows", "policies", "modes"):
+            doc[key] = list(doc[key])
         return doc
+
+
+#: A cell's report document, in order (then its ``slo`` block); specs
+#: with server windows add the window fields.
+_CELL_FIELDS = (
+    "availability", "ops", "ok", "failed", "retries", "p50_ms", "p99_ms",
+    "amplification", "minutes", "bad_minutes", "zero_minutes",
+    "worst_minute_availability", "mean_minute_availability",
+    "account_failovers", "account_failbacks", "client_failovers",
+    "lost_writes", "slo_pass", "worst_burn_rate",
+)
+_WINDOW_FIELDS = (
+    "shed_retries", "fast_failures", "window_amplification",
+    "breaker_states",
+)
 
 
 @dataclass
 class ModeResult:
-    """One failover mode's user-side outcome for one campaign."""
+    """One (policy, failover mode) cell's user-side outcome."""
 
+    policy: str
     mode: str
-    result: PolicyResult
+    spec: CampaignSpec
+    registry: MetricsRegistry
+    ops: int = 0
+    ok: int = 0
+    failed: int = 0
+    retries: int = 0
+    shed_retries: int = 0
+    server_attempts: int = 0
+    #: Ops issued inside server fault windows, and the attempts the
+    #: targeted server absorbed during those windows.
+    window_ops: int = 0
+    window_attempts: int = 0
+    fast_failures: int = 0
+    #: Latency percentiles are over *successful* operations (a failed
+    #: operation's "latency" is its time-to-give-up, tallied separately).
+    p50_ms: float = 0.0
+    p99_ms: float = 0.0
+    breaker_states: List[str] = field(default_factory=list)
     #: Per-minute availability summary (minutes with at least one op).
     minutes: int = 0
     bad_minutes: int = 0
@@ -153,49 +293,140 @@ class ModeResult:
     client_failovers: int = 0
     lost_writes: int = 0
 
+    @property
+    def availability(self) -> float:
+        """Client-observed availability through the full retry path."""
+        return self.ok / self.ops if self.ops else 0.0
+
+    @property
+    def goodput_ops_s(self) -> float:
+        return self.ok / self.spec.duration_s
+
+    @property
+    def amplification(self) -> float:
+        """Server-side attempts per client operation (retry storms > 1)."""
+        return self.server_attempts / self.ops if self.ops else 0.0
+
+    @property
+    def window_amplification(self) -> float:
+        """Attempts the server absorbed *during* fault windows, per
+        operation issued during those windows — extra load piled on a
+        server that was already in trouble."""
+        return self.window_attempts / self.window_ops if self.window_ops else 0.0
+
+    @property
+    def slo_report(self) -> SLOReport:
+        """The cell's objectives through the SLO engine: availability
+        over every operation, the p99 over *successful* ones (matching
+        the percentile columns) via the latency tally's histogram."""
+        spec = self.spec
+        tally = self.registry.tally("drill.latency")
+        histogram = tally.histogram if tally.count else None
+        return SLOReport(
+            title=f"campaign '{spec.name}' — {self.policy}/{self.mode}",
+            results=[
+                evaluate_slo(
+                    availability_slo(spec.slo_availability),
+                    total=self.ops,
+                    errors=self.failed,
+                ),
+                evaluate_slo(
+                    latency_slo(
+                        spec.slo_p99_ms / 1000.0,
+                        target=0.99,
+                        name=f"p99<{spec.slo_p99_ms:g}ms",
+                    ),
+                    total=self.ok,
+                    errors=0,
+                    histogram=histogram,
+                ),
+            ],
+        )
+
+    @property
+    def worst_burn_rate(self) -> float:
+        return self.slo_report.worst_burn_rate
+
+    @property
+    def slo_pass(self) -> bool:
+        return (
+            self.slo_report.passed
+            and self.amplification <= self.spec.slo_amplification
+        )
+
+    def slo_dict(self) -> Dict[str, Dict[str, float]]:
+        """JSON-able error-budget/burn-rate fields per objective."""
+        out: Dict[str, Dict[str, float]] = {}
+        for result in self.slo_report.results:
+            out[result.slo.name] = {
+                "target": result.slo.target,
+                "sli": result.sli,
+                "error_budget": result.error_budget,
+                "budget_consumed": result.budget_consumed,
+                "budget_remaining": result.budget_remaining,
+                "burn_rate": result.burn_rate,
+                "passed": result.passed,
+            }
+        return out
+
     def to_dict(self) -> Dict[str, Any]:
-        r = self.result
-        return {
-            "availability": r.availability,
-            "ops": r.ops,
-            "ok": r.ok,
-            "failed": r.failed,
-            "retries": r.retries,
-            "p50_ms": r.p50_ms,
-            "p99_ms": r.p99_ms,
-            "amplification": r.amplification,
-            "minutes": self.minutes,
-            "bad_minutes": self.bad_minutes,
-            "zero_minutes": self.zero_minutes,
-            "worst_minute_availability": self.worst_minute_availability,
-            "mean_minute_availability": self.mean_minute_availability,
-            "account_failovers": self.account_failovers,
-            "account_failbacks": self.account_failbacks,
-            "client_failovers": self.client_failovers,
-            "lost_writes": self.lost_writes,
-            "slo_pass": r.slo_pass,
-            "worst_burn_rate": r.worst_burn_rate,
-            "slo": r.slo_dict(),
-        }
+        doc = {key: getattr(self, key) for key in _CELL_FIELDS}
+        doc["slo"] = self.slo_dict()
+        if self.spec.windows:
+            doc.update((key, getattr(self, key)) for key in _WINDOW_FIELDS)
+        return doc
+
+
+#: The verdict table's columns after the cell label.
+_COLUMNS: Tuple[Tuple[str, Callable[[ModeResult], Any]], ...] = (
+    ("avail", lambda r: f"{r.availability:.5f}"),
+    ("p50 ms", lambda r: f"{r.p50_ms:.0f}"),
+    ("p99 ms", lambda r: f"{r.p99_ms:.0f}"),
+    ("goodput/s", lambda r: f"{r.goodput_ops_s:.2f}"),
+    ("amplif", lambda r: f"{r.amplification:.2f}"),
+    ("amp@fault", lambda r: f"{r.window_amplification:.2f}"),
+    ("shed", lambda r: r.shed_retries),
+    ("fastfail", lambda r: r.fast_failures),
+    ("breaker", lambda r: "->".join(r.breaker_states) or "-"),
+    ("bad min", lambda r: r.bad_minutes),
+    ("dark min", lambda r: r.zero_minutes),
+    ("worst min", lambda r: f"{r.worst_minute_availability:.2f}"),
+    ("acct f/o", lambda r: r.account_failovers),
+    ("client f/o", lambda r: r.client_failovers),
+    ("lost wr", lambda r: r.lost_writes),
+    ("burn", lambda r: f"{r.worst_burn_rate:.2f}"),
+    ("verdict", lambda r: "PASS" if r.slo_pass else "FAIL"),
+)
 
 
 @dataclass
 class CampaignReport:
-    """All mode results for one campaign, renderable as a verdict table."""
+    """Every grid cell of one campaign, renderable as a verdict table."""
 
     spec: CampaignSpec
     results: List[ModeResult]
+    #: The driver that produced the cells — part of the catalogued
+    #: config identity, not of the report document.
+    fast: bool = False
+    guard_band_s: Optional[float] = None
 
-    def result(self, mode: str) -> ModeResult:
-        for result in self.results:
-            if result.mode == mode:
-                return result
-        raise KeyError(f"no mode named {mode!r} in this campaign")
+    def label(self, cell: ModeResult) -> str:
+        """A cell's name: its mode when the grid has one policy,
+        ``"{policy}/{mode}"`` otherwise."""
+        if len(self.spec.policies) == 1:
+            return cell.mode
+        return f"{cell.policy}/{cell.mode}"
+
+    def result(self, label: str) -> ModeResult:
+        for cell in self.results:
+            if self.label(cell) == label:
+                return cell
+        raise KeyError(f"no cell labelled {label!r} in this campaign")
 
     @property
     def passed(self) -> bool:
-        """At least one failover mode met every SLO target."""
-        return any(r.result.slo_pass for r in self.results)
+        """At least one cell met every SLO target."""
+        return any(r.slo_pass for r in self.results)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -207,50 +438,30 @@ class CampaignReport:
                 "p99_ms": self.spec.slo_p99_ms,
                 "amplification": self.spec.slo_amplification,
             },
-            "faults": [
-                {
-                    "domain": f.domain,
-                    "start_s": f.start_s,
-                    "duration_s": f.duration_s,
-                    "kind": f.kind,
-                    "mttr_s": f.mttr_s,
-                }
-                for f in self.spec.faults
-            ],
-            "modes": {r.mode: r.to_dict() for r in self.results},
+            "faults": [asdict(f) for f in self.spec.faults],
+            "modes": {self.label(r): r.to_dict() for r in self.results},
         }
 
     def render(self) -> str:
         spec = self.spec
-        rows = []
-        for r in self.results:
-            pr = r.result
-            rows.append([
-                r.mode,
-                f"{pr.availability:.5f}",
-                r.bad_minutes,
-                r.zero_minutes,
-                f"{r.worst_minute_availability:.2f}",
-                f"{pr.p99_ms:.0f}",
-                r.account_failovers,
-                r.client_failovers,
-                r.lost_writes,
-                f"{pr.worst_burn_rate:.1f}",
-                "PASS" if pr.slo_pass else "FAIL",
-            ])
-        days = spec.duration_s / 86400.0
+        rows = [
+            [self.label(r)] + [fmt(r) for _header, fmt in _COLUMNS]
+            for r in self.results
+        ]
+        if spec.duration_s >= 86400.0:
+            horizon = f"{spec.duration_s / 86400.0:.1f} simulated days"
+        else:
+            horizon = f"{spec.duration_s:.0f}s"
         title = (
-            f"availability campaign '{spec.name}' — {days:.1f} simulated "
-            f"days, {spec.n_clients} clients, {len(spec.faults)} correlated "
-            f"faults, SLO: avail>={spec.slo_availability}, "
-            f"p99<={spec.slo_p99_ms:.0f}ms"
+            f"fault campaign '{spec.name}' — {horizon}, "
+            f"{spec.n_clients} clients, {len(spec.faults)} correlated "
+            f"faults, {len(spec.windows)} server windows, SLO: "
+            f"avail>={spec.slo_availability}, p99<={spec.slo_p99_ms:.0f}ms, "
+            f"amp<={spec.slo_amplification}"
         )
+        cell = "failover" if len(spec.policies) == 1 else "policy/failover"
         return ascii_table(
-            ["failover", "avail", "bad min", "dark min", "worst min",
-             "p99 ms", "acct f/o", "client f/o", "lost wr", "burn",
-             "verdict"],
-            rows,
-            title=title,
+            [cell] + [header for header, _fmt in _COLUMNS], rows, title=title
         )
 
 
@@ -269,19 +480,9 @@ def _build_domains(env: Environment) -> FailureDomain:
     return root
 
 
-def _campaign_policy() -> PolicySpec:
-    """The one client policy every mode runs (jittered exponential with
-    a retry budget — the drills' surviving configuration)."""
-    return PolicySpec(
-        "geo-jitter-budget", max_retries=3, backoff="jitter",
-        backoff_base_s=2.0, backoff_factor=3.0, backoff_cap_s=30.0,
-        budget_ratio=0.5, budget_initial=150.0, budget_max=200.0,
-    )
-
-
 @dataclass
 class CampaignWorld:
-    """One fully wired campaign cell (mode × scenario), before any ops.
+    """One fully wired campaign cell (policy × mode), before any ops.
 
     Both drivers build the identical world through
     :func:`build_campaign_world` — same construction order, same
@@ -293,13 +494,14 @@ class CampaignWorld:
     """
 
     spec: CampaignSpec
+    policy_spec: PolicySpec
     mode: str
     env: Environment
     streams: RandomStreams
     root: FailureDomain
     injector: DomainFaultInjector
-    policy: Any
     budget: Any
+    breaker: Any
     registry: MetricsRegistry
     latency: Any
     tracer: RequestTracer
@@ -307,20 +509,15 @@ class CampaignWorld:
     geo: Optional[GeoReplicatedAccount]
     client: Any
     #: Pre-drawn read/write mix, ``mix[idx][k]`` True for a read —
-    #: identical across modes and across both drivers.
+    #: identical across cells and across both drivers.
     mix: Any
     avail: MinuteAvailability
-    accounts: List[StorageAccount] = field(default_factory=list)
-
-    def issue_time(self, idx: int, k: int) -> float:
-        """The exact instant client ``idx`` issues its ``k``-th op (the
-        event path realizes the same value by accumulating exact binary
-        timeouts)."""
-        spec = self.spec
-        return (
-            idx * spec.op_interval_s / spec.n_clients
-            + k * spec.op_interval_s
-        )
+    #: The primary, then (geo modes) the secondary.
+    accounts: List[StorageAccount]
+    #: Ops issued inside server windows, and the server attempts each
+    #: window absorbed (sampled at its boundaries).
+    window_ops: int = 0
+    window_attempts: List[int] = field(default_factory=list)
 
     def one_op(self, idx: int, k: int) -> Generator:
         """One measured client operation: the shared op body both
@@ -351,27 +548,26 @@ class CampaignWorld:
             self.avail.observe(minute, False)
 
     def server_attempts(self) -> int:
-        attempts = sum(
-            s.stats.started for s in self.primary.tables.servers()
+        return sum(
+            s.stats.started for a in self.accounts for s in a.tables.servers()
         )
-        if self.geo is not None:
-            attempts += sum(
-                s.stats.started
-                for s in self.geo.secondary.tables.servers()
-            )
-        return attempts
 
 
 def build_campaign_world(
-    spec: CampaignSpec, mode: str, tracer: Optional[RequestTracer] = None
+    spec: CampaignSpec,
+    mode: str,
+    tracer: Optional[RequestTracer] = None,
+    policy: Optional[PolicySpec] = None,
 ) -> CampaignWorld:
-    """Build one mode × campaign world: fresh environment, same seed,
-    same correlated-fault schedule, same op mix — no ops scheduled."""
+    """Build one (policy, mode) cell's world: fresh environment, same
+    seed, same fault schedule, same op mix — no ops scheduled.
+    ``policy`` defaults to the spec's first."""
     if mode not in CAMPAIGN_MODES:
         raise ValueError(
             f"unknown campaign mode {mode!r}; expected one of "
             f"{CAMPAIGN_MODES}"
         )
+    pspec = spec.policies[0] if policy is None else policy
     env = Environment()
     streams = RandomStreams(spec.seed)
     root = _build_domains(env)
@@ -389,11 +585,12 @@ def build_campaign_world(
         failback_probes=spec.failback_probes,
     )
 
-    pspec = _campaign_policy()
-    policy, budget, _breaker = pspec.build(env, streams.stream("policy"))
+    retry, budget, breaker = pspec.build(env, streams.stream("policy"))
     registry = MetricsRegistry()
     if budget is not None:
         attach_retry_budget(registry, budget)
+    if breaker is not None:
+        attach_circuit_breaker(registry, breaker)
     latency = registry.tally("drill.latency")
 
     if tracer is None:
@@ -403,14 +600,17 @@ def build_campaign_world(
         tracer = RequestTracer(enabled=False)
     geo: Optional[GeoReplicatedAccount] = None
     if mode == "none":
+        from repro.client import TableClient
+
         # Named like the geo primary so both worlds draw the same
         # service RNG streams — the same seed really is the same world.
         primary = StorageAccount(
             env, streams, name="geo-primary", tracer=tracer
         )
         accounts = [primary]
-        client = _table_client(
-            primary.tables, spec, policy, budget, hedge=None
+        client = TableClient(
+            primary.tables, timeout_s=spec.client_timeout_s, retry=retry,
+            budget=budget, breaker=breaker,
         )
     else:
         geo = GeoReplicatedAccount(
@@ -420,7 +620,8 @@ def build_campaign_world(
         primary = geo.primary
         accounts = [geo.primary, geo.secondary]
         client = geo.table_client(
-            timeout_s=spec.client_timeout_s, retry=policy, budget=budget,
+            timeout_s=spec.client_timeout_s, retry=retry, budget=budget,
+            breaker=breaker,
             hedge=HedgePolicy(percentile=99.0, default_delay_s=2.0),
         )
         register_account(root.find("rack-b1"), geo.secondary)
@@ -447,66 +648,103 @@ def build_campaign_world(
         )
 
     # The op mix is drawn up front from a dedicated stream, so every
-    # mode replays the identical read/write sequence.
+    # cell replays the identical read/write sequence.
     mix = streams.stream("campaign.mix").random(
         (spec.n_clients, spec.ops_per_client)
     ) < spec.read_fraction
 
     n_minutes = max(1, int(math.ceil(spec.duration_s / 60.0)))
-    return CampaignWorld(
-        spec=spec, mode=mode, env=env, streams=streams, root=root,
-        injector=injector, policy=policy, budget=budget,
-        registry=registry, latency=latency, tracer=tracer,
+    world = CampaignWorld(
+        spec=spec, policy_spec=pspec, mode=mode, env=env,
+        streams=streams, root=root, injector=injector, budget=budget,
+        breaker=breaker, registry=registry, latency=latency, tracer=tracer,
         primary=primary, geo=geo, client=client, mix=mix,
         avail=MinuteAvailability(n_minutes), accounts=accounts,
     )
+    if spec.windows:
+        _attach_windows(world)
+    return world
+
+
+def _attach_windows(world: CampaignWorld) -> None:
+    """Schedule the spec's server windows on the partition every write
+    hits, and sample its attempts at each window's boundaries so the
+    report can charge in-window load to the windows themselves."""
+    env = world.env
+    server = world.primary.tables.server_for("t", "p")
+    faults = FaultInjector(env, world.streams.stream("faults"))
+    for window in world.spec.windows:
+        faults.add_window(
+            window.start_s, window.duration_s, window.kind, window.magnitude
+        )
+    faults.attach(server)
+
+    def monitor(window: FaultWindow):
+        yield env.timeout(window.start_s)
+        before = server.stats.started
+        yield env.timeout(window.duration_s)
+        world.window_attempts.append(server.stats.started - before)
+
+    for window in world.spec.windows:
+        env.process(monitor(window))
 
 
 def collect_mode_result(world: CampaignWorld) -> ModeResult:
     """Assemble the shared verdict record from a finished world — both
     drivers end here, so fast-mode results are byte-compatible."""
-    spec, mode = world.spec, world.mode
-    registry, latency = world.registry, world.latency
-    result = PolicyResult(policy=mode, spec=spec, registry=registry)
-    result.ok = int(registry.counter("drill.ok").value)
-    result.failed = int(registry.counter("drill.failed").value)
-    result.ops = result.ok + result.failed
-    result.retries = int(registry.counter("drill.retries").value)
-    result.shed_retries = (
-        world.budget.shed if world.budget is not None else 0
+    registry, latency, avail = world.registry, world.latency, world.avail
+    budget, breaker = world.budget, world.breaker
+    ok = int(registry.counter("drill.ok").value)
+    failed = int(registry.counter("drill.failed").value)
+    cell = ModeResult(
+        policy=world.policy_spec.name,
+        mode=world.mode,
+        spec=world.spec,
+        registry=registry,
+        ops=ok + failed,
+        ok=ok,
+        failed=failed,
+        retries=int(registry.counter("drill.retries").value),
+        shed_retries=budget.shed if budget is not None else 0,
+        server_attempts=world.server_attempts(),
+        window_ops=world.window_ops,
+        window_attempts=sum(world.window_attempts),
+        fast_failures=breaker.fast_failures if breaker is not None else 0,
+        breaker_states=(
+            breaker.state_sequence() if breaker is not None else []
+        ),
+        minutes=avail.minutes,
+        bad_minutes=avail.bad_minutes,
+        zero_minutes=avail.zero_minutes,
+        worst_minute_availability=avail.worst_minute_availability,
+        mean_minute_availability=avail.mean_minute_availability,
+        client_failovers=getattr(world.client, "failovers", 0),
     )
-    result.server_attempts = world.server_attempts()
     if latency.count:
-        result.p50_ms = float(latency.percentile(50)) * 1000.0
-        result.p99_ms = float(latency.percentile(99)) * 1000.0
-
-    avail = world.avail
-    mode_result = ModeResult(mode=mode, result=result)
-    mode_result.minutes = avail.minutes
-    mode_result.bad_minutes = avail.bad_minutes
-    mode_result.zero_minutes = avail.zero_minutes
-    mode_result.worst_minute_availability = (
-        avail.worst_minute_availability
-    )
-    mode_result.mean_minute_availability = avail.mean_minute_availability
-    mode_result.client_failovers = getattr(world.client, "failovers", 0)
+        cell.p50_ms = float(latency.percentile(50)) * 1000.0
+        cell.p99_ms = float(latency.percentile(99)) * 1000.0
     if world.geo is not None:
-        mode_result.account_failovers = world.geo.failovers
-        mode_result.account_failbacks = world.geo.failbacks
-        mode_result.lost_writes = world.geo.lost_writes
-    return mode_result
+        cell.account_failovers = world.geo.failovers
+        cell.account_failbacks = world.geo.failbacks
+        cell.lost_writes = world.geo.lost_writes
+    return cell
 
 
-def _run_mode(spec: CampaignSpec, mode: str) -> ModeResult:
-    """One failover mode × one campaign, at event level: every client
-    operation really simulated."""
-    world = build_campaign_world(spec, mode)
-    env = world.env
+def _run_mode(
+    spec: CampaignSpec, mode: str, policy: Optional[PolicySpec] = None
+) -> ModeResult:
+    """One (policy, mode) cell at event level: every client operation
+    really simulated."""
+    world = build_campaign_world(spec, mode, policy=policy)
+    env, windows = world.env, spec.windows
 
     def arrivals(idx: int):
-        # Staggered open-loop arrivals, exactly the drill discipline.
+        # Staggered open-loop arrivals: one op per interval, fired
+        # whether or not the previous one completed.
         yield env.timeout(idx * spec.op_interval_s / spec.n_clients)
         for k in range(spec.ops_per_client):
+            if windows and any(w.covers(env.now) for w in windows):
+                world.window_ops += 1
             env.process(world.one_op(idx, k))
             yield env.timeout(spec.op_interval_s)
 
@@ -516,68 +754,54 @@ def _run_mode(spec: CampaignSpec, mode: str) -> ModeResult:
     return collect_mode_result(world)
 
 
-def _table_client(
-    service: Any,
-    spec: CampaignSpec,
-    policy: Any,
-    budget: Any,
-    hedge: Optional[HedgePolicy],
-) -> Any:
-    from repro.client import TableClient
-
-    return TableClient(
-        service, timeout_s=spec.client_timeout_s, retry=policy,
-        budget=budget, hedge=hedge,
-    )
-
-
 def _campaign_cell(
     spec: CampaignSpec,
+    policy: PolicySpec,
     mode: str,
     fast: bool = False,
     guard_band_s: Optional[float] = None,
 ) -> ModeResult:
-    """One scenario × failover-mode grid cell (module-level, so the
-    process-pool fan-out can pickle it)."""
+    """One grid cell (module-level, so the process-pool fan-out can
+    pickle it)."""
     if fast:
         from repro.resilience.fastforward import fast_run_mode
 
-        return fast_run_mode(spec, mode, guard_band_s=guard_band_s)
-    return _run_mode(spec, mode)
+        return fast_run_mode(
+            spec, mode, guard_band_s=guard_band_s, policy=policy
+        )
+    return _run_mode(spec, mode, policy)
 
 
 def run_campaign(
     spec: CampaignSpec,
-    modes: Optional[Sequence[str]] = None,
     fast: bool = False,
     guard_band_s: Optional[float] = None,
     jobs: int = 1,
 ) -> CampaignReport:
-    """Replay ``spec``'s correlated-fault schedule once per failover
-    mode (same seed, same schedule, same op mix).
+    """Replay ``spec``'s fault schedule once per (policy, mode) cell
+    (same seed, same schedule, same op mix).
 
     ``fast`` switches every cell to the piecewise-stationary
     fast-forward driver (:mod:`repro.resilience.fastforward`);
     ``guard_band_s`` widens/narrows its event-level guard bands.
-    ``jobs`` fans the mode cells over a process pool
+    ``jobs`` fans the cells over a process pool
     (:func:`repro.parallel.run_trials`) — each cell is an independent
     world, so parallel execution is bit-identical to serial.
     """
-    if modes is None:
-        modes = CAMPAIGN_MODES
-    if jobs != 1 and len(modes) > 1:
+    cells = [
+        (spec, p, m, fast, guard_band_s)
+        for p in spec.policies for m in spec.modes
+    ]
+    if jobs != 1 and len(cells) > 1:
         from repro.parallel import run_trials
 
-        results = run_trials(
-            _campaign_cell,
-            [(spec, m, fast, guard_band_s) for m in modes],
-            jobs=jobs,
-        )
+        results = run_trials(_campaign_cell, cells, jobs=jobs)
     else:
-        results = [
-            _campaign_cell(spec, m, fast, guard_band_s) for m in modes
-        ]
-    return CampaignReport(spec, list(results))
+        results = [_campaign_cell(*cell) for cell in cells]
+    return CampaignReport(
+        spec, list(results), fast=fast,
+        guard_band_s=guard_band_s if fast else None,
+    )
 
 
 # -- standard campaigns (the CLI scenarios) ---------------------------------
@@ -631,22 +855,99 @@ def day_campaign_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
     )
 
 
+def _drill_spec(
+    name: str,
+    window: FaultWindow,
+    seed: int,
+    scale: float,
+    slo_availability: float = 0.9,
+    slo_p99_ms: float = 10_000.0,
+    slo_amplification: float = 1.5,
+) -> CampaignSpec:
+    """A five-minute server-window drill: 24 open-loop writers, the
+    policy matrix, one single-region account."""
+    return CampaignSpec(
+        name=name,
+        faults=(),
+        windows=(window,),
+        policies=tuple(default_policy_matrix()),
+        modes=("none",),
+        duration_s=300.0 * scale,
+        n_clients=24,
+        op_interval_s=2.0,
+        read_fraction=0.0,
+        entity_kb=64.0,
+        seed=seed,
+        slo_availability=slo_availability,
+        slo_p99_ms=slo_p99_ms,
+        slo_amplification=slo_amplification,
+    )
+
+
+def storm_drill_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
+    """The headline drill: an intense 503 storm mid-run.
+
+    From t=60 s a 30-second window rejects 95% of requests.  The seed
+    linear policy replays rejected work on a fixed 1-2-3 s cadence, so
+    every retry lands back inside the storm (high in-window
+    amplification, little availability gained); the jittered exponential
+    spreads its retries across a ~minute horizon, so most operations
+    ride the window out, while the retry budget caps the total extra
+    load the server sees.
+    """
+    return _drill_spec(
+        "server-busy-storm",
+        FaultWindow(60.0 * scale, 30.0 * scale, "server_busy_storm", 0.95),
+        seed, scale,
+        slo_availability=0.93,
+        slo_p99_ms=60_000.0,
+        slo_amplification=1.2,
+    )
+
+
+def crash_drill_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
+    """A partition-server crash + restart: total loss for 45 s."""
+    return _drill_spec(
+        "crash-restart",
+        FaultWindow(60.0 * scale, 45.0 * scale, "crash_restart"),
+        seed, scale,
+    )
+
+
+def error_burst_drill_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
+    """An HTTP-500 burst: the server answers but errors on 60%."""
+    return _drill_spec(
+        "error-burst",
+        FaultWindow(60.0 * scale, 90.0 * scale, "error_burst", 0.6),
+        seed, scale,
+    )
+
+
 CAMPAIGN_SCENARIOS = {
     "month": month_campaign_spec,
     "day": day_campaign_spec,
+    "storm": storm_drill_spec,
+    "crash": crash_drill_spec,
+    "burst": error_burst_drill_spec,
 }
 
 __all__ = [
     "CAMPAIGN_MODES",
     "CAMPAIGN_SCENARIOS",
+    "GEO_POLICY",
     "CampaignFault",
     "CampaignReport",
     "CampaignSpec",
     "CampaignWorld",
     "ModeResult",
+    "PolicySpec",
     "build_campaign_world",
     "collect_mode_result",
+    "crash_drill_spec",
     "day_campaign_spec",
+    "default_policy_matrix",
+    "error_burst_drill_spec",
     "month_campaign_spec",
     "run_campaign",
+    "storm_drill_spec",
 ]

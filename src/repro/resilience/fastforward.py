@@ -63,7 +63,7 @@ from repro.resilience.campaign import (
     CampaignSpec,
     CampaignWorld,
     ModeResult,
-    _campaign_policy,
+    PolicySpec,
     build_campaign_world,
     collect_mode_result,
 )
@@ -235,7 +235,7 @@ def classify_ops(
 
 
 def _run_budget_ledger(
-    cat: np.ndarray, analytic: np.ndarray
+    pspec: PolicySpec, cat: np.ndarray, analytic: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Chronological token-bucket mirror of the client retry budget.
 
@@ -245,7 +245,7 @@ def _run_budget_ledger(
     the event-level run's, but their realized retries come from the
     real simulation.
     """
-    pspec = _campaign_policy()
+    assert pspec.budget_ratio is not None
     tokens = float(pspec.budget_initial)
     cap = float(pspec.budget_max)
     ratio = float(pspec.budget_ratio)
@@ -253,50 +253,39 @@ def _run_budget_ledger(
     r1 = np.zeros(cat.size, dtype=np.int64)
     r2 = np.zeros(cat.size, dtype=np.int64)
     shed = 0
-    cats = cat.tolist()
+
+    def spend(analytic_op: bool) -> int:
+        """One failing pass: up to max_r granted retries; one shed ends
+        the pass (with_retries raises on the first failed spend)."""
+        nonlocal tokens, shed
+        granted = 0
+        while granted < max_r:
+            if tokens < 1.0:
+                shed += analytic_op
+                break
+            tokens -= 1.0
+            granted += 1
+        return granted
+
     ana = analytic.tolist()
-    for i, c in enumerate(cats):
+    for i, c in enumerate(cat.tolist()):
         # Every client pass deposits ratio tokens at entry.
         tokens = min(cap, tokens + ratio)
         if c <= CAT_OK_WRITE:
             continue
-        # First pass fails: up to max_r granted retries, one shed ends
-        # the pass (with_retries raises on the first failed spend).
-        g = 0
-        while g < max_r:
-            if tokens >= 1.0:
-                tokens -= 1.0
-                g += 1
-            else:
-                if ana[i]:
-                    shed += 1
-                break
-        r1[i] = g
+        r1[i] = spend(ana[i])
         if c == CAT_FAIL_NONE:
             continue
-        if c == CAT_OK_FAILOVER_READ:
-            # Second (cross-replica) pass succeeds first try: deposit
-            # only.
-            tokens = min(cap, tokens + ratio)
-            continue
-        # Failing second pass (reads with both replicas down; writes
-        # are always guard-rejected cross-replica).
+        # The cross-replica pass deposits too: failover reads succeed
+        # on it first try; reads with both replicas down and (always
+        # guard-rejected) writes fail it as well.
         tokens = min(cap, tokens + ratio)
-        g = 0
-        while g < max_r:
-            if tokens >= 1.0:
-                tokens -= 1.0
-                g += 1
-            else:
-                if ana[i]:
-                    shed += 1
-                break
-        r2[i] = g
+        if c != CAT_OK_FAILOVER_READ:
+            r2[i] = spend(ana[i])
     return r1, r2, shed
 
 
-def _backoff_ceilings() -> List[float]:
-    pspec = _campaign_policy()
+def _backoff_ceilings(pspec: PolicySpec) -> List[float]:
     return [
         min(
             pspec.backoff_cap_s,
@@ -310,10 +299,29 @@ def fast_run_mode(
     spec: CampaignSpec,
     mode: str,
     guard_band_s: Optional[float] = None,
+    policy: Optional[PolicySpec] = None,
 ) -> ModeResult:
-    """One failover mode × one campaign via piecewise-stationary
-    fast-forward; returns the same :class:`ModeResult` shape as the
-    event-level driver."""
+    """One (policy, mode) cell via piecewise-stationary fast-forward;
+    returns the same :class:`ModeResult` shape as the event-level
+    driver.  ``policy`` defaults to the spec's first.
+
+    Raises :class:`ValueError` for a cell outside the fast path's
+    model rather than return plausible numbers for it.
+    """
+    pspec = spec.policies[0] if policy is None else policy
+    # The analytic fold knows domain outages, a retry budget and
+    # full-jitter ladders, and nothing else.
+    unmodelled = [reason for reason, present in (
+        ("server fault windows", bool(spec.windows)),
+        ("a circuit breaker", pspec.breaker),
+        ("a policy without a retry budget", pspec.budget_ratio is None),
+        (f"{pspec.backoff!r} backoff", pspec.backoff != "jitter"),
+    ) if present]
+    if unmodelled:
+        raise ValueError(
+            f"campaign {spec.name!r} cell {pspec.name}/{mode}: fast-forward "
+            f"cannot model {', '.join(unmodelled)}; run it at event level"
+        )
     guard_s = (
         default_guard_band_s(spec) if guard_band_s is None
         else float(guard_band_s)
@@ -323,7 +331,9 @@ def fast_run_mode(
 
     # Fast mode can afford per-request tracing for the handful of real
     # ops, and the analytic fold feeds the same tracer in batches.
-    world = build_campaign_world(spec, mode, tracer=RequestTracer())
+    world = build_campaign_world(
+        spec, mode, tracer=RequestTracer(), policy=pspec
+    )
     env = world.env
     n, opc = spec.n_clients, spec.ops_per_client
     interval = spec.op_interval_s
@@ -353,7 +363,7 @@ def fast_run_mode(
     analytic = ~guard
 
     cat = classify_ops(mode, is_read, p_down, s_down, state)
-    r1, r2, analytic_shed = _run_budget_ledger(cat, analytic)
+    r1, r2, analytic_shed = _run_budget_ledger(pspec, cat, analytic)
 
     # Phase 2: really simulate only the guard-band ops, at their exact
     # issue instants, through the real client/failover/fault stack.
@@ -374,8 +384,8 @@ def fast_run_mode(
         world, spec, minutes, is_read, cat, r1, r2, analytic
     )
     mode_result = collect_mode_result(world)
-    mode_result.result.server_attempts += extra["server_attempts"]
-    mode_result.result.shed_retries += analytic_shed
+    mode_result.server_attempts += extra["server_attempts"]
+    mode_result.shed_retries += analytic_shed
     mode_result.client_failovers += extra["client_failovers"]
     return mode_result
 
@@ -393,7 +403,7 @@ def _fold_analytic(
     """Solve the stationary windows and batch-ingest every analytic op
     into the same sinks the event path feeds one op at a time."""
     rng = world.streams.batched("campaign.fast")
-    ceilings = _backoff_ceilings()
+    ceilings = _backoff_ceilings(world.policy_spec)
 
     def backoff_sums(r: np.ndarray) -> np.ndarray:
         """Full-jitter ladder sums for ``r`` granted retries each."""

@@ -11,12 +11,14 @@ failure is silenced.
 
 Only idempotent reads may be hedged (blob Get, table Query, queue
 Peek); the clients enforce that by wiring :func:`hedged_call` into
-exactly those paths.
+exactly those paths.  :func:`run_hedge_drill` measures the trade:
+hedged vs unhedged blob Get under a latency-spike window.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from dataclasses import dataclass
+from typing import Callable, Generator, Optional, Tuple
 
 from repro.simcore import Environment, Tally
 
@@ -125,3 +127,123 @@ def hedged_call(
             yield env.any_of(pending)
         except Exception as error:  # one racer failed; wait for the other
             last_error = error
+
+
+# -- the hedging drill ------------------------------------------------------
+
+@dataclass
+class HedgeDrillReport:
+    """Hedged vs unhedged blob Get under a latency spike."""
+
+    unhedged_p50_ms: float
+    unhedged_p99_ms: float
+    hedged_p50_ms: float
+    hedged_p99_ms: float
+    reads: int
+    hedges_launched: int
+    hedge_wins: int
+
+    @property
+    def duplicate_fraction(self) -> float:
+        """Extra server reads per client read — the hedging cost."""
+        return self.hedges_launched / self.reads if self.reads else 0.0
+
+    @property
+    def p99_speedup(self) -> float:
+        return (
+            self.unhedged_p99_ms / self.hedged_p99_ms
+            if self.hedged_p99_ms
+            else 0.0
+        )
+
+    def render(self) -> str:
+        from repro.analysis import ascii_table
+
+        rows = [
+            ["unhedged", f"{self.unhedged_p50_ms:.0f}",
+             f"{self.unhedged_p99_ms:.0f}", "0.00"],
+            ["hedged", f"{self.hedged_p50_ms:.0f}",
+             f"{self.hedged_p99_ms:.0f}", f"{self.duplicate_fraction:.2f}"],
+        ]
+        table = ascii_table(
+            ["blob Get", "p50 ms", "p99 ms", "duplicate work"],
+            rows,
+            title=(
+                f"hedging drill — latency spike, {self.reads} reads, "
+                f"p99 speedup {self.p99_speedup:.1f}x "
+                f"({self.hedge_wins} hedge wins)"
+            ),
+        )
+        return table
+
+
+def _hedge_run(
+    seed: int,
+    use_hedging: bool,
+    n_clients: int,
+    reads_per_client: int,
+    blob_mb: float,
+    spike_magnitude_s: float,
+) -> Tuple[Tally, Optional[HedgePolicy]]:
+    """One hedged-or-not pass over a spiking blob read workload."""
+    from repro.client import BlobClient
+    from repro.faults import FaultInjector
+    from repro.resilience.backoff import NO_RETRY
+    from repro.workloads.harness import build_platform
+
+    platform = build_platform(seed=seed, n_clients=n_clients)
+    env = platform.env
+    blob_svc = platform.account.blobs
+    blob_svc.create_container("drill")
+    blob_svc.seed_blob("drill", "hot", blob_mb)
+    injector = FaultInjector(env, platform.streams.stream("faults"))
+    injector.attach(blob_svc)
+    injector.add_window(0.0, 1e9, "latency_spike", spike_magnitude_s)
+
+    latencies = Tally("blob.get.latency")
+    hedge = HedgePolicy(percentile=90.0, default_delay_s=0.6) if use_hedging else None
+
+    def reader(idx: int):
+        client = BlobClient(
+            blob_svc, platform.clients[idx], retry=NO_RETRY, hedge=hedge
+        )
+        for _ in range(reads_per_client):
+            start = env.now
+            yield from client.download("drill", "hot")
+            latencies.observe(env.now - start)
+            yield env.timeout(2.0)
+
+    for idx in range(n_clients):
+        env.process(reader(idx))
+    env.run()
+    return latencies, hedge
+
+
+def run_hedge_drill(
+    seed: int = 7,
+    n_clients: int = 4,
+    reads_per_client: int = 50,
+    blob_mb: float = 2.0,
+    spike_magnitude_s: float = 1.5,
+) -> HedgeDrillReport:
+    """Compare hedged vs unhedged blob Get under a latency-spike window.
+
+    Both passes replay the identical spike schedule and workload; only
+    the client's hedge policy differs.
+    """
+    unhedged, _ = _hedge_run(
+        seed, False, n_clients, reads_per_client, blob_mb, spike_magnitude_s
+    )
+    hedged, hedge = _hedge_run(
+        seed, True, n_clients, reads_per_client, blob_mb, spike_magnitude_s
+    )
+    assert hedge is not None
+    return HedgeDrillReport(
+        unhedged_p50_ms=float(unhedged.percentile(50)) * 1000.0,
+        unhedged_p99_ms=float(unhedged.percentile(99)) * 1000.0,
+        hedged_p50_ms=float(hedged.percentile(50)) * 1000.0,
+        hedged_p99_ms=float(hedged.percentile(99)) * 1000.0,
+        reads=n_clients * reads_per_client,
+        hedges_launched=hedge.launched,
+        hedge_wins=hedge.wins,
+    )

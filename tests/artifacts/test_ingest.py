@@ -1,10 +1,13 @@
 """Driver → catalog ingestion: exact + batched grids, determinism, and
 the observation-only contract (cataloging never changes a result)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.artifacts import (
     CatalogStore,
+    campaign_record,
     ingest_bench,
     ingest_campaign,
     ingest_scenario_run,
@@ -108,8 +111,10 @@ def test_golden_scenario_digest_unchanged_by_cataloging(tmp_path):
 def test_ingest_campaign(tmp_path):
     from repro.resilience.campaign import CAMPAIGN_SCENARIOS, run_campaign
 
-    spec = CAMPAIGN_SCENARIOS["day"](seed=3, scale=0.02)
-    report = run_campaign(spec, modes=["automatic"], fast=True, jobs=1)
+    spec = replace(
+        CAMPAIGN_SCENARIOS["day"](seed=3, scale=0.02), modes=("automatic",)
+    )
+    report = run_campaign(spec, fast=True, jobs=1)
     store = CatalogStore(tmp_path / "cat")
     run_id = ingest_campaign(store, spec, report)
     got = store.get_record(run_id)
@@ -117,6 +122,25 @@ def test_ingest_campaign(tmp_path):
     assert "automatic" in got.metrics["modes"]
     assert "slo:automatic" in got.snapshots
     assert run_qc(got).passed
+
+
+def test_campaign_config_hash_tracks_driver_and_grid():
+    """An event-level and a fast-forwarded run of one spec, and two mode
+    subsets of it, are different configurations in the catalog."""
+    from repro.resilience.campaign import day_campaign_spec, run_campaign
+
+    spec = replace(day_campaign_spec(seed=3, scale=0.02), modes=("none",))
+    event = campaign_record(spec, run_campaign(spec))
+    fast = campaign_record(spec, run_campaign(spec, fast=True))
+    assert event.spec["fast"] is False and fast.spec["fast"] is True
+    assert event.config_hash != fast.config_hash
+    other = replace(spec, modes=("automatic",))
+    assert campaign_record(other, run_campaign(other)).config_hash != (
+        event.config_hash
+    )
+    # Same spec, same driver: same identity.
+    again = campaign_record(spec, run_campaign(spec))
+    assert again.config_hash == event.config_hash
 
 
 def test_ingest_bench_snapshot(tmp_path):

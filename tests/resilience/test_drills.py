@@ -1,4 +1,4 @@
-"""The chaos-drill harness, including the headline storm result.
+"""The server-window drill presets, run through the campaign engine.
 
 The headline assertion: under the server_busy_storm schedule, the
 budgeted jittered-exponential policy achieves *strictly higher*
@@ -7,21 +7,34 @@ than the seed's linear policy, and the circuit breaker walks
 closed -> open -> half_open -> closed across the window.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.resilience.drills import (
-    DRILL_SCENARIOS,
+from repro.resilience.campaign import (
     PolicySpec,
+    crash_drill_spec,
     default_policy_matrix,
-    run_drill,
-    run_hedge_drill,
+    error_burst_drill_spec,
+    run_campaign,
     storm_drill_spec,
 )
+from repro.resilience.hedging import run_hedge_drill
+
+DRILL_SPECS = {
+    "storm": storm_drill_spec,
+    "crash": crash_drill_spec,
+    "burst": error_burst_drill_spec,
+}
+
+
+def _with_policy(spec, policy):
+    return replace(spec, policies=(policy,))
 
 
 @pytest.fixture(scope="module")
 def storm_report():
-    return run_drill(storm_drill_spec())
+    return run_campaign(storm_drill_spec())
 
 
 def _contains_subsequence(sequence, wanted):
@@ -30,8 +43,8 @@ def _contains_subsequence(sequence, wanted):
 
 
 def test_storm_headline_budget_jitter_beats_seed_linear(storm_report):
-    budgeted = storm_report.result("jitter-budget")
-    seed_linear = storm_report.result("seed-linear")
+    budgeted = storm_report.result("jitter-budget/none")
+    seed_linear = storm_report.result("seed-linear/none")
     assert budgeted.availability > seed_linear.availability
     assert budgeted.amplification < seed_linear.amplification
     # The mechanism, not just the outcome: the budget actually shed
@@ -43,7 +56,7 @@ def test_storm_headline_budget_jitter_beats_seed_linear(storm_report):
 
 
 def test_storm_breaker_cycles_through_states(storm_report):
-    states = storm_report.result("jitter-budget-breaker").breaker_states
+    states = storm_report.result("jitter-budget-breaker/none").breaker_states
     assert states[0] == "closed"
     assert _contains_subsequence(
         states, ["closed", "open", "half_open", "closed"]
@@ -52,9 +65,9 @@ def test_storm_breaker_cycles_through_states(storm_report):
 
 
 def test_storm_slo_verdicts(storm_report):
-    assert storm_report.result("jitter-budget").slo_pass
-    assert not storm_report.result("no-retry").slo_pass
-    assert not storm_report.result("seed-linear").slo_pass
+    assert storm_report.result("jitter-budget/none").slo_pass
+    assert not storm_report.result("no-retry/none").slo_pass
+    assert not storm_report.result("seed-linear/none").slo_pass
     assert storm_report.passed
 
 
@@ -67,7 +80,7 @@ def test_storm_report_renders(storm_report):
 
 def test_breaker_protects_the_server_hardest(storm_report):
     """Fast-failing while open = least in-window load of any policy."""
-    with_breaker = storm_report.result("jitter-budget-breaker")
+    with_breaker = storm_report.result("jitter-budget-breaker/none")
     assert with_breaker.fast_failures > 0
     others = [
         r for r in storm_report.results
@@ -80,7 +93,7 @@ def test_breaker_protects_the_server_hardest(storm_report):
 
 
 def test_drill_metrics_flow_through_registry(storm_report):
-    registry = storm_report.result("jitter-budget").registry
+    registry = storm_report.result("jitter-budget/none").registry
     counters = registry.snapshot()
     assert counters["counter:drill.ok"] > 0
     assert registry.read_gauge("retry_budget.shed") > 0
@@ -89,25 +102,26 @@ def test_drill_metrics_flow_through_registry(storm_report):
 def test_drill_is_deterministic():
     spec = storm_drill_spec(scale=0.25)
     policy = PolicySpec("seed-linear", max_retries=3)
-    first = run_drill(spec, [policy]).results[0]
-    second = run_drill(spec, [policy]).results[0]
+    first = run_campaign(_with_policy(spec, policy)).results[0]
+    second = run_campaign(_with_policy(spec, policy)).results[0]
     assert first.ok == second.ok
     assert first.server_attempts == second.server_attempts
     assert first.p99_ms == second.p99_ms
 
 
 def test_all_cli_scenarios_run():
-    for name, make_spec in DRILL_SCENARIOS.items():
-        report = run_drill(
-            make_spec(scale=0.2),
-            [PolicySpec("seed-linear", max_retries=3)],
-        )
+    for name, make_spec in DRILL_SPECS.items():
+        report = run_campaign(_with_policy(
+            make_spec(scale=0.2), PolicySpec("seed-linear", max_retries=3)
+        ))
         assert report.results[0].ops > 0, name
 
 
 def test_crash_drill_counts_crash_failures():
-    spec = DRILL_SCENARIOS["crash"](scale=0.25)
-    report = run_drill(spec, [PolicySpec("no-retry", max_retries=0)])
+    spec = crash_drill_spec(scale=0.25)
+    report = run_campaign(
+        _with_policy(spec, PolicySpec("no-retry", max_retries=0))
+    )
     result = report.results[0]
     assert result.failed > 0
     assert result.availability < 1.0

@@ -54,11 +54,11 @@ def pairs(spec):
 @pytest.mark.parametrize("mode", CAMPAIGN_MODES)
 def test_availability_matches_within_op_tolerance(pairs, mode):
     ev, fa = pairs[mode]
-    assert fa.result.ops == ev.result.ops
-    assert abs(fa.result.ok - ev.result.ok) <= OP_TOLERANCE
-    assert abs(fa.result.failed - ev.result.failed) <= OP_TOLERANCE
-    assert fa.result.availability == pytest.approx(
-        ev.result.availability, abs=OP_TOLERANCE / ev.result.ops
+    assert fa.ops == ev.ops
+    assert abs(fa.ok - ev.ok) <= OP_TOLERANCE
+    assert abs(fa.failed - ev.failed) <= OP_TOLERANCE
+    assert fa.availability == pytest.approx(
+        ev.availability, abs=OP_TOLERANCE / ev.ops
     )
 
 
@@ -76,8 +76,8 @@ def test_minute_counts_match_within_tolerance(pairs, mode):
 @pytest.mark.parametrize("mode", CAMPAIGN_MODES)
 def test_slo_verdict_and_availability_burn_match(pairs, mode):
     ev, fa = pairs[mode]
-    assert fa.result.slo_pass == ev.result.slo_pass
-    ev_slo, fa_slo = ev.result.slo_dict(), fa.result.slo_dict()
+    assert fa.slo_pass == ev.slo_pass
+    ev_slo, fa_slo = ev.slo_dict(), fa.slo_dict()
     assert fa_slo["availability"]["passed"] == (
         ev_slo["availability"]["passed"]
     )
@@ -85,7 +85,7 @@ def test_slo_verdict_and_availability_burn_match(pairs, mode):
     # same ±2-op slack.
     assert fa_slo["availability"]["burn_rate"] == pytest.approx(
         ev_slo["availability"]["burn_rate"],
-        abs=100.0 * OP_TOLERANCE / ev.result.ops,
+        abs=100.0 * OP_TOLERANCE / ev.ops,
     )
     # The p99 objective is statistical (analytic latency draws), but
     # the pass/fail verdict must agree on this spec.
@@ -173,6 +173,35 @@ def test_narrower_guard_band_still_matches_availability(spec):
     ops; the availability *classification* is band-independent."""
     ev = _run_mode(spec, "automatic")
     fa = fast_run_mode(spec, "automatic", guard_band_s=200.0)
-    assert fa.result.ops == ev.result.ops
-    assert abs(fa.result.ok - ev.result.ok) <= OP_TOLERANCE
-    assert fa.result.slo_pass == ev.result.slo_pass
+    assert fa.ops == ev.ops
+    assert abs(fa.ok - ev.ok) <= OP_TOLERANCE
+    assert fa.slo_pass == ev.slo_pass
+
+
+# -- the fast path refuses cells outside its model ---------------------------
+
+@pytest.mark.parametrize("cell", ["windows", "breaker", "no-budget", "linear"])
+def test_fast_forward_refuses_unmodelled_cells(spec, cell):
+    from dataclasses import replace
+
+    from repro.resilience.campaign import (
+        GEO_POLICY,
+        default_policy_matrix,
+        storm_drill_spec,
+    )
+
+    matrix = {p.name: p for p in default_policy_matrix()}
+    if cell == "windows":
+        bad = storm_drill_spec(scale=0.1)
+        policy = GEO_POLICY
+    else:
+        bad = spec
+        policy = {
+            "breaker": matrix["jitter-budget-breaker"],
+            "no-budget": replace(GEO_POLICY, budget_ratio=None),
+            "linear": matrix["seed-linear"],
+        }[cell]
+    with pytest.raises(ValueError, match="fast-forward cannot model"):
+        fast_run_mode(bad, "none", policy=policy)
+    with pytest.raises(ValueError, match="fast-forward cannot model"):
+        run_campaign(replace(bad, policies=(policy,)), fast=True)

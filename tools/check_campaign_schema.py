@@ -2,13 +2,15 @@
 """Validate a ``repro campaign --json`` report's schema and ordering.
 
 CI runs ``repro campaign day`` (one simulated day of correlated
-rack/zone/WAN outages, replayed per failover mode) and then this
+rack/zone/WAN outages, replayed per failover mode) and ``repro campaign
+storm`` (a 503 storm replayed per client policy), each followed by this
 checker, which asserts:
 
 1. **Schema** — the document carries the scenario header
-   (``scenario``/``duration_s``/``seed``/``slo``), a non-empty
-   ``faults`` schedule (each entry a known domain kind with a
-   non-negative start and exactly one of duration/MTTR), and a
+   (``scenario``/``duration_s``/``seed``/``slo``), a ``faults``
+   schedule (empty for the server-window presets; each entry a known
+   domain kind with a non-negative start and exactly one of
+   duration/MTTR), and a
    ``modes`` object whose entries expose the availability, per-minute,
    failover and SLO-burn fields the report promises.
 2. **Sanity** — per-mode counts are consistent: ``ok + failed == ops``,
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
     )
     print(
         f"campaign schema OK: scenario '{document['scenario']}', "
-        f"{len(faults)} correlated faults, {len(modes)} failover modes "
+        f"{len(faults)} correlated faults, {len(modes)} grid cells "
         f"({availabilities})"
     )
     return 0
