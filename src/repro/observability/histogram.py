@@ -93,36 +93,67 @@ class Histogram:
 
         Bucket indices for the batch come from one NumPy log — the same
         ``int(log(v / min_value) / log(growth)) + 1`` arithmetic as the
-        scalar path, so bucket counts (and hence percentiles) are
-        identical to observing each element in turn.  The running sum
-        uses NumPy's pairwise summation, which can differ from the
-        scalar path's sequential adds in the last few ulps.
+        scalar path.  NumPy's log may differ from :func:`math.log` in
+        the last ulp, which moves a value sitting on a bucket edge, so
+        the few quotients within a hair of an integer are re-indexed by
+        the scalar path: bucket counts (and hence percentiles) are
+        identical to observing each element in turn.  Counting is O(n),
+        one ``bincount`` over the indices offset by their minimum, with
+        no sort.  The running sum uses NumPy's pairwise summation, which
+        can differ from the scalar path's sequential adds in the last
+        few ulps.  A NaN or infinite value raises :class:`ValueError`
+        before any state changes.  ``values`` is never modified.
         """
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
         if arr.size == 0:
             return
+        lo = float(arr.min())
+        hi = float(arr.max())
+        # NaN propagates through min/max, so this catches every
+        # non-finite value without another pass.
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"histogram {self.name!r}: cannot observe non-finite values"
+            )
         self._n += int(arr.size)
         self._sum += float(arr.sum())
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
-        positive = arr[arr > 0.0]
-        self._zero += int(arr.size - positive.size)
-        if positive.size == 0:
-            return
-        big = positive[positive > self.min_value]
+        self._min = min(self._min, lo)
+        self._max = max(self._max, hi)
         counts = self._counts
-        clamped = int(positive.size - big.size)
-        if clamped:
-            counts[0] = counts.get(0, 0) + clamped
-        if big.size:
-            idx = (
-                np.log(big / self.min_value) / self._log_growth
-            ).astype(np.int64) + 1
-            uniq, reps = np.unique(idx, return_counts=True)
-            for index, count in zip(uniq.tolist(), reps.tolist()):
-                counts[index] = counts.get(index, 0) + count
+        big = arr
+        if lo <= self.min_value:
+            big = arr[arr > self.min_value]
+            zeros = int(np.count_nonzero(arr <= 0.0)) if lo <= 0.0 else 0
+            self._zero += zeros
+            clamped = int(arr.size - big.size) - zeros
+            if clamped:
+                counts[0] = counts.get(0, 0) + clamped
+            if big.size == 0:
+                return
+        quotient = big / self.min_value
+        np.log(quotient, out=quotient)
+        quotient /= self._log_growth
+        idx = quotient.astype(np.int64)
+        quotient -= idx
+        # The two logs agree to a few ulps, far inside ``tol``.
+        tol = 1e-12 * max(
+            1e3, math.log(hi / self.min_value) / self._log_growth
+        )
+        edge = np.flatnonzero((quotient < tol) | (quotient > 1.0 - tol))
+        if edge.size:
+            idx[edge] = [self._index(v) - 1 for v in big[edge].tolist()]
+        offset = int(idx.min())
+        idx -= offset
+        reps = np.bincount(idx)
+        present = np.flatnonzero(reps)
+        # The scalar index is ``int(...) + 1``; fold the ``+ 1`` into
+        # the offset.
+        for index, count in zip(
+            (present + (offset + 1)).tolist(), reps[present].tolist()
+        ):
+            counts[index] = counts.get(index, 0) + count
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (shapes must match)."""

@@ -19,6 +19,7 @@ pins the parity against the scenario driver's exact mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -71,6 +72,7 @@ class _FluidState:
     shed_probability: float
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def solve_stationary(
     model: _FluidOpModel,
     n: float,
@@ -96,6 +98,14 @@ def solve_stationary(
     ``n / replicas``.  The defaults are arithmetic identities (``x/1.0``
     and ``x*1.0`` are exact), so the closed batched driver's pinned
     fixed points are bit-unchanged.
+
+    The solve is a pure function of its arguments, memoized at module
+    level: seeded runs of one scenario price the same window rates
+    again and again.  ``typed=True`` keeps an ``int`` or ``np.float64``
+    argument from returning a state built from a ``float`` one.  Inside
+    the loop only invariants are hoisted; every float expression keeps
+    its operands and evaluation order, so memoized or not, the result
+    is bit for bit the same.
     """
     if capacity_factor <= 0:
         raise ValueError("capacity_factor must be > 0")
@@ -104,53 +114,69 @@ def solve_stationary(
     cf = float(capacity_factor)
     n = float(n) / replicas
     base_mean = model.base_s  # fixed + Exp(jitter) has mean == base_s
-    response = base_mean + model.cpu_s + model.exclusive_s + 1e-9
-    active = min(float(n), 1.0)
+    cpu_s = model.cpu_s
+    exclusive_s = model.exclusive_s
+    frontend_c_s = model.frontend_c_s
+    frontend_gamma = model.frontend_gamma
+    transfer_mb = model.transfer_mb
+    cores_cf = model.cores * cf
+    cpu_per_core = cpu_s / cores_cf
+    wait_power = math.sqrt(2.0 * (cores_cf + 1))
+    transfer_a = model.transfer_a_mbps * cf
+    transfer_power = -model.transfer_gamma
+
+    response = base_mean + cpu_s + exclusive_s + 1e-9
+    active = min(n, 1.0)
     frontend = cpu_wait = latch_wait = transfer = 0.0
     for _ in range(200):
         throughput = n / (response + think_s)
-        active_new = min(throughput * response, float(n))
+        active_new = throughput * response
+        if n < active_new:
+            active_new = n
         active = 0.5 * active + 0.5 * active_new
+        load = active / cf
 
         frontend = 0.0
-        if model.frontend_c_s > 0 and active / cf > 1.0:
-            frontend = model.frontend_c_s * (active / cf) ** (
-                model.frontend_gamma
-            )
+        if frontend_c_s > 0 and load > 1.0:
+            frontend = frontend_c_s * load ** frontend_gamma
 
         cpu_wait = 0.0
-        if model.cpu_s > 0:
-            rho = min(
-                throughput * model.cpu_s / (model.cores * cf), 0.999
-            )
+        if cpu_s > 0:
+            rho = throughput * cpu_s / cores_cf
+            if rho > 0.999:
+                rho = 0.999
             # M/M/c wait, collapsed to the heavy-traffic form the
             # partition server's exponential service times justify.
-            cpu_wait = (model.cpu_s / (model.cores * cf)) * (
-                rho ** math.sqrt(2.0 * (model.cores * cf + 1))
-            ) / (1.0 - rho)
+            cpu_wait = cpu_per_core * rho ** wait_power / (1.0 - rho)
 
         latch_wait = 0.0
-        if model.exclusive_s > 0:
-            rho_l = min(throughput * model.exclusive_s / cf, 0.999)
-            latch_wait = model.exclusive_s * rho_l / (1.0 - rho_l)
+        if exclusive_s > 0:
+            # Not ``throughput * (exclusive_s / cf)``: that rounds
+            # differently unless ``cf`` is a power of two.
+            rho_l = throughput * exclusive_s / cf
+            if rho_l > 0.999:
+                rho_l = 0.999
+            latch_wait = exclusive_s * rho_l / (1.0 - rho_l)
 
         transfer = 0.0
-        if model.transfer_mb > 0:
-            share = (model.transfer_a_mbps * cf) * max(
-                active / cf, 1.0
-            ) ** (-model.transfer_gamma)
-            transfer = model.transfer_mb / share
+        if transfer_mb > 0:
+            share = transfer_a * (
+                1.0 if load < 1.0 else load
+            ) ** transfer_power
+            transfer = transfer_mb / share
 
         response_new = (
             base_mean
             + frontend
             + cpu_wait
-            + model.cpu_s
+            + cpu_s
             + latch_wait
-            + model.exclusive_s
+            + exclusive_s
             + transfer
         )
-        if abs(response_new - response) < 1e-9 * max(response, 1e-9):
+        if abs(response_new - response) < 1e-9 * (
+            1e-9 if response < 1e-9 else response
+        ):
             response = response_new
             break
         response = 0.5 * response + 0.5 * response_new

@@ -8,6 +8,7 @@ summation).
 """
 
 import numpy as np
+import pytest
 
 from repro.observability.histogram import Histogram, HistogramTally
 from repro.service.tracing import RequestTracer
@@ -151,3 +152,86 @@ def test_tracer_batch_empty_is_a_noop():
     tracer = RequestTracer()
     tracer.observe_batch("svc", "op", [], errors=0, client=True)
     assert tracer.client_total == 0 and tracer._client_per_op == {}
+
+
+# -- edge cases, element by element ----------------------------------------
+
+
+def _without_name(hist):
+    doc = hist.to_dict()
+    del doc["name"]
+    return doc
+
+
+def _edge_values():
+    hist = Histogram()
+    mv, g = hist.min_value, hist.growth
+    return np.concatenate([
+        [mv * 0.5, mv * 1e-3, np.nextafter(mv, 0.0)],  # (0, min_value)
+        [mv, np.nextafter(mv, 1.0)],
+        [mv * g ** k for k in range(0, 400, 7)],  # exact bucket edges
+        [np.nextafter(mv * g ** k, 0.0) for k in (1, 50, 300)],
+        [0.0, -0.0, -1e-3, -5.0],
+        np.geomspace(1e-7, 1e4, 997),
+    ])
+
+
+def _scalar(values, name="s"):
+    hist = Histogram(name)
+    for v in np.asarray(values, dtype=float).reshape(-1):
+        hist.observe(float(v))
+    return hist
+
+
+def test_batch_edge_cases_equal_scalar_element_by_element():
+    values = _edge_values()
+    before = values.copy()
+    one_by_one = Histogram("b")
+    for v in values:
+        one_by_one.observe_batch(np.array([v]))
+    # One-element batches sum sequentially, so even ``sum`` matches.
+    assert _without_name(one_by_one) == _without_name(_scalar(values))
+    whole = Histogram("w")
+    whole.observe_batch(values)
+    expected = _without_name(_scalar(values))
+    got = _without_name(whole)
+    assert got.pop("sum") == pytest.approx(expected.pop("sum"), rel=1e-12)
+    assert got == expected
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        np.array([0.02]),
+        np.array([[1e-7, 0.5], [0.0, 3e3]]),
+        np.array([0, 1, 2, 7, -3, 10_000], dtype=np.int64),
+        np.geomspace(1e-7, 1e4, 50).reshape(5, 10),
+        [1e-6, 2e-6, 0.0],
+    ],
+    ids=["one", "2d", "int", "2d-range", "list"],
+)
+def test_batch_shapes_and_dtypes_equal_scalar(batch):
+    before = np.array(batch, copy=True)
+    hist = Histogram("b")
+    hist.observe_batch(batch)
+    got, expected = _without_name(hist), _without_name(_scalar(batch))
+    assert got.pop("sum") == pytest.approx(expected.pop("sum"), rel=1e-12)
+    assert got == expected
+    assert np.array_equal(np.asarray(batch), before)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"]
+)
+def test_batch_rejects_non_finite_without_mutating(bad):
+    hist = Histogram("h")
+    hist.observe_batch([0.01, 0.5])
+    before = hist.to_dict()
+    for batch in ([0.01, bad], [bad], np.array([[0.2, bad], [0.0, -1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            hist.observe_batch(batch)
+        assert hist.to_dict() == before
+    if bad != -np.inf:  # the scalar path counts -inf as a zero
+        with pytest.raises((ValueError, OverflowError)):
+            Histogram().observe(bad)
