@@ -172,19 +172,26 @@ _CAMPAIGN_PINS = {
     "day-event": "35056b22059de37af3cf18afe364202eceb2d6759500c66713b5c70ca5b489fd",
     "day-fast": "a53e4e0ed7590ad098dde671f4d4ba026724e7363930ec4c5eb35e27acfcf8dd",
     "month-fast": "44d45d90ad8de7bb5c53bed2727739c7e09e5c507995f8199438e625300ca432",
+    "storm-event": "de182d969f8711c0640cc6041a28d0e46a3e197e702a8fd1d23600d6bfd3e096",
+    "crash-event": "2b42e3af1078b5cc9269b2e6f8a8bc3687d15409dcb637cebafaba0d83daa39d",
+    "burst-event": "3c6735481ea2938e0a542e0773073523b49b882d9fb05c7ea601b5555400c13e",
 }
 
 
 @pytest.mark.parametrize("cell", sorted(_CAMPAIGN_PINS))
 def test_campaign_report_bit_identical(cell):
     """``campaign:month`` at event level is a golden digest; these pin
-    the compressed day at both levels and the fast-forwarded month."""
+    the compressed day at both levels, the fast-forwarded month and the
+    three server-window presets (breaker, retry budget, jitter backoff
+    on a client without a secondary)."""
     from repro.experiments.golden import _digest
 
     scenario, level = cell.split("-")
     if scenario == "day":
         spec = day_campaign_spec(seed=3)
-    else:
+    elif scenario == "month":
         spec = month_campaign_spec(3, scale=0.02)
+    else:
+        spec = CAMPAIGN_SCENARIOS[scenario](3, scale=0.2)
     report = run_campaign(spec, fast=level == "fast")
     assert _digest(report.to_dict()) == _CAMPAIGN_PINS[cell]
