@@ -79,14 +79,21 @@ def main():
                 yield env.timeout(3.0)
                 continue
             start = env.now
+            retries_before = table.retries
+            failed = False
             yield from blob.download("data", msg.payload["blob"])
-            _r, outcome = yield from table.insert_measured(
-                "status", make_entity("jobs", f"done-{msg.id}")
-            )
+            try:
+                yield from table.insert(
+                    "status", make_entity("jobs", f"done-{msg.id}")
+                )
+            except Exception:  # noqa: BLE001 - counted, the job moves on
+                failed = True
             registry.tally("job.latency_s").observe(env.now - start)
-            if not outcome.ok:
+            if failed:
                 registry.counter("jobs.failed").increment()
-            registry.counter("table.retries").increment(outcome.retries)
+            registry.counter("table.retries").increment(
+                table.retries - retries_before
+            )
             yield from queue.delete("work", msg, msg.pop_receipt)
             registry.counter("jobs.done").increment()
 

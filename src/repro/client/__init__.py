@@ -8,7 +8,7 @@ VM-to-VM communication (Section 4.2).
 
 from repro.resilience.backoff import RetryPolicy
 from repro.client.base import ClientTimeoutError, race_timeout
-from repro.client.service_client import FailoverPolicy, ServiceClient
+from repro.client.service_client import ServiceClient
 from repro.client.blob_client import BlobClient
 from repro.client.table_client import TableClient
 from repro.client.queue_client import QueueClient
@@ -19,7 +19,6 @@ from repro.client.parallel import StripedReader, parallel_upload, replicate_blob
 __all__ = [
     "BlobClient",
     "ClientTimeoutError",
-    "FailoverPolicy",
     "ManagementClient",
     "QueueClient",
     "RetryPolicy",

@@ -1,8 +1,10 @@
 """Shared client plumbing: timeout racing and the retry loop.
 
-``with_retries`` is the standard call path every typed client funnels
-through.  Beyond the seed's timeout-race + bounded-retry it now
-consults the optional resilience hooks from :mod:`repro.resilience`:
+``with_retries`` is the retry loop inside the one call path every
+typed client funnels through
+(:meth:`repro.client.service_client.ServiceClient._call`).  Beyond the
+seed's timeout race and bounded retry it consults the optional
+resilience hooks from :mod:`repro.resilience`:
 
 * a **retry budget** (token bucket) is charged before every backoff
   sleep — when the group's budget is exhausted the retry is *shed* and
@@ -113,59 +115,3 @@ def with_retries(
             if breaker is not None:
                 breaker.on_success()
             return result
-
-
-class OperationOutcome:
-    """Measurement record: latency plus success/error classification."""
-
-    __slots__ = ("started_at", "finished_at", "error", "retries")
-
-    def __init__(
-        self,
-        started_at: float,
-        finished_at: float,
-        error: Optional[BaseException] = None,
-        retries: int = 0,
-    ) -> None:
-        self.started_at = started_at
-        self.finished_at = finished_at
-        self.error = error
-        self.retries = retries
-
-    @property
-    def latency_s(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else type(self.error).__name__
-        return f"<Outcome {status} {self.latency_s * 1000:.1f}ms>"
-
-
-def measured_call(
-    env: Environment,
-    make_operation: Callable[[], Generator],
-    policy: RetryPolicy,
-    timeout_s: Optional[float],
-    description: str = "operation",
-    budget: Optional[Any] = None,
-    breaker: Optional[Any] = None,
-) -> Generator:
-    """Run a client call and return (result_or_None, OperationOutcome)."""
-    start = env.now
-    retries = {"n": 0}
-
-    def count_retry(_error: BaseException, _attempt: int) -> None:
-        retries["n"] += 1
-
-    try:
-        result = yield from with_retries(
-            env, make_operation, policy, timeout_s, description, count_retry,
-            budget=budget, breaker=breaker,
-        )
-    except Exception as error:  # noqa: BLE001 - recorded, not swallowed
-        return None, OperationOutcome(start, env.now, error, retries["n"])
-    return result, OperationOutcome(start, env.now, None, retries["n"])

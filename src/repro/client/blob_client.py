@@ -23,8 +23,7 @@ class BlobClient(ServiceClient):
     * ``budget``  — shared retry budget consulted before every retry;
     * ``breaker`` — circuit breaker gating every attempt;
     * ``hedge``   — hedging policy for the idempotent read path
-      (:meth:`download` / :meth:`download_measured` only; writes and
-      deletes are never hedged).
+      (:meth:`download` only; writes and deletes are never hedged).
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class BlobClient(ServiceClient):
         )
         self.endpoint = endpoint
 
-    # -- raising API ---------------------------------------------------------
     def upload(
         self,
         container: str,
@@ -80,33 +78,5 @@ class BlobClient(ServiceClient):
         result = yield from self._call(
             "blob.delete",
             lambda: self.service.delete_blob(container, name),
-        )
-        return result
-
-    # -- measured API ----------------------------------------------------------
-    def upload_measured(
-        self,
-        container: str,
-        name: str,
-        size_mb: float,
-        overwrite: bool = False,
-    ) -> Generator:
-        result = yield from self._call_measured(
-            "blob.upload",
-            lambda: self.service.upload(
-                self.endpoint, container, name, size_mb, overwrite
-            ),
-        )
-        return result
-
-    def download_measured(
-        self, container: str, name: str, corrupt_probability: float = 0.0
-    ) -> Generator:
-        result = yield from self._call_measured(
-            "blob.download",
-            lambda: self.service.download(
-                self.endpoint, container, name, corrupt_probability
-            ),
-            hedgeable=True,
         )
         return result

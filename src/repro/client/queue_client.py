@@ -35,7 +35,6 @@ class QueueClient(ServiceClient):
             **replica_kwargs,
         )
 
-    # -- raising API ---------------------------------------------------------
     def add(self, queue: str, payload: object, size_kb: float = 0.5) -> Generator:
         result = yield from self._call(
             "queue.add", lambda: self.service.add(queue, payload, size_kb)
@@ -78,29 +77,5 @@ class QueueClient(ServiceClient):
         result = yield from self._call(
             "queue.delete",
             lambda: self.service.delete(queue, message, pop_receipt),
-        )
-        return result
-
-    # -- measured API ----------------------------------------------------------
-    def add_measured(
-        self, queue: str, payload: object, size_kb: float = 0.5
-    ) -> Generator:
-        result = yield from self._call_measured(
-            "queue.add", lambda: self.service.add(queue, payload, size_kb)
-        )
-        return result
-
-    def peek_measured(self, queue: str) -> Generator:
-        result = yield from self._call_measured(
-            "queue.peek", lambda: self.service.peek(queue), hedgeable=True
-        )
-        return result
-
-    def receive_measured(
-        self, queue: str, visibility_timeout_s: Optional[float] = None
-    ) -> Generator:
-        result = yield from self._call_measured(
-            "queue.receive",
-            lambda: self.service.receive(queue, visibility_timeout_s),
         )
         return result

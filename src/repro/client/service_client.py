@@ -1,12 +1,13 @@
 """The declarative base every typed storage client is built on.
 
-The three 2009-style clients (blob, table, queue) share one call path:
-an attempt factory (optionally hedged for idempotent reads) run through
-:func:`repro.client.base.with_retries` — timeout race, bounded retry,
-optional retry budget and circuit breaker — or through
-:func:`repro.client.base.measured_call` for the ``*_measured`` variants
-the benchmark drivers use.  :class:`ServiceClient` specifies that wiring
-once; a typed client is then just an op table::
+The three 2009-style clients (blob, table, queue) share one call path,
+:meth:`ServiceClient._call`: an attempt factory (optionally hedged for
+idempotent reads) run through :func:`repro.client.base.with_retries` —
+timeout race, bounded retry, optional retry budget and circuit breaker.
+A call returns its result or raises the final error; callers that
+measure latency or availability time the call and catch the error
+themselves.  :class:`ServiceClient` specifies that wiring once; a typed
+client is then just an op table::
 
     class QueueClient(ServiceClient):
         def peek(self, queue):
@@ -25,16 +26,18 @@ emitted by the request pipeline itself).  When the tracer carries a
 ``call:<op>`` span and every raw attempt (each retry, each hedge leg)
 runs under its own ``attempt`` span bound as ambient context, so the
 pipeline's server spans parent themselves into the right attempt.
+The client keeps cumulative ``retries`` and ``failovers`` counters.
 
 Replica-aware routing
 ---------------------
 A client built with a ``secondary`` service (usually via a
 :class:`~repro.storage.account.GeoReplicatedAccount` helper) learns
-three more behaviours, all governed by :class:`FailoverPolicy`:
+three more behaviours:
 
 * **routing** — ``self.service`` resolves per *attempt* to the replica
   the current leg targets (op-table lambdas bind the service at
-  invocation time, so the same op tables serve both replicas);
+  invocation time, so the same op tables serve both replicas); a fresh
+  call targets the replica ``route_hint`` names, else the primary;
 * **failover** — when the whole first-replica pass fails with a
   transport failure (:func:`repro.storage.errors.is_transport_failure`)
   after the retry budget, the call runs one more full retry pass
@@ -44,39 +47,25 @@ three more behaviours, all governed by :class:`FailoverPolicy`:
   backup against the *other* replica, so a slow or dying region is
   raced against a healthy one.
 
-Attempt spans carry a ``replica`` attribute on replica-aware clients,
-so ``repro trace`` renders cross-region failover waterfalls.  Clients
-without a secondary take exactly the seed code path: no extra events,
-no extra span attributes, bit-identical golden outputs.
+Attempt and call spans carry a ``replica`` attribute on replica-aware
+clients, on success and on failure, so ``repro trace`` renders
+cross-region failover waterfalls.  Clients without a secondary take
+exactly the seed code path: no extra events, no extra span attributes,
+bit-identical golden outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
-from repro.client.base import OperationOutcome, measured_call, with_retries
+from repro.client.base import with_retries
 from repro.observability import spans as spanlib
 from repro.observability.spans import Span, SpanTracer
 from repro.resilience.backoff import RetryPolicy
 from repro.resilience.hedging import HedgePolicy, hedged_call
 from repro.service.tracing import OK, RequestTrace, RequestTracer
 from repro.storage.errors import is_transport_failure
-
-
-@dataclass(frozen=True)
-class FailoverPolicy:
-    """When and how a replica-aware client uses the other replica."""
-
-    #: Master switch for the cross-replica failover pass.
-    enabled: bool = True
-    #: Hedge idempotent reads against the other replica (needs a
-    #: :class:`HedgePolicy` on the client to actually launch hedges).
-    hedge_secondary: bool = True
-    #: After a successful failover to the secondary, keep routing there
-    #: for this long (0 = re-resolve every call).  Ignored when a
-    #: ``route_hint`` (an account's failover state machine) routes.
-    pin_secondary_s: float = 0.0
 
 
 class ServiceClient:
@@ -101,8 +90,6 @@ class ServiceClient:
     secondary:
         Optional same-shaped replica endpoint; enables replica routing,
         the failover pass and cross-replica hedging.
-    failover:
-        :class:`FailoverPolicy` for the secondary (defaults on).
     route_hint:
         Optional callable returning ``"primary"``/``"secondary"``: which
         replica a fresh call should target (an account's failover state
@@ -125,7 +112,6 @@ class ServiceClient:
         breaker: Optional[Any] = None,
         hedge: Optional[HedgePolicy] = None,
         secondary: Optional[Any] = None,
-        failover: Optional[FailoverPolicy] = None,
         route_hint: Optional[Callable[[], str]] = None,
         write_guard: Optional[Callable[[str, str], None]] = None,
         on_commit: Optional[Callable[[str, str], None]] = None,
@@ -138,14 +124,14 @@ class ServiceClient:
         self.breaker = breaker
         self.hedge = hedge
         self.secondary = secondary
-        self.failover = failover if failover is not None else FailoverPolicy()
         self.route_hint = route_hint
         self.write_guard = write_guard
         self.on_commit = on_commit
         #: Calls that succeeded only via the cross-replica failover pass.
         self.failovers = 0
+        #: Retries this client has made, over every call and both passes.
+        self.retries = 0
         self._route_override: Optional[str] = None
-        self._pinned_until = float("-inf")
         self.tracer: Optional[RequestTracer] = getattr(
             service, "tracer", None
         )
@@ -167,13 +153,7 @@ class ServiceClient:
         return self._primary
 
     def _default_replica(self) -> str:
-        if self.secondary is None:
-            return "primary"
-        if self.route_hint is not None:
-            return (
-                "secondary" if self.route_hint() == "secondary" else "primary"
-            )
-        if self.env.now < self._pinned_until:
+        if self.route_hint is not None and self.route_hint() == "secondary":
             return "secondary"
         return "primary"
 
@@ -231,21 +211,6 @@ class ServiceClient:
         return inner
 
     # -- the one call path -------------------------------------------------
-    def _attempt(
-        self,
-        kind: str,
-        make: Callable[[], Generator],
-        hedgeable: bool,
-        backup: Optional[Callable[[], Generator]] = None,
-    ) -> Callable[[], Generator]:
-        """Wrap the attempt factory with hedging where allowed."""
-        if hedgeable and self.hedge is not None:
-            hedge = self.hedge
-            return lambda: hedged_call(
-                self.env, make, hedge, kind, make_backup=backup
-            )
-        return make
-
     def _span_tracer(self) -> Optional[SpanTracer]:
         spans = getattr(self.tracer, "spans", None)
         if spans is None or not spans.enabled:
@@ -284,23 +249,14 @@ class ServiceClient:
 
         return factory
 
-    def _use_failover(self) -> bool:
-        return self.secondary is not None and self.failover.enabled
-
-    def _note_failover(self, replica: str) -> None:
-        self.failovers += 1
-        if replica == "secondary" and self.failover.pin_secondary_s > 0:
-            self._pinned_until = (
-                self.env.now + self.failover.pin_secondary_s
-            )
-
     def _call(
         self,
         kind: str,
         make: Callable[[], Generator],
         hedgeable: bool = False,
     ) -> Generator:
-        """Raising variant: result or the final (post-retry) error."""
+        """Run one client call: the result, or the final error raised
+        after every retry (and, with a secondary, the failover pass)."""
         spans = self._span_tracer()
         call_span = None
         counter = [0]
@@ -317,45 +273,23 @@ class ServiceClient:
 
         def count_retry(_error: BaseException, _attempt: int) -> None:
             retries[0] += 1
+            self.retries += 1
 
         def leg(replica: Optional[str]) -> Callable[[], Generator]:
             return self._leg(kind, make, hedgeable, spans, call_span,
                              counter, replica)
 
-        if not self._use_failover():
-            replica = None if self.secondary is None else (
-                self._default_replica()
+        first: Optional[str] = None
+        second: Optional[str] = None
+        if self.secondary is not None:
+            first = self._default_replica()
+            second = "secondary" if first == "primary" else "primary"
+        factory = leg(first)
+        if hedgeable and self.hedge is not None:
+            factory = partial(
+                hedged_call, self.env, factory, self.hedge, kind,
+                make_backup=None if second is None else leg(second),
             )
-            factory = self._attempt(kind, leg(replica), hedgeable)
-            try:
-                result = yield from with_retries(
-                    self.env, factory, self.retry, self.timeout_s, kind,
-                    on_retry=count_retry,
-                    budget=self.budget, breaker=self.breaker,
-                )
-            except Exception as error:
-                self._trace_call(kind, started_at, retries[0], error)
-                if spans is not None and call_span is not None:
-                    call_span.attributes["retries"] = retries[0]
-                    spans.finish(call_span, self.env.now,
-                                 type(error).__name__)
-                raise
-            self._commit_hook(kind, replica or "primary")
-            self._trace_call(kind, started_at, retries[0], None)
-            if spans is not None and call_span is not None:
-                call_span.attributes["retries"] = retries[0]
-                spans.finish(call_span, self.env.now)
-            return result
-
-        first = self._default_replica()
-        second = "secondary" if first == "primary" else "primary"
-        backup = (
-            leg(second)
-            if hedgeable and self.failover.hedge_secondary
-            and self.hedge is not None
-            else None
-        )
-        factory = self._attempt(kind, leg(first), hedgeable, backup)
         used = first
         try:
             try:
@@ -365,134 +299,60 @@ class ServiceClient:
                     budget=self.budget, breaker=self.breaker,
                 )
             except Exception as error:
-                if not is_transport_failure(error):
+                if second is None or not is_transport_failure(error):
                     raise
                 # The whole first-replica pass failed at transport
                 # level: one more full retry pass, other replica.
+                used = second
                 result = yield from with_retries(
                     self.env, leg(second), self.retry, self.timeout_s,
                     kind, on_retry=count_retry,
                     budget=self.budget, breaker=self.breaker,
                 )
-                used = second
-                self._note_failover(second)
+                self.failovers += 1
         except Exception as error:
-            self._trace_call(kind, started_at, retries[0], error)
-            if spans is not None and call_span is not None:
-                call_span.attributes["retries"] = retries[0]
-                spans.finish(call_span, self.env.now, type(error).__name__)
+            self._finish_call(kind, started_at, retries[0], spans,
+                              call_span, used, error)
             raise
-        self._commit_hook(kind, used)
-        self._trace_call(kind, started_at, retries[0], None)
-        if spans is not None and call_span is not None:
-            call_span.attributes["retries"] = retries[0]
-            call_span.attributes["replica"] = used
-            spans.finish(call_span, self.env.now)
+        if self.on_commit is not None:
+            self.on_commit(kind, used or "primary")
+        self._finish_call(kind, started_at, retries[0], spans, call_span,
+                          used, None)
         return result
 
-    def _call_measured(
-        self,
-        kind: str,
-        make: Callable[[], Generator],
-        hedgeable: bool = False,
-    ) -> Generator:
-        """Measured variant: ``(result_or_None, OperationOutcome)``."""
-        spans = self._span_tracer()
-        call_span = None
-        counter = [0]
-        if spans is not None:
-            call_span = spans.start(
-                f"call:{kind}",
-                spanlib.CLIENT,
-                self.env.now,
-                parent=spans.current,
-                op=kind,
-            )
-        started_at = self.env.now
-
-        def leg(replica: Optional[str]) -> Callable[[], Generator]:
-            return self._leg(kind, make, hedgeable, spans, call_span,
-                             counter, replica)
-
-        if not self._use_failover():
-            replica = None if self.secondary is None else (
-                self._default_replica()
-            )
-            factory = self._attempt(kind, leg(replica), hedgeable)
-            result, outcome = yield from measured_call(
-                self.env, factory, self.retry, self.timeout_s, kind,
-                budget=self.budget, breaker=self.breaker,
-            )
-            used = replica or "primary"
-        else:
-            first = self._default_replica()
-            second = "secondary" if first == "primary" else "primary"
-            backup = (
-                leg(second)
-                if hedgeable and self.failover.hedge_secondary
-                and self.hedge is not None
-                else None
-            )
-            factory = self._attempt(kind, leg(first), hedgeable, backup)
-            result, outcome = yield from measured_call(
-                self.env, factory, self.retry, self.timeout_s, kind,
-                budget=self.budget, breaker=self.breaker,
-            )
-            used = first
-            if outcome.error is not None and is_transport_failure(
-                outcome.error
-            ):
-                result, second_outcome = yield from measured_call(
-                    self.env, leg(second), self.retry, self.timeout_s,
-                    kind, budget=self.budget, breaker=self.breaker,
-                )
-                outcome = OperationOutcome(
-                    started_at,
-                    self.env.now,
-                    second_outcome.error,
-                    outcome.retries + second_outcome.retries,
-                )
-                used = second
-                if second_outcome.ok:
-                    self._note_failover(second)
-        if outcome.ok:
-            self._commit_hook(kind, used)
-        self._trace_call(kind, started_at, outcome.retries, outcome.error)
-        if spans is not None and call_span is not None:
-            call_span.attributes["retries"] = outcome.retries
-            if self.secondary is not None:
-                call_span.attributes["replica"] = used
-            spans.finish(
-                call_span,
-                self.env.now,
-                "ok" if outcome.error is None
-                else type(outcome.error).__name__,
-            )
-        return result, outcome
-
-    def _commit_hook(self, kind: str, replica: str) -> None:
-        if self.on_commit is not None:
-            self.on_commit(kind, replica)
-
-    def _trace_call(
+    def _finish_call(
         self,
         kind: str,
         started_at: float,
         retries: int,
+        spans: Optional[SpanTracer],
+        call_span: Optional[Span],
+        replica: Optional[str],
         error: Optional[BaseException],
     ) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.observe_call(
-            RequestTrace(
-                service=getattr(self.service, "name", "service"),
-                op=kind,
-                started_at=started_at,
-                finished_at=self.env.now,
-                retries=retries,
-                outcome=OK if error is None else type(error).__name__,
+        """Emit the call trace and close the call span; the span names
+        the replica that answered (or failed) exactly when the client
+        has a secondary."""
+        if self.tracer is not None:
+            self.tracer.observe_call(
+                RequestTrace(
+                    service=getattr(self.service, "name", "service"),
+                    op=kind,
+                    started_at=started_at,
+                    finished_at=self.env.now,
+                    retries=retries,
+                    outcome=OK if error is None else type(error).__name__,
+                )
             )
+        if spans is None or call_span is None:
+            return
+        call_span.attributes["retries"] = retries
+        if replica is not None:
+            call_span.attributes["replica"] = replica
+        spans.finish(
+            call_span, self.env.now,
+            "ok" if error is None else type(error).__name__,
         )
 
 
-__all__ = ["FailoverPolicy", "ServiceClient"]
+__all__ = ["ServiceClient"]

@@ -14,8 +14,8 @@ from repro.storage.table import Entity, TableService
 class TableClient(ServiceClient):
     """Table operations with client timeout + retry (StorageClient style).
 
-    ``*_measured`` variants return ``(result, OperationOutcome)`` and
-    never raise; they are what the benchmark drivers use.
+    Every op returns its result or raises the final error after the
+    retries (and, on a geo client, the failover pass).
 
     Optional resilience hooks (see :mod:`repro.resilience`): ``budget``
     (shared retry budget), ``breaker`` (circuit breaker), and ``hedge``
@@ -38,7 +38,6 @@ class TableClient(ServiceClient):
             **replica_kwargs,
         )
 
-    # -- raising API ---------------------------------------------------------
     def insert(self, table: str, entity: Entity) -> Generator:
         result = yield from self._call(
             "table.insert", lambda: self.service.insert(table, entity)
@@ -72,42 +71,6 @@ class TableClient(ServiceClient):
         self, table: str, pk: str, predicate: Callable[[Entity], bool]
     ) -> Generator:
         result = yield from self._call(
-            "table.scan",
-            lambda: self.service.query_by_property(table, pk, predicate),
-        )
-        return result
-
-    # -- measured API ----------------------------------------------------------
-    def insert_measured(self, table: str, entity: Entity) -> Generator:
-        result = yield from self._call_measured(
-            "table.insert", lambda: self.service.insert(table, entity)
-        )
-        return result
-
-    def query_measured(self, table: str, pk: str, rk: str) -> Generator:
-        result = yield from self._call_measured(
-            "table.query",
-            lambda: self.service.query(table, pk, rk),
-            hedgeable=True,
-        )
-        return result
-
-    def update_measured(self, table: str, entity: Entity) -> Generator:
-        result = yield from self._call_measured(
-            "table.update", lambda: self.service.update(table, entity)
-        )
-        return result
-
-    def delete_measured(self, table: str, pk: str, rk: str) -> Generator:
-        result = yield from self._call_measured(
-            "table.delete", lambda: self.service.delete(table, pk, rk)
-        )
-        return result
-
-    def scan_measured(
-        self, table: str, pk: str, predicate: Callable[[Entity], bool]
-    ) -> Generator:
-        result = yield from self._call_measured(
             "table.scan",
             lambda: self.service.query_by_property(table, pk, predicate),
         )

@@ -13,7 +13,10 @@ bound once at process creation (binding a method costs an allocation;
 foreign-environment guards run inside one optimistic ``try`` block on
 the wait path, and the process attaches its own pre-bound callback
 (``_resume_cb``) directly into the target event's callback slots
-instead of going through ``add_callback``.
+instead of going through ``add_callback``.  That bound method refers
+back to its process, so every terminal branch of ``_resume`` drops it:
+a finished process is then freed by reference counting instead of
+lingering as cyclic garbage until the next collection.
 """
 
 from __future__ import annotations
@@ -139,12 +142,14 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
+                    self._resume_cb = None
                     env._seq = seq = env._seq + 1
                     _heappush(env._queue, (env._now, seq, self))
                     return
                 except BaseException as exc:
                     self._ok = False
                     self._value = exc
+                    self._resume_cb = None
                     env._seq = seq = env._seq + 1
                     _heappush(env._queue, (env._now, seq, self))
                     return
@@ -159,6 +164,7 @@ class Process(Event):
                         )
                         self._ok = False
                         self._value = exc
+                        self._resume_cb = None
                         env._enqueue(0.0, self)
                         return
                     if not target._processed:
@@ -171,6 +177,7 @@ class Process(Event):
                             )
                             self._ok = False
                             self._value = exc
+                            self._resume_cb = None
                             env._enqueue(0.0, self)
                             return
                         self._waiting_on = target
@@ -188,6 +195,7 @@ class Process(Event):
                     )
                     self._ok = False
                     self._value = exc
+                    self._resume_cb = None
                     env._enqueue(0.0, self)
                     return
                 # Already processed — resume immediately with its value.

@@ -1,9 +1,9 @@
-"""Unit tests for client plumbing: timeout racing, retries, measurement."""
+"""Unit tests for client plumbing: timeout racing and retries."""
 
 import pytest
 
 from repro.client import ClientTimeoutError, RetryPolicy, race_timeout
-from repro.client.base import measured_call, with_retries
+from repro.client.base import with_retries
 from repro.resilience.backoff import NO_RETRY
 from repro.simcore import Environment
 from repro.storage.errors import (
@@ -150,56 +150,6 @@ def test_retry_policy_classification():
     assert not policy.should_retry(ServerBusyError(), 2)
     assert not policy.should_retry(ValueError(), 0)
     assert policy.backoff(0) < policy.backoff(1)
-
-
-def test_measured_call_records_latency_and_outcome():
-    env = Environment()
-    pair, err = _run(
-        env,
-        measured_call(env, lambda: _slow_op(env, 2.5), NO_RETRY, None),
-    )
-    assert err is None
-    result, outcome = pair
-    assert result == "done"
-    assert outcome.ok
-    assert outcome.latency_s == pytest.approx(2.5)
-    assert outcome.retries == 0
-
-
-def test_measured_call_captures_error_without_raising():
-    env = Environment()
-    pair, err = _run(
-        env,
-        measured_call(
-            env,
-            lambda: _slow_op(env, 1.0, error=EntityNotFoundError("x")),
-            NO_RETRY, None,
-        ),
-    )
-    assert err is None
-    result, outcome = pair
-    assert result is None
-    assert not outcome.ok
-    assert isinstance(outcome.error, EntityNotFoundError)
-
-
-def test_measured_call_counts_retries():
-    env = Environment()
-    attempts = {"n": 0}
-
-    def flaky():
-        attempts["n"] += 1
-        yield env.timeout(0.1)
-        if attempts["n"] < 2:
-            raise ServerBusyError("busy")
-        return "ok"
-
-    pair, _ = _run(
-        env,
-        measured_call(env, flaky, RetryPolicy(max_retries=3), None),
-    )
-    _result, outcome = pair
-    assert outcome.retries == 1
 
 
 class _KernelInterrupt(BaseException):

@@ -47,17 +47,24 @@ def test_table_client_roundtrip():
     assert isinstance(err, EntityNotFoundError)
 
 
+def _timed(env, gen):
+    """``_run`` plus the call's simulated latency."""
+    start = env.now
+    result, err = _run(env, gen)
+    return result, err, env.now - start
+
+
 def test_table_client_measured_outcome():
     env, account = _account()
     account.tables.create_table("t")
     client = TableClient(account.tables)
-    pair, err = _run(env, client.insert_measured("t", make_entity("p", "r")))
-    assert err is None
-    entity, outcome = pair
-    assert outcome.ok and outcome.latency_s > 0
-    pair, _ = _run(env, client.query_measured("t", "p", "ghost"))
-    _none, outcome = pair
-    assert not outcome.ok
+    entity, err, latency_s = _timed(
+        env, client.insert("t", make_entity("p", "r"))
+    )
+    assert err is None and entity is not None
+    assert latency_s > 0
+    _none, err, _latency_s = _timed(env, client.query("t", "p", "ghost"))
+    assert isinstance(err, EntityNotFoundError)
 
 
 def test_queue_client_roundtrip():
@@ -93,9 +100,8 @@ def test_blob_client_roundtrip():
     assert err is None and client.exists("c", "b")
     got, err = _run(env, client.download("c", "b"))
     assert err is None and got.content_token == meta.content_token
-    pair, _ = _run(env, client.download_measured("c", "b"))
-    _meta, outcome = pair
-    assert outcome.ok and outcome.latency_s > 0
+    _meta, err, latency_s = _timed(env, client.download("c", "b"))
+    assert err is None and latency_s > 0
 
 
 def test_blob_client_timeout_races_transfers():

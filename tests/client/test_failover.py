@@ -1,11 +1,10 @@
 """Tests for replica-aware client routing: failover, hedging, spans."""
 
 from repro.client import TableClient
-from repro.client.service_client import FailoverPolicy
 from repro.faults import FaultInjector
 from repro.observability import spans as spanlib
 from repro.observability.spans import SpanTracer
-from repro.resilience.backoff import NO_RETRY
+from repro.resilience.backoff import NO_RETRY, RetryPolicy
 from repro.resilience.hedging import HedgePolicy
 from repro.simcore import Environment, RandomStreams
 from repro.storage import (
@@ -106,26 +105,6 @@ def test_client_without_secondary_emits_no_replica_attributes():
     assert all("replica" not in s.attributes for s in recorded)
 
 
-def test_failover_disabled_by_policy_surfaces_the_error():
-    env, geo = _geo()
-    _fault_primary(env, geo)
-    client = geo.table_client(
-        retry=NO_RETRY, failover=FailoverPolicy(enabled=False)
-    )
-    caught = {}
-
-    def scenario(env):
-        try:
-            yield from client.query("t", "hot", "hot")
-        except ConnectionFailureError as exc:
-            caught["error"] = exc
-
-    env.process(scenario(env))
-    env.run()
-    assert isinstance(caught["error"], ConnectionFailureError)
-    assert client.failovers == 0
-
-
 def test_writes_never_fail_over_to_the_demoted_secondary():
     """The failover pass runs for writes too, but the account's write
     guard rejects the demoted replica -- retryably, so the client can
@@ -187,62 +166,77 @@ def test_hedged_read_races_the_secondary_replica():
     assert client.failovers == 0  # hedging is not failover
 
 
-def test_pin_secondary_keeps_routing_there_after_a_failover():
-    env = Environment()
-    streams = RandomStreams(0)
-    primary = StorageAccount(env, streams, name="acct-p")
-    secondary = StorageAccount(env, streams, name="acct-s")
-    for account in (primary, secondary):
-        account.tables.create_table("t")
-        account.tables.seed_entity("t", make_entity("hot", "hot"))
-    server = primary.tables.server_for("t", "hot")
-    injector = FaultInjector(env, RandomStreams(99).stream("faults"))
-    injector.attach(server)
-    injector.add_window(0.0, 50.0, "blackout")
-    client = TableClient(
-        primary.tables,
-        retry=NO_RETRY,
-        secondary=secondary.tables,
-        failover=FailoverPolicy(pin_secondary_s=100.0),
-    )
-    pinned = {}
-
-    def scenario(env):
-        yield from client.query("t", "hot", "hot")  # fails over and pins
-        pinned["after_first"] = (
-            client.failovers, client._default_replica(),
-        )
-        yield from client.query("t", "hot", "hot")
-        # Still one failover: the second call went straight to the
-        # pinned secondary instead of re-failing on the dark primary.
-        pinned["after_second"] = (
-            client.failovers, client._default_replica(),
-        )
-        yield env.timeout(200.0)  # pin expired, primary repaired
-        pinned["after_expiry"] = client._default_replica()
-        yield from client.query("t", "hot", "hot")
-        pinned["final_failovers"] = client.failovers
-
-    env.process(scenario(env))
-    env.run()
-    assert pinned["after_first"] == (1, "secondary")
-    assert pinned["after_second"] == (1, "secondary")
-    assert pinned["after_expiry"] == "primary"
-    assert pinned["final_failovers"] == 1
-
-
-def test_failover_counts_in_measured_calls_too():
-    env, geo = _geo()
+def test_failed_geo_call_span_names_its_replica():
+    """A replica-aware call span carries ``replica`` on failure too: the
+    replica of the pass that raised the final error."""
+    env, geo = _geo(spans=True)
     _fault_primary(env, geo)
     client = geo.table_client(retry=NO_RETRY)
+    caught = {}
 
     def scenario(env):
-        result, outcome = yield from client.query_measured(
-            "t", "hot", "hot"
-        )
-        assert outcome.ok
-        assert result.key == ("hot", "hot")
+        try:
+            yield from client.insert("t", make_entity("hot", "k2"))
+        except AccountFailoverError as exc:
+            caught["insert"] = exc
+        try:
+            yield from client.query("t", "ghost", "ghost")
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            caught["query"] = exc
 
     env.process(scenario(env))
     env.run()
-    assert client.failovers == 1
+    assert isinstance(caught["insert"], AccountFailoverError)
+    assert not is_transport_failure(caught["query"])
+
+    calls = {
+        s.name: s for s in geo.tracer.spans.spans()
+        if s.kind == spanlib.CLIENT
+    }
+    insert = calls["call:table.insert"]
+    # The primary pass failed at transport level, so the failover pass
+    # against the secondary raised the final error.
+    assert insert.status == "AccountFailoverError"
+    assert insert.attributes["replica"] == "secondary"
+    # A non-transport failure never leaves the first replica.
+    query = calls["call:table.query"]
+    assert not query.ok
+    assert query.attributes["replica"] == "primary"
+
+
+def test_client_retries_match_the_traced_call_retries():
+    """``ServiceClient.retries`` counts every retry of every call, both
+    passes included, exactly as the call traces report them."""
+    env, geo = _geo()
+    # A 30 s blackout on the primary: calls inside it retry there, then
+    # fail over; calls after it succeed on the primary first time.
+    server = geo.primary.tables.server_for("t", "hot")
+    injector = FaultInjector(env, RandomStreams(99).stream("faults"))
+    injector.attach(server)
+    injector.add_window(0.0, 30.0, "blackout")
+    client = geo.table_client(retry=RetryPolicy(max_retries=2))
+
+    def reader(env):
+        for _ in range(6):
+            yield from client.query("t", "hot", "hot")
+            yield env.timeout(5.0)
+
+    def writer(env):
+        try:
+            yield from client.insert("t", make_entity("hot", "k2"))
+        except AccountFailoverError:
+            pass
+
+    env.process(reader(env))
+    env.process(writer(env))
+    env.run()
+
+    calls = geo.tracer.client_calls()
+    assert client.failovers >= 1
+    assert client.retries > 0
+    assert client.retries == geo.tracer.retries
+    assert client.retries == sum(t.retries for t in calls)
+    # The write retried on the primary, failed over and retried on the
+    # secondary: its trace counts the retries of both passes.
+    (write,) = [t for t in calls if t.op == "table.insert"]
+    assert write.retries == 2 * 2

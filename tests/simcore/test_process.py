@@ -202,3 +202,45 @@ def test_two_processes_interleave_deterministically():
         ("a", 1.0), ("b", 2.0), ("a", 2.0), ("a", 3.0),
         ("b", 4.0), ("a", 4.0),
     ]
+
+
+def test_finished_processes_are_not_cyclic_garbage():
+    """A finished process is freed by reference counting: with the cyclic
+    collector off, running many short processes to completion leaves
+    no ``Process`` for ``gc.collect()`` to find."""
+    import gc
+
+    from repro.simcore.process import Process
+
+    def child(env):
+        yield env.timeout(1.0)
+        return 1
+
+    def parent(env):
+        yield env.timeout(0.5)
+        value = yield env.process(child(env))
+        return value
+
+    def bad_yield(env):
+        yield env.timeout(0.5)
+        yield "not an event"
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env = Environment()
+        for _ in range(200):
+            env.process(parent(env))
+        for _ in range(20):
+            env.process(bad_yield(env)).defuse()
+        env.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []

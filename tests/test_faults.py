@@ -35,6 +35,15 @@ def _run(env, gen):
     return box.get("result"), box.get("error")
 
 
+def _attempt(gen):
+    """Run a client call inside a scenario: ``(result, error)``."""
+    try:
+        result = yield from gen
+    except Exception as exc:  # noqa: BLE001 - test harness
+        return None, exc
+    return result, None
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         FaultWindow(0.0, 10.0, "meteor_strike")
@@ -191,9 +200,9 @@ def test_per_window_stats_attribution():
     client = TableClient(svc, retry=NO_RETRY)
 
     def scenario(env):
-        _, err1 = yield from client.insert_measured("t", make_entity("p", "a"))
+        _, err1 = yield from _attempt(client.insert("t", make_entity("p", "a")))
         yield env.timeout(25.0 - env.now)
-        _, err2 = yield from client.insert_measured("t", make_entity("p", "b"))
+        _, err2 = yield from _attempt(client.insert("t", make_entity("p", "b")))
         return err1, err2
 
     env.process(scenario(env))
@@ -219,7 +228,7 @@ def test_overlapping_windows_single_decision_in_schedule_order():
 
     def scenario(env):
         yield env.timeout(10.0)  # both windows active
-        yield from client.insert_measured("t", make_entity("p", "r"))
+        yield from _attempt(client.insert("t", make_entity("p", "r")))
 
     env.process(scenario(env))
     env.run()
@@ -237,7 +246,7 @@ def test_overlapping_spike_then_storm_applies_only_the_delay():
 
     def scenario(env):
         yield env.timeout(20.0)  # both windows active
-        result = yield from client.insert_measured("t", make_entity("p", "r"))
+        result = yield from client.insert("t", make_entity("p", "r"))
         return result
 
     env.process(scenario(env))
