@@ -1,5 +1,8 @@
 """Unit tests for the bounded request tracer."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.service.tracing import OK, RequestTrace, RequestTracer
@@ -151,3 +154,61 @@ def test_clear_resets_everything():
     assert tracer.dropped == 0 and tracer.retries == 0
     assert tracer.records() == [] and tracer.client_calls() == []
     assert tracer.per_op_totals() == {}
+
+
+def test_mixed_kind_trimming_keeps_newest_of_both_kinds():
+    """Server and client records share one window: the block trim drops
+    the oldest records whatever their kind, and each reader filters its
+    own kind out of what is left, oldest first."""
+    tracer = RequestTracer(capacity=8)
+    for i in range(23):
+        trace = _trace(started_at=float(i), finished_at=i + 0.5, retries=i % 2)
+        if i % 3 == 0:
+            tracer.observe_call(trace)
+        else:
+            tracer.observe(trace)
+    assert [t.started_at for t in tracer.records()] == [
+        14.0, 16.0, 17.0, 19.0, 20.0, 22.0,
+    ]
+    assert [t.started_at for t in tracer.client_calls()] == [
+        15.0, 18.0, 21.0,
+    ]
+    assert tracer.dropped == 14
+    assert tracer.total == 15 and tracer.client_total == 8
+
+
+def test_snapshot_digest_is_pinned():
+    """A mixed workload (two services, both kinds, failures, batches on
+    both views, trimming) serializes to the same bytes as recorded."""
+    tracer = RequestTracer(capacity=5)
+    for i in range(40):
+        trace = RequestTrace(
+            service="blob" if i % 4 == 0 else "table",
+            op="get" if i % 2 else "put",
+            started_at=i * 0.25,
+            finished_at=i * 0.25 + 0.01 * (i + 1),
+            queue_wait_s=0.001 * i,
+            transfer_s=0.002 * i,
+            size_mb=0.5 * (i % 3),
+            retries=i % 3,
+            outcome=OK if i % 7 else "ServerBusyError",
+        )
+        if i % 5 == 0:
+            tracer.observe_call(trace)
+        else:
+            tracer.observe(trace)
+    tracer.observe_batch(
+        "table",
+        "get",
+        [0.01, 0.02, 0.5],
+        queue_waits=[0.001, 0.0, 0.002],
+        transfers=[0.1, 0.2, 0.3],
+        sizes_mb=[1.0, 1.0, 2.0],
+        errors=2,
+    )
+    tracer.observe_batch("queue", "add", [0.03, 0.04], errors=1, client=True)
+    payload = json.dumps(tracer.snapshot(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "bf91f4f8c9690322e7e7096f4f0f9ae2c11f044966071cd77e06c4099cfccfb5"
+    )
+    assert tracer.dropped == 35
