@@ -73,7 +73,13 @@ class Histogram:
         return lo * math.sqrt(self.growth)
 
     def observe(self, value: float) -> None:
+        """Add one sample; NaN or ±inf raises :class:`ValueError`
+        before any state changes, as in :meth:`observe_batch`."""
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"histogram {self.name!r}: cannot observe non-finite values"
+            )
         self._n += 1
         self._sum += value
         self._min = min(self._min, value)

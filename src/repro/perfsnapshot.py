@@ -192,8 +192,7 @@ def cohort_churn(n_clients: int = 20_000, ops: int = 5) -> int:
     """Closed-loop table clients at scale through the scenario driver's
     batched mode: one kernel process simulates ``n_clients`` clients
     through the fluid model (vectorized RNG draws, batch histogram
-    ingestion, sharded scheduler at this population).  The rate is
-    *simulated clients per second*."""
+    ingestion).  The rate is *simulated clients per second*."""
     from repro.scenarios import (
         ArrivalSpec, OpSpec, PhaseSpec, ScenarioSpec, run_scenario,
     )

@@ -808,8 +808,7 @@ def _drive_closed_op(
         stationary_op_model,
     )
 
-    # The sharded scheduler is built for large pending sets.
-    env = Environment(scheduler="sharded" if n >= 10_000 else "heap")
+    env = Environment()
     model = stationary_op_model(
         op.service, op.op, op.mean_size_kb, op.mean_size_mb
     )

@@ -15,9 +15,8 @@ pipeline once:
   :class:`~repro.storage.queue.QueueService` are thin op-tables over;
 * :mod:`repro.service.tracing`  -- :class:`RequestTracer`, the
   per-request structured trace log (op kind, size, queue wait, transfer
-  time, retries, outcome) built on
-  :class:`repro.simcore.tracing.TraceRecorder` and surfaced through
-  :mod:`repro.monitoring`.
+  time, retries, outcome): a bounded window of records plus exact
+  aggregates, surfaced through :mod:`repro.monitoring`.
 
 The pipeline is stage-exact with the three request paths it replaced:
 every RNG draw and every kernel event happens at the same point in the

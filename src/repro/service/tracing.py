@@ -5,12 +5,11 @@ emits one :class:`RequestTrace` (op kind, payload size, queue wait,
 transfer time, outcome); every client call that runs through
 :class:`repro.client.service_client.ServiceClient` emits a second,
 call-level record carrying the retry count.  Both land in a
-:class:`RequestTracer`, which is a bounded window over
-:class:`repro.simcore.tracing.TraceRecorder` plus exact running
-aggregates and per-``(service, op)`` streaming latency histograms
-(:class:`repro.observability.histogram.Histogram`) — so a full-scale
-experiment can keep tracing on without the event list growing with the
-run, and percentiles survive the window trimming.
+:class:`RequestTracer`, which is a bounded window of the newest records
+plus exact running aggregates and per-``(service, op)`` streaming
+latency histograms (:class:`repro.observability.histogram.Histogram`)
+— so a full-scale experiment can keep tracing on without the window
+growing with the run, and percentiles survive the window trimming.
 
 The tracer is read back through :mod:`repro.monitoring`
 (:func:`~repro.monitoring.attach_request_tracer`,
@@ -29,10 +28,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.observability.histogram import Histogram
-from repro.simcore.tracing import TraceRecorder
 
 #: Outcome value recorded for a request that completed without error.
 OK = "ok"
+
+#: Fields of a server-side ``(service, op)`` aggregate, in snapshot order.
+_SERVER_FIELDS = (
+    "count", "errors", "latency_s", "queue_wait_s", "transfer_s", "size_mb",
+)
+#: Fields of a client-call ``(service, op)`` aggregate, in snapshot order.
+_CLIENT_FIELDS = ("count", "errors", "retries")
 
 
 @dataclass
@@ -76,7 +81,7 @@ class RequestTracer:
     ``capacity=None`` to retain everything.
     """
 
-    #: Trace kinds used on the underlying recorder.
+    #: Kinds tagging the entries of the record window.
     REQUEST_KIND = "request"
     CLIENT_KIND = "client_call"
 
@@ -85,8 +90,9 @@ class RequestTracer:
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None)")
-        self.recorder = TraceRecorder(enabled=enabled)
         self.capacity = capacity
+        self.enabled = enabled
+        self._records: List[Tuple[str, RequestTrace]] = []
         self.dropped = 0
         self.total = 0
         self.errors = 0
@@ -102,30 +108,41 @@ class RequestTracer:
         #: and pipeline layers emit causal spans into it.
         self.spans = None  # type: Optional[object]
 
-    @property
-    def enabled(self) -> bool:
-        return self.recorder.enabled
-
     # -- ingestion ---------------------------------------------------------
     def observe(self, trace: RequestTrace) -> None:
         """Record one server-side request trace."""
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
+        ok = trace.ok
+        agg, hist = self._view(False, trace.service, trace.op, ok)
         self.total += 1
-        if not trace.ok:
+        agg["count"] += 1
+        if not ok:
             self.errors += 1
-        self._fold(trace)
+            agg["errors"] += 1
+        agg["latency_s"] += trace.latency_s
+        agg["queue_wait_s"] += trace.queue_wait_s
+        agg["transfer_s"] += trace.transfer_s
+        agg["size_mb"] += trace.size_mb
+        if hist is not None:
+            hist.observe(trace.latency_s)
         self._append(self.REQUEST_KIND, trace)
 
     def observe_call(self, trace: RequestTrace) -> None:
         """Record one client-call trace (whole retried operation)."""
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
+        ok = trace.ok
+        agg, hist = self._view(True, trace.service, trace.op, ok)
         self.client_total += 1
-        if not trace.ok:
+        agg["count"] += 1
+        if not ok:
             self.client_errors += 1
+            agg["errors"] += 1
         self.retries += trace.retries
-        self._fold_client(trace)
+        agg["retries"] += trace.retries
+        if hist is not None:
+            hist.observe(trace.latency_s)
         self._append(self.CLIENT_KIND, trace)
 
     def observe_batch(
@@ -142,8 +159,8 @@ class RequestTracer:
     ) -> None:
         """Fold a whole batch of completed requests in one call.
 
-        The cohort (fluid) client path completes many statistically
-        identical requests per kernel event; this ingests them without
+        The batched client paths complete many statistically identical
+        requests per kernel event; this ingests them without
         per-request Python work: the exact counters, the per-``(service,
         op)`` aggregate sums and the streaming latency histogram all
         update vectorized.  ``latencies`` holds the *successful*
@@ -155,134 +172,82 @@ class RequestTracer:
         Individual :class:`RequestTrace` records are *not* appended —
         batch ingestion trades the bounded raw-record window for
         aggregate-only accounting, so ``records()`` stays empty under
-        pure cohort traffic while totals, aggregates and percentiles
+        pure batched traffic while totals, aggregates and percentiles
         remain exact.
         """
-        if not self.recorder.enabled:
+        if not self.enabled:
             return
         arr = np.asarray(latencies, dtype=float).reshape(-1)
         n = int(arr.size)
         total_n = n + errors
         if total_n == 0:
             return
-        key = (service, op)
+        agg, hist = self._view(client, service, op, n > 0)
+        agg["count"] += total_n
+        agg["errors"] += errors
         if client:
             self.client_total += total_n
             self.client_errors += errors
-            agg = self._client_per_op.get(key)
-            if agg is None:
-                agg = {"count": 0.0, "errors": 0.0, "retries": 0.0}
-                self._client_per_op[key] = agg
-            agg["count"] += total_n
-            agg["errors"] += errors
-            if n:
-                hist = self._client_latency.get(key)
-                if hist is None:
-                    hist = Histogram(f"{service}.{op}.call")
-                    self._client_latency[key] = hist
-                hist.observe_batch(arr)
-            return
-        self.total += total_n
-        self.errors += errors
-        agg = self._per_op.get(key)
-        if agg is None:
-            agg = {
-                "count": 0.0,
-                "errors": 0.0,
-                "latency_s": 0.0,
-                "queue_wait_s": 0.0,
-                "transfer_s": 0.0,
-                "size_mb": 0.0,
-            }
-            self._per_op[key] = agg
-        agg["count"] += total_n
-        agg["errors"] += errors
-        agg["latency_s"] += float(arr.sum())
-        if queue_waits is not None:
-            agg["queue_wait_s"] += float(np.sum(queue_waits))
-        if transfers is not None:
-            agg["transfer_s"] += float(np.sum(transfers))
-        if sizes_mb is not None:
-            agg["size_mb"] += float(np.sum(sizes_mb))
-        if n:
-            hist = self._latency.get(key)
-            if hist is None:
-                hist = Histogram(f"{service}.{op}")
-                self._latency[key] = hist
+        else:
+            self.total += total_n
+            self.errors += errors
+            agg["latency_s"] += float(arr.sum())
+            if queue_waits is not None:
+                agg["queue_wait_s"] += float(np.sum(queue_waits))
+            if transfers is not None:
+                agg["transfer_s"] += float(np.sum(transfers))
+            if sizes_mb is not None:
+                agg["size_mb"] += float(np.sum(sizes_mb))
+        if hist is not None:
             hist.observe_batch(arr)
 
-    def _fold(self, trace: RequestTrace) -> None:
-        key = (trace.service, trace.op)
-        agg = self._per_op.get(key)
+    def _view(
+        self, client: bool, service: str, op: str, ok: bool
+    ) -> Tuple[Dict[str, float], Optional[Histogram]]:
+        """The ``(service, op)`` aggregate of the client-call or
+        server-side view, created zeroed on first use, and — when
+        ``ok`` — its latency histogram, created on the first successful
+        sample (so a failures-only pair has no histogram)."""
+        key = (service, op)
+        if client:
+            per_op, latency = self._client_per_op, self._client_latency
+        else:
+            per_op, latency = self._per_op, self._latency
+        agg = per_op.get(key)
         if agg is None:
-            agg = {
-                "count": 0.0,
-                "errors": 0.0,
-                "latency_s": 0.0,
-                "queue_wait_s": 0.0,
-                "transfer_s": 0.0,
-                "size_mb": 0.0,
-            }
-            self._per_op[key] = agg
-        agg["count"] += 1
-        if not trace.ok:
-            agg["errors"] += 1
-        agg["latency_s"] += trace.latency_s
-        agg["queue_wait_s"] += trace.queue_wait_s
-        agg["transfer_s"] += trace.transfer_s
-        agg["size_mb"] += trace.size_mb
-        if trace.ok:
-            hist = self._latency.get(key)
-            if hist is None:
-                hist = Histogram(f"{trace.service}.{trace.op}")
-                self._latency[key] = hist
-            hist.observe(trace.latency_s)
-
-    def _fold_client(self, trace: RequestTrace) -> None:
-        key = (trace.service, trace.op)
-        agg = self._client_per_op.get(key)
-        if agg is None:
-            agg = {"count": 0.0, "errors": 0.0, "retries": 0.0}
-            self._client_per_op[key] = agg
-        agg["count"] += 1
-        if not trace.ok:
-            agg["errors"] += 1
-        agg["retries"] += trace.retries
-        if trace.ok:
-            hist = self._client_latency.get(key)
-            if hist is None:
-                hist = Histogram(f"{trace.service}.{trace.op}.call")
-                self._client_latency[key] = hist
-            hist.observe(trace.latency_s)
+            agg = per_op[key] = dict.fromkeys(
+                _CLIENT_FIELDS if client else _SERVER_FIELDS, 0.0
+            )
+        if not ok:
+            return agg, None
+        hist = latency.get(key)
+        if hist is None:
+            name = f"{service}.{op}.call" if client else f"{service}.{op}"
+            hist = latency[key] = Histogram(name)
+        return agg, hist
 
     def _append(self, kind: str, trace: RequestTrace) -> None:
-        self.recorder.record(trace.finished_at, kind, trace=trace)
+        records = self._records
+        records.append((kind, trace))
         cap = self.capacity
         if cap is None:
             return
-        events = self.recorder.events
         # Trim in blocks so retention is O(1) amortized per record.
-        if len(events) >= cap + max(cap // 4, 1):
-            drop = len(events) - cap
-            del events[:drop]
+        if len(records) >= cap + max(cap // 4, 1):
+            drop = len(records) - cap
+            del records[:drop]
             self.dropped += drop
 
     # -- retrieval ---------------------------------------------------------
     def records(self) -> List[RequestTrace]:
         """Retained server-side request traces, oldest first."""
-        return [
-            e.data["trace"]
-            for e in self.recorder.events
-            if e.kind == self.REQUEST_KIND
-        ]
+        kind = self.REQUEST_KIND
+        return [trace for k, trace in self._records if k == kind]
 
     def client_calls(self) -> List[RequestTrace]:
         """Retained client-call traces, oldest first."""
-        return [
-            e.data["trace"]
-            for e in self.recorder.events
-            if e.kind == self.CLIENT_KIND
-        ]
+        kind = self.CLIENT_KIND
+        return [trace for k, trace in self._records if k == kind]
 
     def of_op(self, op: str) -> List[RequestTrace]:
         return [t for t in self.records() if t.op == op]
@@ -408,7 +373,7 @@ class RequestTracer:
         return tracer
 
     def clear(self) -> None:
-        self.recorder.events.clear()
+        self._records.clear()
         self.dropped = 0
         self.total = 0
         self.errors = 0

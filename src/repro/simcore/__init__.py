@@ -37,13 +37,7 @@ from repro.simcore.resources import (
     Store,
 )
 from repro.simcore.rng import Distribution, RandomStreams, StreamRNG
-from repro.simcore.tracing import (
-    Tally,
-    TimeSeries,
-    TraceRecorder,
-    cdf_points,
-    histogram,
-)
+from repro.simcore.tracing import Tally, TimeSeries
 
 __all__ = [
     "AllOf",
@@ -65,7 +59,4 @@ __all__ = [
     "Tally",
     "TimeSeries",
     "Timeout",
-    "TraceRecorder",
-    "cdf_points",
-    "histogram",
 ]

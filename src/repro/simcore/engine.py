@@ -22,70 +22,13 @@ pre-cancellation kernel.
 from __future__ import annotations
 
 from functools import partial
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.simcore.events import AllOf, AnyOf, Event, Race, Timeout
 from repro.simcore.process import Process
 
 _INF = float("inf")
-
-
-class _ShardedQueue:
-    """Time-bucketed pending-event store (calendar-queue style).
-
-    Entries are ``(time, seq, event)`` tuples sharded into buckets of
-    ``width`` simulated seconds; each bucket is a small binary heap and
-    a second heap orders the bucket keys.  Pushes and pops then cost
-    ``O(log bucket_size)`` instead of ``O(log total_pending)``, which is
-    what keeps million-client cohort campaigns (10^5-10^6 pending
-    wake-ups) from paying the full-heap logarithm on every event.  The
-    global ``(time, seq)`` total order is preserved exactly: two entries
-    in the same bucket order by the in-bucket heap, and entries in
-    different buckets order by bucket key = ``time // width``.
-
-    Infinite times (never-firing sentinels) map to the ``inf`` bucket
-    key, which floats to the back of the key heap.
-    """
-
-    __slots__ = ("width", "buckets", "order", "size")
-
-    def __init__(self, width: float = 1.0) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be > 0, got {width}")
-        self.width = width
-        self.buckets: dict = {}
-        self.order: List[float] = []
-        self.size = 0
-
-    def push(self, entry: Tuple[float, int, Event]) -> None:
-        key = entry[0] // self.width
-        if key != key:  # time == inf: float floordiv yields nan
-            key = _INF
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [entry]
-            _heappush(self.order, key)
-        else:
-            _heappush(bucket, entry)
-        self.size += 1
-
-    def head(self) -> Optional[Tuple[float, int, Event]]:
-        """The earliest entry without removing it, or None when empty."""
-        if not self.order:
-            return None
-        return self.buckets[self.order[0]][0]
-
-    def pop(self) -> Tuple[float, int, Event]:
-        """Remove and return the earliest entry (must be non-empty)."""
-        key = self.order[0]
-        bucket = self.buckets[key]
-        entry = _heappop(bucket)
-        if not bucket:
-            _heappop(self.order)
-            del self.buckets[key]
-        self.size -= 1
-        return entry
 
 
 class StopSimulation(Exception):
@@ -100,45 +43,22 @@ class StopSimulation(Exception):
 class Environment:
     """A discrete-event simulation environment.
 
+    Every pending event sits in one binary heap of ``(time, seq,
+    event)`` entries; producers push straight into it and the run loop
+    pops in ``(time, seq)`` order.
+
     Parameters
     ----------
     initial_time:
         Starting value of the simulation clock (seconds, by convention
         throughout this project).
-    scheduler:
-        ``"heap"`` (default) keeps every pending event in one binary
-        heap — the fastest choice at the pending-set sizes the paper's
-        experiments reach.  ``"sharded"`` shards pending events into
-        calendar-queue time buckets (see :class:`_ShardedQueue`), which
-        bounds per-event heap cost at cohort scale (10^5+ pending
-        wake-ups).  Event producers always push into ``_queue`` (the
-        inbox) exactly as in heap mode — the sharded run loop drains
-        the inbox into buckets before each pop, so the two schedulers
-        are observationally identical: same ``(time, seq)`` processing
-        order, same clock trajectory, same lazy cancel-discard.
-    bucket_width:
-        Bucket granularity in simulated seconds for the sharded
-        scheduler (ignored under ``"heap"``).
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: str = "heap",
-        bucket_width: float = 1.0,
-    ) -> None:
-        if scheduler not in ("heap", "sharded"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; use 'heap' or 'sharded'"
-            )
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.scheduler = scheduler
-        self._shards: Optional[_ShardedQueue] = (
-            _ShardedQueue(bucket_width) if scheduler == "sharded" else None
-        )
         # The two hottest factories are pre-bound partials on the
         # instance: a partial call runs at C level, where a delegating
         # method costs one Python frame per event (measurable at the
@@ -193,84 +113,13 @@ class Environment:
         """Race ``contender`` against a private, cancellable deadline."""
         return Race(self, contender, delay)
 
-    def timeout_batch(
-        self, delays: Sequence[float], value: Any = None
-    ) -> List[Timeout]:
-        """Schedule one :class:`Timeout` per delay in one bulk operation.
-
-        Equivalent to ``[self.timeout(d, value) for d in delays]`` —
-        same ``(time, seq)`` assignment in iteration order, so the event
-        schedule is bit-identical — but large batches are appended and
-        heap-repaired with one ``O(n)`` heapify instead of one sift per
-        timeout.  This is the kernel half of cohort batching: a fluid
-        cohort wakes, draws thousands of think times vectorized, and
-        schedules them all here.  Accepts any iterable of non-negative
-        delays (NumPy arrays included; values are coerced to float).
-        """
-        queue = self._queue
-        now = self._now
-        seq = self._seq
-        out: List[Timeout] = []
-        entries: List[Tuple[float, int, Event]] = []
-        for delay in delays:
-            delay = float(delay)
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout._cb1 = None
-            timeout._cbs = None
-            timeout._value = value
-            timeout._ok = True
-            timeout._defused = False
-            timeout._processed = False
-            timeout._cancelled = False
-            timeout.delay = delay
-            seq += 1
-            entries.append((now + delay, seq, timeout))
-            out.append(timeout)
-        if not entries:
-            return out
-        self._seq = seq
-        if len(entries) * 8 < len(queue):
-            # Small batch into a large pending set: per-item sifts beat
-            # a full heap repair.
-            for entry in entries:
-                _heappush(queue, entry)
-        else:
-            queue.extend(entries)
-            _heapify(queue)
-        return out
-
     # -- execution -------------------------------------------------------
-    def _drain_inbox(self) -> "_ShardedQueue":
-        """Move inbox entries into the sharded store (sharded mode only)."""
-        shards = self._shards
-        assert shards is not None
-        queue = self._queue
-        if queue:
-            push = shards.push
-            for entry in queue:
-                push(entry)
-            queue.clear()
-        return shards
-
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
 
         Cancelled entries at the head are dropped here: they will never
         fire, so reporting their time would be misleading.
         """
-        if self._shards is not None:
-            shards = self._drain_inbox()
-            while True:
-                head = shards.head()
-                if head is None:
-                    return _INF
-                if head[2]._cancelled:
-                    shards.pop()
-                    continue
-                return head[0]
         queue = self._queue
         while queue:
             head = queue[0]
@@ -286,19 +135,6 @@ class Environment:
         Cancelled entries are discarded (advancing the clock) until a
         live event is found.
         """
-        if self._shards is not None:
-            shards = self._drain_inbox()
-            while True:
-                if not shards.size:
-                    raise RuntimeError("no scheduled events")
-                time, _, event = shards.pop()
-                self._now = time
-                if event._cancelled:
-                    continue
-                event._process()
-                if not event._ok and not event._defused:
-                    raise event._value
-                return
         queue = self._queue
         while True:
             if not queue:
@@ -367,38 +203,7 @@ class Environment:
             # Callback slots are read, not cleared: every slot reader
             # checks ``_processed`` first (see Event.add_callback), so
             # leaving them populated saves two stores per event.
-            if self._shards is not None:
-                # Sharded variant: drain the inbox into time buckets
-                # before each pop so producers keep the zero-overhead
-                # direct heappush, then pop in global (time, seq) order.
-                shards = self._shards
-                push = shards.push
-                while True:
-                    if queue:
-                        for entry in queue:
-                            push(entry)
-                        queue.clear()
-                    head = shards.head()
-                    if head is None:
-                        break
-                    if head[0] > limit:
-                        self._now = limit
-                        break
-                    time, _, event = shards.pop()
-                    self._now = time
-                    if event._cancelled:
-                        continue
-                    event._processed = True
-                    cb1 = event._cb1
-                    if cb1 is not None:
-                        more = event._cbs
-                        cb1(event)
-                        if more is not None:
-                            for callback in more:
-                                callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            elif limit == _INF:
+            if limit == _INF:
                 # Unbounded variant: no per-event limit comparison.
                 while queue:
                     time, _, event = _heappop(queue)
@@ -446,9 +251,6 @@ class Environment:
                 raise stop_event._value
             return stop_event._value
         else:
-            no_pending = not queue and (
-                self._shards is None or not self._shards.size
-            )
             if stop_event is not None and not stop_event._processed:
                 if horizon is None:
                     raise RuntimeError(
@@ -458,10 +260,10 @@ class Environment:
                 # The horizon won: detach the stop callback so the event
                 # cannot abort a future run() call if it fires later.
                 stop_event.remove_callback(self._stop_callback)
-                if no_pending:
+                if not queue:
                     self._now = limit
                 return None
-            if limit != _INF and no_pending:
+            if limit != _INF and not queue:
                 # Exhausted queue before the time limit: clock still
                 # advances to the requested horizon.
                 self._now = limit

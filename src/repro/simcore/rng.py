@@ -56,7 +56,7 @@ class RandomStreams:
         mixed = hash((self.seed, _stable_stream_key(name))) & 0x7FFFFFFFFFFFFFFF
         return RandomStreams(mixed)
 
-    def batched(self, name: str, buffer_size: int = 1024) -> "StreamRNG":
+    def batched(self, name: str) -> "StreamRNG":
         """Return (creating if needed) a batch-first view of ``name``.
 
         The view wraps the *same* underlying generator as
@@ -65,7 +65,7 @@ class RandomStreams:
         """
         rng = self._batched.get(name)
         if rng is None:
-            rng = StreamRNG(self.stream(name), name, buffer_size)
+            rng = StreamRNG(self.stream(name), name)
             self._batched[name] = rng
         return rng
 
@@ -76,30 +76,16 @@ class RandomStreams:
 class StreamRNG:
     """Batch-first draws from one named stream.
 
-    The cohort layer replaces N clients' scalar draws with one
+    The batched client paths replace N clients' scalar draws with one
     vectorized draw per wake-up: :meth:`draw_batch` pulls ``n`` variates
-    in a single NumPy call.  :meth:`draw` serves scalars out of a
-    per-distribution prefetch buffer, so call sites that need one value
-    at a time still amortize the vectorized cost — note a buffered
-    consumer advances the underlying bit stream in blocks of
-    ``buffer_size``, so it is statistically (not bitwise) aligned with
-    an unbuffered consumer of the same stream.
+    in a single NumPy call.
     """
 
-    __slots__ = ("gen", "name", "buffer_size", "_buffers")
+    __slots__ = ("gen", "name")
 
-    def __init__(
-        self,
-        gen: np.random.Generator,
-        name: str = "",
-        buffer_size: int = 1024,
-    ) -> None:
-        if buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
+    def __init__(self, gen: np.random.Generator, name: str = "") -> None:
         self.gen = gen
         self.name = name
-        self.buffer_size = int(buffer_size)
-        self._buffers: Dict[Distribution, list] = {}
 
     def draw_batch(self, dist: "Distribution", n: int) -> np.ndarray:
         """Draw ``n`` variates of ``dist`` in one vectorized call."""
@@ -113,18 +99,8 @@ class StreamRNG:
         """Vectorized uniform draws (ramp offsets, shuffles)."""
         return self.gen.uniform(low, high, size=n)
 
-    def draw(self, dist: "Distribution") -> float:
-        """One variate of ``dist``, served from a prefetched block."""
-        buffer = self._buffers.get(dist)
-        if not buffer:
-            block = dist.sample_n(self.gen, self.buffer_size)
-            buffer = block.tolist()
-            buffer.reverse()  # pop() then yields the block in draw order
-            self._buffers[dist] = buffer
-        return buffer.pop()
-
     def __repr__(self) -> str:
-        return f"<StreamRNG {self.name!r} buffer={self.buffer_size}>"
+        return f"<StreamRNG {self.name!r}>"
 
 
 class Distribution:

@@ -1,15 +1,16 @@
-"""Measurement collection: tallies, time series and event traces.
+"""Measurement collection: tallies and time series.
 
-The workload drivers and the ModisAzure log analysis both record through
-these primitives, so every experiment reports from the same machinery.
+A :class:`Tally` keeps scalar samples with exact percentiles (the hedge
+delay reads one per hedged call); a :class:`TimeSeries` keeps
+``(time, value)`` points, such as the ModisAzure analysis's daily
+timeout percentages and the monitoring layer's sampled gauges.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
@@ -149,58 +150,3 @@ class TimeSeries:
 
     def __iter__(self):
         return iter(zip(self._times, self._values))
-
-
-@dataclass
-class TraceEvent:
-    """A single structured record in a trace."""
-
-    time: float
-    kind: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
-class TraceRecorder:
-    """Append-only structured event log with simple filtering.
-
-    Used for the ModisAzure task log (whose analysis produces Table 2 and
-    Fig. 7) and for debugging simulations.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.events: List[TraceEvent] = []
-
-    def record(self, time: float, kind: str, **data: Any) -> None:
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, data))
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def kinds(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def histogram(
-    samples: Sequence[float],
-    bin_edges: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Histogram counts over explicit edges (paper figures use fixed bins)."""
-    counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bin_edges)
-    return counts, edges
-
-
-def cdf_points(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as (sorted values, cumulative fraction)."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    frac = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    return arr, frac

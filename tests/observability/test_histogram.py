@@ -127,3 +127,14 @@ def test_histogram_tally_surface():
     other.observe_error()
     tally.merge(other)
     assert tally.count == 4 and tally.errors == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_scalar_observe_rejects_non_finite_without_mutating(bad):
+    hist = Histogram("t")
+    hist.observe(0.5)
+    before = hist.to_dict()
+    with pytest.raises(ValueError):
+        hist.observe(bad)
+    assert hist.to_dict() == before
+    assert hist.count == 1 and hist.total == 0.5

@@ -1,15 +1,13 @@
 """Batch-first stream draws (:class:`repro.simcore.StreamRNG`).
 
-The cohort layer's RNG contract: batched views share the underlying
-generator with scalar consumers of the same name, batch draws are
-deterministic per seed, and the buffered scalar path serves whole
-prefetched blocks in draw order.
+The batched drivers' RNG contract: batched views share the underlying
+generator with scalar consumers of the same name, and batch draws are
+deterministic per seed.
 """
 
 import numpy as np
-import pytest
 
-from repro.simcore import Distribution, RandomStreams, StreamRNG
+from repro.simcore import Distribution, RandomStreams
 
 
 def test_batched_view_shares_the_named_generator():
@@ -42,37 +40,6 @@ def test_exponential_and_uniform_batches_deterministic():
     assert np.array_equal(
         a.uniform_batch(1.0, 2.0, 32), b.uniform_batch(1.0, 2.0, 32)
     )
-
-
-def test_buffered_draw_serves_blocks_in_draw_order():
-    """Scalar draws come from a prefetched block: the first
-    ``buffer_size`` values equal one direct ``sample_n`` block, in
-    order."""
-    dist = Distribution.exponential(0.5)
-    expected = dist.sample_n(RandomStreams(3).stream("s"), 8)
-    rng = StreamRNG(RandomStreams(3).stream("s"), buffer_size=8)
-    got = [rng.draw(dist) for _ in range(8)]
-    assert got == [float(v) for v in expected]
-
-
-def test_buffered_draw_refills_after_exhaustion():
-    dist = Distribution.constant(1.5)
-    rng = StreamRNG(RandomStreams(0).stream("s"), buffer_size=4)
-    assert [rng.draw(dist) for _ in range(10)] == [1.5] * 10
-
-
-def test_separate_distributions_get_separate_buffers():
-    exp = Distribution.exponential(0.5)
-    const = Distribution.constant(2.0)
-    rng = StreamRNG(RandomStreams(1).stream("s"), buffer_size=4)
-    assert rng.draw(const) == 2.0
-    assert rng.draw(exp) != 2.0
-    assert rng.draw(const) == 2.0
-
-
-def test_buffer_size_validated():
-    with pytest.raises(ValueError):
-        StreamRNG(RandomStreams(0).stream("s"), buffer_size=0)
 
 
 def test_batch_statistics_match_family():

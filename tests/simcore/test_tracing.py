@@ -1,4 +1,4 @@
-"""Unit tests for tallies, time series, traces and histogram helpers."""
+"""Unit tests for tallies and time series."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import Tally, TimeSeries, TraceRecorder, cdf_points, histogram
+from repro.simcore import Tally, TimeSeries
 from repro.simcore import tracing
 
 
@@ -138,36 +138,3 @@ def test_timeseries_records_in_order():
     assert len(ts) == 2
     with pytest.raises(ValueError):
         ts.record(0.5, 9.9)
-
-
-def test_trace_recorder_filtering():
-    tr = TraceRecorder()
-    tr.record(0.0, "task_start", task="t1")
-    tr.record(1.0, "task_end", task="t1", status="ok")
-    tr.record(2.0, "task_start", task="t2")
-    assert len(tr) == 3
-    assert [e.data["task"] for e in tr.of_kind("task_start")] == ["t1", "t2"]
-    assert tr.kinds() == {"task_start": 2, "task_end": 1}
-
-
-def test_trace_recorder_disabled_records_nothing():
-    tr = TraceRecorder(enabled=False)
-    tr.record(0.0, "x")
-    assert len(tr) == 0
-
-
-def test_histogram_fixed_edges():
-    counts, edges = histogram([0.5, 1.5, 1.6, 2.5], [0, 1, 2, 3])
-    assert list(counts) == [1, 2, 1]
-    assert list(edges) == [0, 1, 2, 3]
-
-
-def test_cdf_points_monotone():
-    values, fracs = cdf_points([3.0, 1.0, 2.0])
-    assert list(values) == [1.0, 2.0, 3.0]
-    assert list(fracs) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-
-def test_cdf_points_empty():
-    values, fracs = cdf_points([])
-    assert values.size == 0 and fracs.size == 0

@@ -43,7 +43,8 @@ DEFAULT_BENCH = Path(__file__).resolve().parent.parent / "BENCH_KERNEL.json"
 
 #: Metrics gated against the committed ``current`` block (relative to
 #: the same-run median): the fair-share churn path, the raw event loop,
-#: and the batched cohort driver.
+#: the scenario driver's closed batched mode and the fast-forwarded
+#: month campaign.
 DEFAULT_GATES = (
     "flow_churn_flows_per_s",
     "timeout_churn_events_per_s",
