@@ -1,11 +1,14 @@
 """Integration tests for the workload drivers at reduced scale."""
 
+import hashlib
+
 import pytest
 
 from repro.workloads import tcp_bench
 from repro.workloads import (
     build_platform,
     run_blob_test,
+    run_property_filter_test,
     run_queue_test,
     run_table_test,
     run_tcp_test,
@@ -61,6 +64,18 @@ def test_table_bench_update_contention():
     solo = run_table_test(1, ops_per_client=ops, seed=5)
     crowd = run_table_test(32, ops_per_client=ops, seed=6)
     assert crowd.mean_client_ops("update") < solo.mean_client_ops("update") * 0.4
+
+
+def test_property_filter_test_is_pinned():
+    """Section 6.1 as fig2 runs it at seed 3: 32 scanners against the
+    220k-entity partition, over half of them timing out."""
+    result = run_property_filter_test(n_clients=32, seed=10)
+    assert result.n_entities == 220_000
+    assert result.timed_out_clients == 24
+    assert result.succeeded_clients == 8
+    assert hashlib.sha256(repr(result.latencies_s).encode()).hexdigest() == (
+        "9fa2e8e8ba7075d40744d452ab50b3d2f9ccf0462f680c9a11aa1cfbc8ea8d82"
+    )
 
 
 def test_table_bench_validation():
