@@ -34,12 +34,9 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print(f"{'id':8s}  {'paper':9s}  {'~time':7s}  title")
+    print(f"{'id':8s}  {'paper':9s}  title")
     for spec in EXPERIMENTS.values():
-        print(
-            f"{spec.experiment_id:8s}  {spec.paper_artifact:9s}  "
-            f"{spec.nominal_runtime:7s}  {spec.title}"
-        )
+        print(f"{spec.experiment_id:8s}  {spec.paper_artifact:9s}  {spec.title}")
     return 0
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro import calibration as cal
 from repro.client.service_client import ServiceClient
 from repro.resilience.backoff import RetryPolicy
 from repro.resilience.hedging import HedgePolicy
-from repro.storage.table import Entity, TableService
+from repro.storage.table import (
+    Entity, PropertyFilter, TableService, check_filter,
+)
 
 
 class TableClient(ServiceClient):
@@ -68,10 +70,13 @@ class TableClient(ServiceClient):
         return result
 
     def query_by_property(
-        self, table: str, pk: str, predicate: Callable[[Entity], bool]
+        self, table: str, pk: str, filter: PropertyFilter
     ) -> Generator:
+        # A malformed filter raises here, before the call schedules
+        # anything, rather than inside the timed attempt.
+        check_filter(filter)
         result = yield from self._call(
             "table.scan",
-            lambda: self.service.query_by_property(table, pk, predicate),
+            lambda: self.service.query_by_property(table, pk, filter),
         )
         return result

@@ -24,46 +24,23 @@ class ExperimentSpec:
     title: str
     paper_artifact: str
     runner: Callable[..., ExperimentReport]
-    #: Rough serial (--jobs 1) wall-clock at scale=1.0 on one core,
-    #: for the CLI listing; re-measured after the kernel fast path.
-    nominal_runtime: str
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
     spec.experiment_id: spec
     for spec in (
+        ExperimentSpec("fig1", fig1_blob.TITLE, "Figure 1", fig1_blob.run),
+        ExperimentSpec("fig2", fig2_table.TITLE, "Figure 2", fig2_table.run),
+        ExperimentSpec("fig3", fig3_queue.TITLE, "Figure 3", fig3_queue.run),
+        ExperimentSpec("table1", table1_vm.TITLE, "Table 1", table1_vm.run),
         ExperimentSpec(
-            "fig1", fig1_blob.TITLE, "Figure 1",
-            fig1_blob.run, "~1 s",
+            "fig4", fig4_tcp_latency.TITLE, "Figure 4", fig4_tcp_latency.run
         ),
         ExperimentSpec(
-            "fig2", fig2_table.TITLE, "Figure 2",
-            fig2_table.run, "~35 s",
+            "fig5", fig5_tcp_bandwidth.TITLE, "Figure 5", fig5_tcp_bandwidth.run
         ),
-        ExperimentSpec(
-            "fig3", fig3_queue.TITLE, "Figure 3",
-            fig3_queue.run, "~5 s",
-        ),
-        ExperimentSpec(
-            "table1", table1_vm.TITLE, "Table 1",
-            table1_vm.run, "<1 s",
-        ),
-        ExperimentSpec(
-            "fig4", fig4_tcp_latency.TITLE, "Figure 4",
-            fig4_tcp_latency.run, "~1 s",
-        ),
-        ExperimentSpec(
-            "fig5", fig5_tcp_bandwidth.TITLE, "Figure 5",
-            fig5_tcp_bandwidth.run, "~10 s",
-        ),
-        ExperimentSpec(
-            "table2", table2_tasks.TITLE, "Table 2",
-            table2_tasks.run, "~25 s",
-        ),
-        ExperimentSpec(
-            "fig7", fig7_timeouts.TITLE, "Figure 7",
-            fig7_timeouts.run, "~25 s",
-        ),
+        ExperimentSpec("table2", table2_tasks.TITLE, "Table 2", table2_tasks.run),
+        ExperimentSpec("fig7", fig7_timeouts.TITLE, "Figure 7", fig7_timeouts.run),
     )
 }
 

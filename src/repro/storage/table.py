@@ -4,8 +4,10 @@ Tables are schemaless sets of entities addressed by (PartitionKey,
 RowKey).  The paper's experiment (Section 3.2) drives four operations on
 a single partition -- Insert, Query (keyed), Update (unconditional, same
 entity from every client) and Delete -- with entity sizes 1-64 kB, and
-additionally property-filter queries that scan the partition (Section
-6.1).  Each table partition is served by one :class:`PartitionServer`.
+additionally property-filter queries -- one OData ``$filter``
+comparison -- that scan the partition (Section 6.1).  Administratively
+seeded partitions can be stored as columns (:meth:`TableService.seed_columns`).
+Each table partition is served by one :class:`PartitionServer`.
 
 Every operation is one pass through the shared
 :class:`~repro.service.pipeline.RequestPipeline`: base latency, routing
@@ -18,10 +20,11 @@ latency, exactly where the pre-pipeline code did.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple,
+    Any, Callable, Dict, Generator, Iterable, List, NamedTuple, Optional,
+    Tuple,
 )
 
 import numpy as np
@@ -38,13 +41,13 @@ from repro.storage.errors import (
 )
 from repro.storage.partition import PartitionServer
 
-_etags = itertools.count(1)
-
 
 @dataclass
 class Entity:
     """One table row: property bag plus system columns.
 
+    ``etag`` is 0 until the entity is stored; the service assigns it
+    from its own counter at insert, batch, seeding and update commit.
     Once stored, an entity changes only through :class:`TableService`
     operations (insert, update, delete, batch, seeding): the property
     scan cache relies on every such change bumping the partition's
@@ -55,7 +58,7 @@ class Entity:
     row_key: str
     properties: Dict[str, Any] = field(default_factory=dict)
     size_kb: float = 1.0
-    etag: int = field(default_factory=_etags.__next__)
+    etag: int = 0
     timestamp: float = 0.0
 
     @property
@@ -63,25 +66,258 @@ class Entity:
         return (self.partition_key, self.row_key)
 
 
-class _Partition(Dict[str, Entity]):
-    """One partition's rows, ``RowKey -> Entity`` in insertion order,
-    plus its mutation epoch and the scan state valid for that epoch.
+#: A property filter ``(property, op, value)``: the one comparison of an
+#: OData ``$filter`` such as ``f1 eq 13``, written ``("f1", "eq", 13)``.
+PropertyFilter = Tuple[str, str, Any]
+
+#: OData's comparison operators; each applies to Python scalars and,
+#: elementwise, to numpy columns.
+_OPS: Dict[str, Callable[[Any, Any], Any]] = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _kind(value: Any) -> Optional[str]:
+    """``"n"`` for a number, ``"s"`` for a string, else ``None``.  A
+    filter compares a property only with a value of the same kind."""
+    if isinstance(value, str):
+        return "s"
+    if isinstance(value, _NUMBERS):
+        return "n"
+    return None
+
+
+def check_filter(flt: Any) -> PropertyFilter:
+    """``flt`` itself if it is a well-formed property filter.
+
+    Raises :class:`TypeError` unless ``flt`` is a ``(property, op,
+    value)`` tuple with a string property and a number or string value
+    (so a callable is refused), and :class:`ValueError` for an
+    op that is not one of OData's ``eq ne lt le gt ge``.
+    """
+    if not isinstance(flt, tuple) or len(flt) != 3:
+        raise TypeError(
+            f"a property filter is a (property, op, value) tuple, not {flt!r}"
+        )
+    name, op, value = flt
+    if not isinstance(name, str) or not isinstance(op, str):
+        raise TypeError(f"filter property and op must be strings: {flt!r}")
+    if op not in _OPS:
+        raise ValueError(
+            f"unknown filter op {op!r}; choose from {', '.join(_OPS)}"
+        )
+    if _kind(value) is None:
+        raise TypeError(f"filter value must be a number or a string: {flt!r}")
+    return flt
+
+
+def _holds(flt: PropertyFilter, entity: Entity) -> bool:
+    """Whether ``entity`` passes ``flt``.  A row that lacks the property,
+    or holds a value of the other kind, never matches."""
+    name, op, value = flt
+    have = entity.properties.get(name)
+    return _kind(have) == _kind(value) and bool(_OPS[op](have, value))
+
+
+def _properties(size_kb: float, overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """The paper's test schema {int, int, String, String}, the last
+    string sized to reach ``size_kb``, with ``overrides`` applied."""
+    return {"f1": 0, "f2": 0, "f3": "meta", "payload_kb": size_kb, **overrides}
+
+
+@dataclass(eq=False)
+class _SeededBlock:
+    """The rows :meth:`TableService.seed_columns` seeded, as columns.
+
+    Row ``i`` has RowKey ``f"{prefix}{i}"``; its properties are row
+    ``i`` of ``columns`` (an array holds one value per row, any other
+    value is every row's).  The :class:`Entity` of a row is built on
+    first touch and kept in ``entities``; the columns never change, so
+    an update stores the new entity in ``updated`` and a delete clears
+    the row's ``alive`` bit.
+    """
+
+    partition_key: str
+    prefix: str
+    count: int
+    size_kb: float
+    timestamp: float
+    etag_base: int
+    columns: Dict[str, Any]
+    alive: np.ndarray = field(init=False)
+    live: int = field(init=False)
+    entities: Dict[int, Entity] = field(init=False, default_factory=dict)
+    updated: Dict[int, Entity] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.alive = np.ones(self.count, dtype=bool)
+        self.live = self.count
+
+    def index(self, row_key: str) -> Optional[int]:
+        """The live row ``row_key`` names, else ``None``."""
+        if not row_key.startswith(self.prefix):
+            return None
+        digits = row_key[len(self.prefix):]
+        if not (digits.isascii() and digits.isdigit()) or (
+            digits[0] == "0" and len(digits) > 1
+        ):
+            return None
+        i = int(digits)
+        return i if i < self.count and self.alive[i] else None
+
+    def seeded(self, i: int) -> Entity:
+        """Row ``i`` as seeded: built on first touch, then kept."""
+        entity = self.entities.get(i)
+        if entity is None:
+            entity = self.entities[i] = Entity(
+                self.partition_key,
+                f"{self.prefix}{i}",
+                {
+                    name: (
+                        column[i].item()
+                        if isinstance(column, np.ndarray) else column
+                    )
+                    for name, column in self.columns.items()
+                },
+                self.size_kb,
+                self.etag_base + i,
+                self.timestamp,
+            )
+        return entity
+
+    def row(self, i: int, updated: Dict[int, Entity]) -> Entity:
+        """Row ``i`` given the ``updated`` rows of some epoch."""
+        entity = updated.get(i)
+        return self.seeded(i) if entity is None else entity
+
+    def remove(self, i: int) -> None:
+        self.alive[i] = False
+        self.live -= 1
+        self.updated.pop(i, None)
+
+    def matches(
+        self,
+        flt: PropertyFilter,
+        alive: np.ndarray,
+        updated: Dict[int, Entity],
+    ) -> List[Entity]:
+        """The rows live in ``alive`` that pass ``flt``, in row order:
+        one comparison over the column, then the ``updated`` rows
+        checked one by one."""
+        name, op, value = flt
+        column = self.columns.get(name)
+        if isinstance(column, np.ndarray):
+            same_kind = (column.dtype.kind == "U") == (_kind(value) == "s")
+            mask = (
+                alive & _OPS[op](column, value) if same_kind
+                else np.zeros(self.count, dtype=bool)
+            )
+        elif name in self.columns and _kind(column) == _kind(value) and (
+            _OPS[op](column, value)
+        ):
+            mask = alive.copy()
+        else:
+            mask = np.zeros(self.count, dtype=bool)
+        for i, entity in updated.items():
+            mask[i] = _holds(flt, entity)
+        return [self.row(i, updated) for i in np.flatnonzero(mask).tolist()]
+
+
+class _Snapshot(NamedTuple):
+    """A partition's rows as of one epoch, shared by every scan in it:
+    the seeded block's live bits and updated rows, then the written
+    rows."""
+
+    epoch: int
+    size: int
+    block: Optional[_SeededBlock]
+    alive: Optional[np.ndarray]
+    updated: Dict[int, Entity]
+    rows: Tuple[Entity, ...]
+
+    def matches(self, flt: PropertyFilter) -> Tuple[Entity, ...]:
+        found = (
+            [] if self.block is None or self.alive is None
+            else self.block.matches(flt, self.alive, self.updated)
+        )
+        found.extend(e for e in self.rows if _holds(flt, e))
+        return tuple(found)
+
+
+class _Partition:
+    """One partition's rows in insertion order -- the seeded block, if
+    any, then the written rows ``RowKey -> Entity`` -- plus its
+    mutation epoch and the scan state valid for that epoch.
 
     Every committed write calls :meth:`bump`, which drops the scan
     state.  Within one epoch all property scans share one immutable
-    snapshot, and the matches of the last (snapshot, predicate) pair
-    are kept -- at most one entry, predicate compared by identity.
+    snapshot, and the matches of the last filter run on it are kept --
+    at most one entry, keyed on (epoch, filter).  A partition without a
+    seeded block pays one attribute check for the block path.
     """
 
-    __slots__ = ("epoch", "_snapshot", "_match")
+    __slots__ = ("rows", "block", "epoch", "_snapshot", "_match")
 
     def __init__(self) -> None:
-        super().__init__()
+        self.rows: Dict[str, Entity] = {}
+        self.block: Optional[_SeededBlock] = None
         self.epoch = 0
-        self._snapshot: Optional[Tuple[Entity, ...]] = None
+        self._snapshot: Optional[_Snapshot] = None
         self._match: Optional[
-            Tuple[Tuple[Entity, ...], Callable[[Entity], bool], Tuple[Entity, ...]]
+            Tuple[int, PropertyFilter, Tuple[Entity, ...]]
         ] = None
+
+    def __len__(self) -> int:
+        block = self.block
+        return len(self.rows) + (0 if block is None else block.live)
+
+    def __contains__(self, row_key: str) -> bool:
+        if row_key in self.rows:
+            return True
+        block = self.block
+        return block is not None and block.index(row_key) is not None
+
+    def get(self, row_key: str) -> Optional[Entity]:
+        entity = self.rows.get(row_key)
+        block = self.block
+        if entity is None and block is not None:
+            i = block.index(row_key)
+            if i is not None:
+                entity = block.row(i, block.updated)
+        return entity
+
+    def add(self, entity: Entity) -> None:
+        """Store ``entity`` as the new last row (its key is absent)."""
+        self.rows[entity.row_key] = entity
+
+    def replace(self, entity: Entity) -> None:
+        """Store ``entity`` in the place of the existing row it keys."""
+        block = self.block
+        if block is not None:
+            i = block.index(entity.row_key)
+            if i is not None:
+                block.updated[i] = entity
+                return
+        self.rows[entity.row_key] = entity
+
+    def remove(self, row_key: str) -> bool:
+        """Delete the row; ``False`` if there is none."""
+        if self.rows.pop(row_key, None) is not None:
+            return True
+        block = self.block
+        if block is not None:
+            i = block.index(row_key)
+            if i is not None:
+                block.remove(i)
+                return True
+        return False
 
     def bump(self) -> None:
         """Start a new mutation epoch (call after every write)."""
@@ -89,28 +325,35 @@ class _Partition(Dict[str, Entity]):
         self._snapshot = None
         self._match = None
 
-    def snapshot(self) -> Tuple[Entity, ...]:
+    def snapshot(self) -> _Snapshot:
         """The rows as of now, shared by every scan in this epoch."""
         snap = self._snapshot
         if snap is None:
-            snap = self._snapshot = tuple(self.values())
+            rows = tuple(self.rows.values())
+            block = self.block
+            if block is None:
+                snap = _Snapshot(self.epoch, len(rows), None, None, {}, rows)
+            else:
+                snap = _Snapshot(
+                    self.epoch, block.live + len(rows), block,
+                    block.alive.copy(), dict(block.updated), rows,
+                )
+            self._snapshot = snap
         return snap
 
     def matches(
-        self,
-        snapshot: Tuple[Entity, ...],
-        predicate: Callable[[Entity], bool],
+        self, snapshot: _Snapshot, flt: PropertyFilter
     ) -> List[Entity]:
-        """A fresh list of the ``snapshot`` entities ``predicate``
-        accepts.  Only a snapshot of the current epoch is cached, so a
-        scan that outlives a write re-filters its own snapshot, exactly
-        as an uncached scan would."""
+        """A fresh list of the ``snapshot`` rows that pass ``flt``.
+        Only a snapshot of the current epoch is cached, so a scan that
+        outlives a write re-filters its own snapshot, exactly as an
+        uncached scan would."""
         hit = self._match
-        if hit is not None and hit[0] is snapshot and hit[1] is predicate:
+        if hit is not None and hit[0] == snapshot.epoch and hit[1] == flt:
             return list(hit[2])
-        found = tuple(filter(predicate, snapshot))
-        if snapshot is self._snapshot:
-            self._match = (snapshot, predicate, found)
+        found = snapshot.matches(flt)
+        if snapshot.epoch == self.epoch:
+            self._match = (snapshot.epoch, flt, found)
         return list(found)
 
 
@@ -142,6 +385,7 @@ class TableService:
         # concentrates exactly as it did in the measurement.
         self._servers: Dict[Tuple[str, str], PartitionServer] = {}
         self._tables: Dict[str, Dict[str, _Partition]] = {}
+        self._next_etag = 1
         self.pipeline = RequestPipeline(
             env,
             rng,
@@ -155,6 +399,14 @@ class TableService:
     @property
     def tracer(self) -> Optional[RequestTracer]:
         return self.pipeline.tracer
+
+    def _etags(self, n: int = 1) -> int:
+        """Reserve ``n`` consecutive etags; returns the first.  The
+        counter is the service's own, so identical runs assign
+        identical etags."""
+        first = self._next_etag
+        self._next_etag = first + n
+        return first
 
     # -- administrative ------------------------------------------------------
     def create_table(self, table: str) -> None:
@@ -223,8 +475,60 @@ class TableService:
                     f"{entity.key} already exists", service=self.name,
                     op="table.insert",
                 )
+            entity.etag = self._etags()
             entity.timestamp = now
-            rows[entity.row_key] = entity
+            rows.add(entity)
+
+    def seed_columns(
+        self,
+        table: str,
+        partition_key: str,
+        count: int,
+        row_key_prefix: str,
+        size_kb: float = 1.0,
+        **columns: Any,
+    ) -> None:
+        """Administratively seed ``count`` rows into an empty partition,
+        stored as columns rather than entities.
+
+        Row ``i`` has RowKey ``f"{row_key_prefix}{i}"`` and is the entity
+        ``make_entity(partition_key, rowkey, size_kb, **row_i)``, where
+        ``row_i`` takes each column's ``i``-th element (as a Python
+        scalar) if the column is a numpy array of length ``count``
+        (numbers or strings), else the column itself.  The rows are
+        stamped now and reserve ``count`` etags (row ``i`` gets the
+        first plus ``i``).  A row becomes an :class:`Entity` when a
+        point op or a scan match first touches it.
+
+        Like :meth:`seed_entities`: no events, no RNG, one epoch bump.
+        Raises :class:`ValueError` if the partition holds any row, or
+        for a malformed column.
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        schema: Dict[str, Any] = {}
+        for name, column in _properties(size_kb, columns).items():
+            if isinstance(column, np.ndarray):
+                if column.shape != (count,) or column.dtype.kind not in "biufU":
+                    raise ValueError(
+                        f"column {name!r} must be a 1-D array of {count}"
+                        " numbers or strings"
+                    )
+                column = column.copy()
+            elif isinstance(column, np.generic):
+                column = column.item()
+            schema[name] = column
+        partitions = self._partitions(table)
+        rows = self._partition(table, partitions, partition_key)
+        if len(rows):
+            raise ValueError(
+                f"partition {partition_key!r} of table {table!r} is not empty"
+            )
+        rows.block = _SeededBlock(
+            partition_key, row_key_prefix, count, size_kb, self.env.now,
+            self._etags(count), schema,
+        )
+        rows.bump()
 
     def _partitions(self, table: str) -> Dict[str, _Partition]:
         partitions = self._tables.get(table)
@@ -266,8 +570,9 @@ class TableService:
                     service=self.name,
                     op="table.insert",
                 )
+            entity.etag = self._etags()
             entity.timestamp = self.env.now
-            rows[entity.row_key] = entity
+            rows.add(entity)
             rows.bump()
             return entity
 
@@ -340,9 +645,9 @@ class TableService:
                     service=self.name,
                     op="table.update",
                 )
-            entity.etag = next(_etags)
+            entity.etag = self._etags()
             entity.timestamp = self.env.now
-            rows[entity.row_key] = entity
+            rows.replace(entity)
             rows.bump()
             return entity
 
@@ -373,11 +678,7 @@ class TableService:
             # A concurrent delete may have removed the row since ``op``
             # sized the request; that one won, so this one finds nothing.
             rows = partitions.get(partition_key)
-            if (
-                found[0] is None
-                or rows is None
-                or rows.pop(row_key, None) is None
-            ):
+            if found[0] is None or rows is None or not rows.remove(row_key):
                 raise EntityNotFoundError(
                     f"({partition_key}, {row_key}) not found",
                     service=self.name,
@@ -426,9 +727,11 @@ class TableService:
                     service=self.name,
                     op="table.insert_batch",
                 )
-            for entity in entities:
+            first = self._etags(len(entities))
+            for k, entity in enumerate(entities):
+                entity.etag = first + k
                 entity.timestamp = self.env.now
-                rows[entity.row_key] = entity
+                rows.add(entity)
             rows.bump()
             return entities
 
@@ -454,32 +757,36 @@ class TableService:
         self,
         table: str,
         partition_key: str,
-        predicate: Callable[[Entity], bool],
+        filter: PropertyFilter,
     ) -> Generator:
-        """Property-filter query: scans the partition (no secondary
-        indexes exist -- Section 6.1), so cost grows with partition size
-        and the scan occupies a CPU core for its duration.
+        """Property-filter query: ``filter`` is one OData comparison
+        (``("f1", "eq", 13)`` is ``$filter=f1 eq 13``; see
+        :func:`check_filter`, which runs before anything is scheduled).
+        It scans the partition (no secondary indexes exist -- Section
+        6.1), so cost grows with partition size and the scan occupies a
+        CPU core for its duration.
 
         The result is a fresh list of the entities, in insertion order,
-        that ``predicate`` accepts at commit time among those in the
-        partition after the base latency.  Scans in one mutation epoch
-        share the snapshot and, for the same predicate object, the
-        matches (see :class:`_Partition`).
+        that pass ``filter`` at commit time among those in the partition
+        after the base latency.  Scans in one mutation epoch share the
+        snapshot and, for an equal filter, the matches (see
+        :class:`_Partition`).
         """
+        flt = check_filter(filter)
         partitions = self._partitions(table)
         rows: Optional[_Partition] = None
-        snapshot: Tuple[Entity, ...] = ()
+        snapshot: Optional[_Snapshot] = None
 
         def op() -> OpSpec:
             # The scan set is captured after the base latency; its size
             # sets the CPU cost.
             nonlocal rows, snapshot
             rows = partitions.get(partition_key)
+            size = 0
             if rows is not None:
                 snapshot = rows.snapshot()
-            scan_cpu = cal.TABLE_SCAN_S_PER_1K_ENTITIES * (
-                len(snapshot) / 1000.0
-            )
+                size = snapshot.size
+            scan_cpu = cal.TABLE_SCAN_S_PER_1K_ENTITIES * (size / 1000.0)
             return OpSpec(
                 name="table.scan",
                 cpu_s=cal.TABLE_CPU_S["query"] + scan_cpu,
@@ -490,7 +797,9 @@ class TableService:
             )
 
         def commit() -> List[Entity]:
-            return [] if rows is None else rows.matches(snapshot, predicate)
+            if rows is None or snapshot is None:
+                return []
+            return rows.matches(snapshot, flt)
 
         result = yield from self.pipeline.execute(
             "table.scan",
@@ -512,8 +821,5 @@ def make_entity(
     {int, int, String, String} plus the keys, with the last string sized
     to reach ``size_kb``."""
     return Entity(
-        partition_key,
-        row_key,
-        {"f1": 0, "f2": 0, "f3": "meta", "payload_kb": size_kb, **properties},
-        size_kb,
+        partition_key, row_key, _properties(size_kb, properties), size_kb
     )

@@ -77,8 +77,6 @@ def solve_stationary(
     model: _FluidOpModel,
     n: float,
     think_s: float,
-    capacity_factor: float = 1.0,
-    replicas: int = 1,
 ) -> _FluidState:
     """Close the loop: response time <-> concurrency for ``n`` members.
 
@@ -88,17 +86,6 @@ def solve_stationary(
     bandwidth-shared transfer) give ``R`` back from ``A``.  Damped
     iteration converges in a few dozen rounds for every calibrated op.
 
-    ``capacity_factor`` is the surviving fraction of server capacity
-    inside a degraded stationary window (a campaign fault that takes
-    half a service's partition servers leaves ``0.5``): it scales CPU
-    cores, front-end/transfer bandwidth, the latch service rate and the
-    overload knee together, so utilization terms see ``1/capacity``
-    amplified load.  ``replicas`` splits the offered population across
-    that many identical replicas (geo read-spread); each is solved at
-    ``n / replicas``.  The defaults are arithmetic identities (``x/1.0``
-    and ``x*1.0`` are exact), so the closed batched driver's pinned
-    fixed points are bit-unchanged.
-
     The solve is a pure function of its arguments, memoized at module
     level: seeded runs of one scenario price the same window rates
     again and again.  ``typed=True`` keeps an ``int`` or ``np.float64``
@@ -107,22 +94,17 @@ def solve_stationary(
     its operands and evaluation order, so memoized or not, the result
     is bit for bit the same.
     """
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be > 0")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    cf = float(capacity_factor)
-    n = float(n) / replicas
+    n = float(n)
     base_mean = model.base_s  # fixed + Exp(jitter) has mean == base_s
     cpu_s = model.cpu_s
     exclusive_s = model.exclusive_s
     frontend_c_s = model.frontend_c_s
     frontend_gamma = model.frontend_gamma
     transfer_mb = model.transfer_mb
-    cores_cf = model.cores * cf
-    cpu_per_core = cpu_s / cores_cf
-    wait_power = math.sqrt(2.0 * (cores_cf + 1))
-    transfer_a = model.transfer_a_mbps * cf
+    cores = model.cores
+    cpu_per_core = cpu_s / cores
+    wait_power = math.sqrt(2.0 * (cores + 1))
+    transfer_a = model.transfer_a_mbps
     transfer_power = -model.transfer_gamma
 
     response = base_mean + cpu_s + exclusive_s + 1e-9
@@ -134,15 +116,14 @@ def solve_stationary(
         if n < active_new:
             active_new = n
         active = 0.5 * active + 0.5 * active_new
-        load = active / cf
 
         frontend = 0.0
-        if frontend_c_s > 0 and load > 1.0:
-            frontend = frontend_c_s * load ** frontend_gamma
+        if frontend_c_s > 0 and active > 1.0:
+            frontend = frontend_c_s * active ** frontend_gamma
 
         cpu_wait = 0.0
         if cpu_s > 0:
-            rho = throughput * cpu_s / cores_cf
+            rho = throughput * cpu_s / cores
             if rho > 0.999:
                 rho = 0.999
             # M/M/c wait, collapsed to the heavy-traffic form the
@@ -151,9 +132,7 @@ def solve_stationary(
 
         latch_wait = 0.0
         if exclusive_s > 0:
-            # Not ``throughput * (exclusive_s / cf)``: that rounds
-            # differently unless ``cf`` is a power of two.
-            rho_l = throughput * exclusive_s / cf
+            rho_l = throughput * exclusive_s
             if rho_l > 0.999:
                 rho_l = 0.999
             latch_wait = exclusive_s * rho_l / (1.0 - rho_l)
@@ -161,7 +140,7 @@ def solve_stationary(
         transfer = 0.0
         if transfer_mb > 0:
             share = transfer_a * (
-                1.0 if load < 1.0 else load
+                1.0 if active < 1.0 else active
             ) ** transfer_power
             transfer = transfer_mb / share
 
@@ -183,7 +162,7 @@ def solve_stationary(
 
     shed = 0.0
     if model.payload_mb > 0 and model.overload_slope_per_mb > 0:
-        excess = active * model.payload_mb - model.overload_knee_mb * cf
+        excess = active * model.payload_mb - model.overload_knee_mb
         if excess > 0:
             shed = min(model.overload_slope_per_mb * excess, 0.5)
     return _FluidState(

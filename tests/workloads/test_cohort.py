@@ -77,19 +77,14 @@ def test_sweep_cohort_covers_every_level():
 # -- the fixed-point solver, bit for bit ------------------------------------
 
 
-def _reference_solve(model, n, think_s, capacity_factor=1.0, replicas=1):
+def _reference_solve(model, n, think_s):
     """The solver as first written, un-memoized and un-hoisted.
 
     Returns ``(state, iterations, clamped)`` so the grid can show it
     reached the rho clamp and the 200-round cap; the arithmetic is
     untouched.
     """
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be > 0")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    cf = float(capacity_factor)
-    n = float(n) / replicas
+    n = float(n)
     base_mean = model.base_s
     response = base_mean + model.cpu_s + model.exclusive_s + 1e-9
     active = min(float(n), 1.0)
@@ -103,32 +98,28 @@ def _reference_solve(model, n, think_s, capacity_factor=1.0, replicas=1):
         active = 0.5 * active + 0.5 * active_new
 
         frontend = 0.0
-        if model.frontend_c_s > 0 and active / cf > 1.0:
-            frontend = model.frontend_c_s * (active / cf) ** (
-                model.frontend_gamma
-            )
+        if model.frontend_c_s > 0 and active > 1.0:
+            frontend = model.frontend_c_s * active ** model.frontend_gamma
 
         cpu_wait = 0.0
         if model.cpu_s > 0:
-            rho = min(
-                throughput * model.cpu_s / (model.cores * cf), 0.999
-            )
+            rho = min(throughput * model.cpu_s / model.cores, 0.999)
             clamped = clamped or rho == 0.999
-            cpu_wait = (model.cpu_s / (model.cores * cf)) * (
-                rho ** math.sqrt(2.0 * (model.cores * cf + 1))
+            cpu_wait = (model.cpu_s / model.cores) * (
+                rho ** math.sqrt(2.0 * (model.cores + 1))
             ) / (1.0 - rho)
 
         latch_wait = 0.0
         if model.exclusive_s > 0:
-            rho_l = min(throughput * model.exclusive_s / cf, 0.999)
+            rho_l = min(throughput * model.exclusive_s, 0.999)
             clamped = clamped or rho_l == 0.999
             latch_wait = model.exclusive_s * rho_l / (1.0 - rho_l)
 
         transfer = 0.0
         if model.transfer_mb > 0:
-            share = (model.transfer_a_mbps * cf) * max(
-                active / cf, 1.0
-            ) ** (-model.transfer_gamma)
+            share = model.transfer_a_mbps * max(active, 1.0) ** (
+                -model.transfer_gamma
+            )
             transfer = model.transfer_mb / share
 
         response_new = (
@@ -147,7 +138,7 @@ def _reference_solve(model, n, think_s, capacity_factor=1.0, replicas=1):
 
     shed = 0.0
     if model.payload_mb > 0 and model.overload_slope_per_mb > 0:
-        excess = active * model.payload_mb - model.overload_knee_mb * cf
+        excess = active * model.payload_mb - model.overload_knee_mb
         if excess > 0:
             shed = min(model.overload_slope_per_mb * excess, 0.5)
     state = _FluidState(
@@ -170,32 +161,25 @@ def _bits(state):
 
 def _grid():
     """Every scenario op at a small and a large payload, over client
-    counts, think times, capacity factors (0.3 is not a power of two,
-    so a reordered division would show) and replica counts."""
+    counts and think times."""
     for (service, op), (size_kb, size_mb) in itertools.product(
         SCENARIO_OPS, ((1.0, 1.0), (64.0, 100.0))
     ):
         model = stationary_op_model(service, op, size_kb, size_mb)
-        for n, think_s, cf, replicas in itertools.product(
+        for n, think_s in itertools.product(
             (1, 8, 192, 1e4, 5e4),
             (1e-9, 0.01, 1, 60),
-            (1.0, 0.5, 0.25, 0.3),
-            (1, 3),
         ):
-            yield model, n, think_s, cf, replicas
+            yield model, n, think_s
 
 
 def test_solver_bit_identical_to_reference_over_grid():
     solve_stationary.cache_clear()
     clamps = capped = 0
-    for model, n, think_s, cf, replicas in _grid():
-        expected, iterations, clamped = _reference_solve(
-            model, n, think_s, cf, replicas
-        )
-        got = solve_stationary(model, n, think_s, cf, replicas)
-        assert _bits(got) == _bits(expected), (
-            model, n, think_s, cf, replicas
-        )
+    for model, n, think_s in _grid():
+        expected, iterations, clamped = _reference_solve(model, n, think_s)
+        got = solve_stationary(model, n, think_s)
+        assert _bits(got) == _bits(expected), (model, n, think_s)
         clamps += clamped
         capped += iterations == 200
     assert clamps > 0, "grid never reached the rho clamp"
@@ -204,7 +188,7 @@ def test_solver_bit_identical_to_reference_over_grid():
 
 def test_solver_memo_hit_equals_cold_solve():
     model = stationary_op_model("table", "insert", 4.0)
-    args = (model, 5e4, 0.01, 0.5, 3)
+    args = (model, 5e4, 0.01)
     solve_stationary.cache_clear()
     cold = solve_stationary(*args)
     warm = solve_stationary(*args)
@@ -213,17 +197,6 @@ def test_solver_memo_hit_equals_cold_solve():
     assert _bits(solve_stationary(*args)) == _bits(cold)
     assert _bits(warm) == _bits(cold)
     assert _bits(cold) == _bits(_reference_solve(*args)[0])
-
-
-def test_solver_argument_errors_raise_on_every_call():
-    model = stationary_op_model("queue", "add")
-    for _ in range(3):
-        with pytest.raises(ValueError, match="capacity_factor"):
-            solve_stationary(model, 10.0, 0.1, 0.0)
-        with pytest.raises(ValueError, match="capacity_factor"):
-            solve_stationary(model, 10.0, 0.1, -1.0)
-        with pytest.raises(ValueError, match="replicas"):
-            solve_stationary(model, 10.0, 0.1, 1.0, 0)
 
 
 @pytest.mark.parametrize(
