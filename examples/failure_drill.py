@@ -12,7 +12,7 @@ reads under a latency spike.
 
 The storm is an ordinary campaign preset of
 :mod:`repro.resilience.campaign` (``repro campaign storm`` runs the
-same thing); the spike is ``repro drill spike``.
+same thing); the spike is ``repro run drill:hedge --seed 7``.
 
 Run:  python examples/failure_drill.py
 """
@@ -40,7 +40,7 @@ protects the server hardest (near-zero in-window amplification) by
 fast-failing clients while open.
 """)
 
-    hedge = run_hedge_drill()
+    hedge = run_hedge_drill(seed=7)
     print(hedge.render())
     print(f"""
 Hedging attacks the tail instead of the storm: a second blob Get is

@@ -1,6 +1,6 @@
 """Run catalog + artifact store with QC gates and an operator dashboard.
 
-The simulation keeps its own science: every sweep, campaign and bench
+The simulation keeps its own science: every registry run and bench
 snapshot is catalogued as a content-addressed record written through
 the simulated blob service (:mod:`repro.artifacts.store`), judged by QC
 gates before it may become a baseline (:mod:`repro.artifacts.qc`), and
@@ -14,13 +14,10 @@ from repro.artifacts.dash import (
 )
 from repro.artifacts.ingest import (
     bench_record,
-    campaign_record,
+    ingest,
     ingest_bench,
-    ingest_campaign,
-    ingest_scenario_run,
     ops_record,
-    run_scenario_sweep,
-    scenario_record,
+    run_record,
 )
 from repro.artifacts.qc import (
     DEFAULT_GATED_METRICS,
@@ -33,6 +30,7 @@ from repro.artifacts.records import (
     RUN_KINDS,
     CellResult,
     RunRecord,
+    canonical_data,
     canonical_json,
     config_hash,
     payload_digest,
@@ -60,17 +58,15 @@ __all__ = [
     "QCThresholds",
     "RunRecord",
     "bench_record",
-    "campaign_record",
+    "canonical_data",
     "canonical_json",
     "config_hash",
+    "ingest",
     "ingest_bench",
-    "ingest_campaign",
-    "ingest_scenario_run",
     "ops_record",
     "pareto_frontier",
     "payload_digest",
     "render_dash",
     "run_qc",
-    "run_scenario_sweep",
-    "scenario_record",
+    "run_record",
 ]

@@ -1,145 +1,94 @@
 """Adapters from the run drivers into catalog records.
 
-Each driver's ``--catalog`` path lands here: a scenario run or seed ×
-level sweep, a campaign report or a bench snapshot is folded into one
+Every ``--catalog`` path lands here: the results of one registry run
+(an experiment, a scenario run or seed × level sweep, a campaign, the
+drill) or a bench snapshot are folded into one
 :class:`~repro.artifacts.records.RunRecord` — spec document, config
 hash, per-cell summaries with bit-precision digests, and the serialized
 tracer/histogram snapshots the dashboard reads — then written through
 the store's simulated blob service.
 
 Cataloging is strictly post-hoc observation: every adapter consumes
-finished results (or runs the stock drivers unmodified) and touches
-only the store's private platform, so a catalogued run is bit-identical
-to an uncatalogued one.
+finished results and touches only the store's private platform, so a
+catalogued run is bit-identical to an uncatalogued one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.artifacts.records import (
     CellResult,
     RunRecord,
+    canonical_data,
     config_hash,
     payload_digest,
 )
 from repro.artifacts.store import CatalogStore
 
 
-def scenario_record(
-    spec: Any,
-    results_by_seed: Dict[int, Dict[int, Any]],
-    mode: str = "auto",
-) -> RunRecord:
-    """Build a sweep record from ``{seed: {level: ScenarioRunResult}}``."""
-    from repro.scenarios import scenario_to_dict
+def run_record(results_by_seed: Dict[int, Dict[Optional[int], Any]]) -> RunRecord:
+    """Fold one runnable's results, ``{seed: {level: result}}`` of
+    :class:`~repro.experiments.report.ExperimentReport`, into a record.
 
-    spec_doc = scenario_to_dict(spec)
-    seeds = sorted(results_by_seed)
-    levels = sorted({
-        level for runs in results_by_seed.values() for level in runs
-    })
-    cells: List[CellResult] = []
-    snapshots: Dict[str, Any] = {}
-    for seed in seeds:
-        for level, result in sorted(results_by_seed[seed].items()):
-            summary = result.summary()
-            cells.append(
-                CellResult(
-                    seed=seed,
-                    level=level,
-                    digest=payload_digest(summary),
-                    metrics=summary,
-                )
+    The record's kind is the runnable's family and its name the rest of
+    the runnable's name (``campaign:day`` -> ``campaign``, ``day``); its
+    config hash covers the results' ``config`` document.  Results with a
+    population level (scenario runs) become the seed × level cells,
+    each digested over its ``data``, with their snapshots keyed
+    ``<name>:s<seed>-n<level>``.  A single result without one (an
+    experiment, campaign or drill) becomes a cell-less record whose
+    metrics are its ``data`` and whose ``report`` digest covers them.
+    """
+    grid = [
+        (seed, level, result)
+        for seed in sorted(results_by_seed)
+        for level, result in sorted(results_by_seed[seed].items())
+    ]
+    first = grid[0][2]
+    record = RunRecord(
+        run_id="",
+        kind=first.family,
+        name=first.experiment_id.split(":", 1)[-1],
+        config_hash=config_hash(first.config),
+        spec=first.config,
+        seed_grid=sorted(results_by_seed),
+    )
+    if first.level is None:
+        if len(grid) != 1:
+            raise ValueError(
+                "a record holds one result or a seed x level grid of them"
             )
-            tracer_snapshot = getattr(result, "tracer_snapshot", None)
-            if tracer_snapshot is not None:
-                snapshots[f"tracer:s{seed}-n{level}"] = tracer_snapshot
-    total_ops = sum(float(c.metrics["ops_completed"]) for c in cells)
-    total_errors = sum(float(c.metrics["errors"]) for c in cells)
-    return RunRecord(
-        run_id="",
-        kind="scenario",
-        name=spec.name,
-        config_hash=config_hash(spec_doc),
-        spec=spec_doc,
-        seed_grid=seeds,
-        level_grid=levels,
-        cells=cells,
-        metrics={
-            "mode": mode,
-            "cells": len(cells),
-            "ops_completed": total_ops,
-            "errors": total_errors,
-        },
-        snapshots=snapshots,
-    )
-
-
-def run_scenario_sweep(
-    spec: Any,
-    levels: Optional[Sequence[int]] = None,
-    seeds: Optional[Sequence[int]] = None,
-    mode: str = "auto",
-    jobs: Optional[int] = 1,
-) -> RunRecord:
-    """Run the declared seed × level grid through the stock driver and
-    fold it into one record (the ``repro scenario run --seeds --catalog``
-    path)."""
-    from repro.scenarios import sweep_scenario
-
-    seed_grid = list(seeds) if seeds else [spec.default_seed]
-    results_by_seed = {
-        seed: sweep_scenario(
-            spec, levels=levels, seed=seed, mode=mode, jobs=jobs
-        )
-        for seed in seed_grid
+        record.metrics = canonical_data(first.data)
+        record.digests = {"report": payload_digest(record.metrics)}
+        record.snapshots = dict(first.snapshots)
+        return record
+    for seed, level, result in grid:
+        record.cells.append(CellResult(
+            seed=seed,
+            level=level,
+            digest=payload_digest(result.data),
+            metrics=result.data,
+        ))
+        for key, snapshot in result.snapshots.items():
+            record.snapshots[f"{key}:s{seed}-n{level}"] = snapshot
+    record.level_grid = record.levels_present()
+    record.metrics = {
+        "cells": len(record.cells),
+        "ops_completed": sum(
+            float(c.metrics["ops_completed"]) for c in record.cells
+        ),
+        "errors": sum(float(c.metrics["errors"]) for c in record.cells),
     }
-    return scenario_record(spec, results_by_seed, mode=mode)
+    return record
 
 
-def ingest_scenario_run(
-    store: CatalogStore,
-    spec: Any,
-    result: Any,
-    mode: str = "auto",
+def ingest(
+    store: CatalogStore, results_by_seed: Dict[int, Dict[Optional[int], Any]]
 ) -> str:
-    """Catalog one single-level scenario run."""
-    record = scenario_record(
-        spec, {result.seed: {result.n_clients: result}}, mode=mode
-    )
-    return store.put_record(record)
-
-
-def campaign_record(spec: Any, report: Any) -> RunRecord:
-    """Build a record from a campaign spec + report (cells become the
-    metrics document; the SLO blocks ride along as snapshots).  The
-    driver settings join the spec document, so an event-level and a
-    fast-forwarded run of one spec get different config hashes."""
-    spec_doc = {
-        **spec.to_dict(),
-        "fast": report.fast,
-        "guard_band_s": report.guard_band_s,
-    }
-    report_doc = report.to_dict()
-    return RunRecord(
-        run_id="",
-        kind="campaign",
-        name=spec.name,
-        config_hash=config_hash(spec_doc),
-        spec=spec_doc,
-        seed_grid=[spec.seed],
-        metrics=report_doc,
-        snapshots={
-            f"slo:{mode}": doc.get("slo", {})
-            for mode, doc in report_doc.get("modes", {}).items()
-        },
-        digests={"report": payload_digest(report_doc)},
-    )
-
-
-def ingest_campaign(store: CatalogStore, spec: Any, report: Any) -> str:
-    return store.put_record(campaign_record(spec, report))
+    """Catalog :func:`run_record` of ``results_by_seed``; returns the
+    run id."""
+    return store.put_record(run_record(results_by_seed))
 
 
 def bench_record(snapshot: Dict[str, Any]) -> RunRecord:
@@ -191,11 +140,8 @@ def ops_record(
 
 __all__ = [
     "bench_record",
-    "campaign_record",
+    "ingest",
     "ingest_bench",
-    "ingest_campaign",
-    "ingest_scenario_run",
     "ops_record",
-    "run_scenario_sweep",
-    "scenario_record",
+    "run_record",
 ]

@@ -3,12 +3,13 @@
 Section 6.3's lesson ("extensive monitoring and logging facilities are
 necessary to not only diagnose problems but also to determine how the
 application is behaving") applied to the simulation itself: every
-campaign, scenario sweep and bench snapshot becomes one
-:class:`RunRecord` — run id, kind, config hash, the full spec document,
-the declared seed × level grid, per-cell summary metrics and digests,
-and serialized histogram/tracer snapshots — durable enough that a QC
-gate (:mod:`repro.artifacts.qc`) can judge the sweep and a dashboard
-(:mod:`repro.artifacts.dash`) can render it long after the run.
+registry run (experiment, scenario sweep, campaign, drill) and bench
+snapshot becomes one :class:`RunRecord` — run id, kind, config hash,
+the full spec document, the declared seed × level grid, per-cell
+summary metrics and digests, and serialized histogram/tracer
+snapshots — durable enough that a QC gate (:mod:`repro.artifacts.qc`)
+can judge the sweep and a dashboard (:mod:`repro.artifacts.dash`) can
+render it long after the run.
 
 Records are plain dataclasses over JSON-able dicts; the catalog store
 (:mod:`repro.artifacts.store`) persists them as content-addressed
@@ -23,8 +24,23 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Record kinds the catalog understands (free-form kinds are allowed;
-#: these are the ones the shipped drivers emit).
-RUN_KINDS = ("scenario", "campaign", "bench", "ops")
+#: these are the run registry's families plus the bench and ops
+#: records).
+RUN_KINDS = ("experiment", "scenario", "campaign", "drill", "bench", "ops")
+
+
+def canonical_data(value: Any) -> Any:
+    """Coerce a result document (enum keys, tuples, numpy scalars) to
+    plain JSON-able types without losing float precision."""
+    if isinstance(value, dict):
+        return {str(k): canonical_data(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical_data(v) for v in value]
+    if hasattr(value, "item"):  # numpy scalar
+        return value.item()
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
 def canonical_json(value: Any) -> str:
@@ -85,15 +101,16 @@ class RunRecord:
 
     ``run_id`` is assigned by the store at put time (pass ``""`` to let
     the store number it).  ``spec`` is the full configuration document
-    (a ``scenario_to_dict``/``CampaignSpec.to_dict`` payload) and
+    (the run's ``config``, e.g. a ``scenario_to_dict`` payload) and
     ``config_hash`` its canonical SHA-256.  ``seed_grid`` ×
     ``level_grid`` declare the sweep the QC completeness rule checks
-    ``cells`` against; non-sweep records (bench, campaign) leave the
-    grids empty.  ``snapshots`` holds serialized observability state
+    ``cells`` against; records without population levels (experiment,
+    campaign, drill, bench) have no cells and no level grid.
+    ``snapshots`` holds serialized observability state
     (tracer/histogram/registry snapshot dicts); ``digests`` holds named
-    auxiliary digests (e.g. golden-digest values the run was checked
-    against).  ``created_at`` is wall-clock metadata only — it never
-    enters any digest-checked payload.
+    auxiliary digests (``report``: the digest of a cell-less record's
+    metrics document).  ``created_at`` is wall-clock metadata only — it
+    never enters any digest-checked payload.
     """
 
     run_id: str
@@ -164,6 +181,7 @@ __all__ = [
     "RUN_KINDS",
     "CellResult",
     "RunRecord",
+    "canonical_data",
     "canonical_json",
     "config_hash",
     "payload_digest",

@@ -1,14 +1,16 @@
-"""Command-line interface: list and run the paper's experiments.
+"""Command-line interface: list and run everything in the run registry.
 
 Usage::
 
     python -m repro list
-    python -m repro run fig1 [--scale 0.3] [--seed 7]
+    python -m repro run fig1 [--scale 0.3] [--seed 7] [--json out.json]
     python -m repro run all  [--scale 0.2]
+    python -m repro run drill:hedge [--json out.json]
+    python -m repro run campaign:day [--catalog DIR]
+    python -m repro run scenario:streaming [--scale 0.05]
     python -m repro calibration
-    python -m repro drill spike [--seed 3] [--json out.json]
-    python -m repro campaign month [--scale 0.5] [--seed 3] [--json out.json]
-    python -m repro campaign day --modes none,automatic
+    python -m repro campaign month [--scale 0.5] [--json out.json]
+    python -m repro campaign day --modes none,automatic [--fast]
     python -m repro campaign storm [--scale 0.2]
     python -m repro trace --out trace.json [--fmt chrome|jsonl|waterfall]
     python -m repro slo [--availability 0.99] [--latency-ms 500]
@@ -21,140 +23,123 @@ Usage::
     python -m repro dash [RUN_ID | --frozen baseline] [--availability 0.999]
     python -m repro catalog list [--kind scenario]
     python -m repro catalog show [RUN_ID]
+
+``run``, ``campaign`` and ``scenario run`` share ``--seed`` (default 3,
+the golden seed), ``--scale``, ``--jobs``, ``--json`` and ``--catalog``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    Runnable,
+    get_experiment,
+    runnables,
+    scenario_result,
+    scenario_runnable,
+)
+from repro.experiments.report import family
+from repro.simcore.rng import GOLDEN_SEED
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print(f"{'id':8s}  {'paper':9s}  title")
-    for spec in EXPERIMENTS.values():
-        print(f"{spec.experiment_id:8s}  {spec.paper_artifact:9s}  {spec.title}")
+    print(f"{'name':28s}  {'paper':10s}  title")
+    for runnable in runnables().values():
+        paper = runnable.paper_artifact or family(runnable.name)
+        print(f"{runnable.name:28s}  {paper:10s}  {runnable.title}")
     return 0
+
+
+def _execute(
+    runnable: Runnable, args: argparse.Namespace, **options: Any
+) -> Optional[Any]:
+    """Run ``runnable`` with the shared flags and print it; ``None``
+    (exit 2) when the run rejects its arguments."""
+    start = time.time()
+    try:
+        result = runnable.run(
+            seed=args.seed, scale=args.scale, jobs=args.jobs, **options
+        )
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return None
+    print(result.render())
+    print(f"\n({runnable.name} finished in {time.time() - start:.1f}s)\n")
+    return result
+
+
+def _publish(
+    args: argparse.Namespace,
+    grids: List[Dict[int, Dict[Optional[int], Any]]],
+    document: Any,
+) -> None:
+    """Catalog each ``{seed: {level: result}}`` grid as one record under
+    ``--catalog`` and write ``document`` to ``--json``."""
+    if args.catalog:
+        from repro.artifacts import CatalogStore, ingest
+
+        store = CatalogStore(args.catalog)
+        for grid in grids:
+            run_id = ingest(store, grid)
+            print(f"catalogued as {run_id} in {args.catalog}/")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(document, fh, indent=2, sort_keys=True)
+        print(f"wrote machine-readable results to {args.json}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    failures = 0
-    exported = {}
-    for eid in ids:
-        start = time.time()
-        report = run_experiment(
-            eid, scale=args.scale, seed=args.seed, jobs=args.jobs
-        )
-        elapsed = time.time() - start
-        print(report.render())
-        print(f"\n({eid} finished in {elapsed:.1f}s)\n")
-        if not report.passed:
-            failures += 1
-        if args.json:
-            exported[eid] = {
-                "title": report.title,
-                "passed": report.passed,
+    from repro.artifacts import canonical_data
+
+    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
+    results = []
+    for name in names:
+        result = _execute(get_experiment(name), args)
+        if result is None:
+            return 2
+        results.append(result)
+    _publish(
+        args,
+        [{args.seed: {r.level: r}} for r in results],
+        {
+            r.experiment_id: {
+                "title": r.title,
+                "passed": r.passed,
                 "checks": [
                     {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in report.checks.results
+                    for c in r.checks.results
                 ],
-                "data": _jsonable(report.data),
+                "data": canonical_data(r.data),
             }
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(exported, fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable results to {args.json}")
+            for r in results
+        },
+    )
+    failures = sum(not r.passed for r in results)
     if failures:
-        print(f"{failures} experiment(s) had failing shape checks")
+        print(f"{failures} run(s) had failing checks")
     return 1 if failures else 0
 
 
-def _jsonable(value):
-    """Coerce report data (enum keys, tuples, numpy scalars) to JSON."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _cmd_drill(args: argparse.Namespace) -> int:
-    from repro.resilience.hedging import run_hedge_drill
-
-    report = run_hedge_drill(seed=args.seed)
-    print(report.render())
-    if args.json:
-        import json
-
-        exported = {
-            "spike": {
-                "unhedged_p99_ms": report.unhedged_p99_ms,
-                "hedged_p99_ms": report.hedged_p99_ms,
-                "p99_speedup": report.p99_speedup,
-                "duplicate_fraction": report.duplicate_fraction,
-            }
-        }
-        with open(args.json, "w") as fh:
-            json.dump(exported, fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable results to {args.json}")
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.resilience.campaign import (
-        CAMPAIGN_MODES,
-        CAMPAIGN_SCENARIOS,
-        run_campaign,
+    modes = (
+        [m.strip() for m in args.modes.split(",") if m.strip()]
+        if args.modes
+        else None
     )
-
-    spec = CAMPAIGN_SCENARIOS[args.scenario](
-        seed=args.seed, scale=args.scale
+    result = _execute(
+        get_experiment(f"campaign:{args.scenario}"), args,
+        modes=modes, fast=args.fast, guard_band_s=args.guard_band,
     )
-    if args.modes:
-        modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        unknown = [m for m in modes if m not in CAMPAIGN_MODES]
-        if unknown:
-            print(
-                f"unknown failover mode(s) {unknown}; choose from "
-                f"{list(CAMPAIGN_MODES)}",
-                file=sys.stderr,
-            )
-            return 2
-        spec = replace(spec, modes=tuple(modes))
-    from repro.parallel import resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
-    start = time.time()
-    report = run_campaign(
-        spec, fast=args.fast, guard_band_s=args.guard_band, jobs=jobs
-    )
-    elapsed = time.time() - start
-    print(report.render())
-    print(f"\n({args.scenario} campaign finished in {elapsed:.1f}s)")
-    if args.catalog:
-        from repro.artifacts import CatalogStore, ingest_campaign
-
-        run_id = ingest_campaign(CatalogStore(args.catalog), spec, report)
-        print(f"catalogued as {run_id} in {args.catalog}/")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable campaign report to {args.json}")
-    return 0 if report.passed else 1
+    if result is None:
+        return 2
+    _publish(args, [{args.seed: {None: result}}], result.data)
+    return 0 if result.passed else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -341,52 +326,17 @@ def _scenario_spec(args: argparse.Namespace):
                 file=sys.stderr,
             )
             return None
+        spec.scaled(args.scale)  # a bad --scale fails here, before a run
     except (ScenarioValidationError, KeyError, OSError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return None
-    if args.scale != 1.0:
-        spec = spec.scaled(args.scale)
     return spec
-
-
-def _print_scenario_summary(doc) -> None:
-    print(
-        f"scenario {doc['scenario']} ({doc['mode']} driver, "
-        f"seed {doc['seed']}): {doc['n_clients']:,} clients"
-    )
-    for key in (
-        "makespan_s", "ops_completed", "errors", "failed_clients",
-        "aggregate_ops_per_s", "latency_mean_s", "latency_p50_s",
-        "latency_p99_s",
-    ):
-        print(f"  {key:20s} {doc[key]:>16,.4f}")
-    for op, row in doc["per_op"].items():
-        print(
-            f"  {op:20s} ops={row['ops']:,.0f} errors={row['errors']:,.0f} "
-            f"mean={row['latency_mean_s'] * 1000:.1f}ms "
-            f"p99={row['latency_p99_s'] * 1000:.1f}ms"
-        )
-    if "windows" in doc:
-        w = doc["windows"]
-        print(
-            f"  windows              {w['count']} "
-            f"(expected {w['expected_ops']:,.0f} ops, "
-            f"observed {w['ops']:,} + {w['errors']:,} errors)"
-        )
-    if "skew" in doc:
-        s = doc["skew"]
-        print(
-            f"  skew                 {s['partitions']:.0f} partitions, "
-            f"theta={s['theta']}, top share {s['top_share']:.3f}, "
-            f"effective {s['effective_partitions']:.1f}"
-        )
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import (
         get_scenario,
         list_scenarios,
-        run_scenario,
         scenario_source,
         scenario_to_dict,
         sweep_scenario,
@@ -416,84 +366,63 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "describe":
-        import json
-
-        print(json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True))
+        print(json.dumps(
+            scenario_to_dict(spec.scaled(args.scale)), indent=2,
+            sort_keys=True,
+        ))
         return 0
 
-    # run
-    exported = None
-    record = None
+    # run: one population through the registry, or a seed x level grid
+    if not (args.levels or args.seeds):
+        result = _execute(
+            scenario_runnable(spec), args,
+            n_clients=args.clients, mode=args.mode,
+        )
+        if result is None:
+            return 2
+        _publish(args, [{args.seed: {result.level: result}}], result.data)
+        return 0
+    scaled = spec.scaled(args.scale)
+    levels = (
+        [int(v) for v in args.levels.split(",") if v.strip()]
+        if args.levels
+        else None
+    )
     seeds = (
         [int(v) for v in args.seeds.split(",") if v.strip()]
         if args.seeds
-        else None
+        else [args.seed]
     )
     start = time.time()
-    if args.levels or seeds:
-        levels = (
-            [int(v) for v in args.levels.split(",") if v.strip()]
-            if args.levels
-            else None
-        )
-        seed_grid = seeds if seeds else [
-            args.seed if args.seed is not None else spec.default_seed
-        ]
-        results_by_seed = {
-            seed: sweep_scenario(
-                spec, levels=levels, seed=seed, mode=args.mode,
+    grid = {
+        seed: {
+            n: scenario_result(scaled, run)
+            for n, run in sweep_scenario(
+                scaled, levels=levels, seed=seed, mode=args.mode,
                 jobs=args.jobs,
-            )
-            for seed in seed_grid
+            ).items()
         }
-        if len(seed_grid) == 1:
-            only = results_by_seed[seed_grid[0]]
-            exported = {
-                "scenario": spec.name,
-                "levels": {str(n): r.summary() for n, r in only.items()},
-            }
-        else:
-            exported = {
-                "scenario": spec.name,
-                "seeds": {
-                    str(seed): {
-                        str(n): r.summary() for n, r in runs.items()
-                    }
-                    for seed, runs in results_by_seed.items()
-                },
-            }
-        for runs in results_by_seed.values():
-            for run in runs.values():
-                _print_scenario_summary(run.summary())
-                print()
-        if args.catalog:
-            from repro.artifacts import scenario_record
-
-            record = scenario_record(spec, results_by_seed, mode=args.mode)
-    else:
-        run = run_scenario(
-            spec, n_clients=args.clients, seed=args.seed, mode=args.mode
-        )
-        exported = run.summary()
-        _print_scenario_summary(exported)
-        if args.catalog:
-            from repro.artifacts import scenario_record
-
-            record = scenario_record(
-                spec, {run.seed: {run.n_clients: run}}, mode=args.mode
-            )
+        for seed in seeds
+    }
+    for runs in grid.values():
+        for result in runs.values():
+            print(result.body)
+            print()
     print(f"  (finished in {time.time() - start:.2f}s wall-clock)")
-    if record is not None:
-        from repro.artifacts import CatalogStore
-
-        run_id = CatalogStore(args.catalog).put_record(record)
-        print(f"catalogued as {run_id} in {args.catalog}/")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(exported, fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable scenario summary to {args.json}")
+    if len(seeds) == 1:
+        exported = {
+            "scenario": spec.name,
+            "levels": {str(n): r.data for n, r in grid[seeds[0]].items()},
+        }
+    else:
+        exported = {
+            "scenario": spec.name,
+            "seeds": {
+                str(seed): {str(n): r.data for n, r in runs.items()}
+                for seed, runs in grid.items()
+            },
+        }
+    _publish(args, [grid], exported)
     return 0
 
 
@@ -643,54 +572,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list available experiments")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_run = sub.add_parser("run", help="run an experiment (or 'all')")
-    p_run.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS) + ["all"],
-        help="experiment id",
+    # The flags every registry run shares (run, campaign, scenario run).
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument(
+        "--seed", type=int, default=GOLDEN_SEED,
+        help=f"master seed (default {GOLDEN_SEED}, the golden seed)",
     )
-    p_run.add_argument(
+    run_flags.add_argument(
         "--scale", type=float, default=1.0,
-        help="workload scale (1.0 = the paper's protocol)",
-    )
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
         help=(
-            "worker processes for independent trials (default: auto = "
-            "usable cores capped at 8; 1 = in-process serial; results "
-            "are bit-identical for any value)"
+            "workload scale > 0 (1.0 = as specified): sample counts for "
+            "experiments, the open horizon or per-phase op counts for "
+            "scenarios, simulated time for campaigns (their op cadence "
+            "is fixed); the drill has one size"
         ),
     )
-    p_run.add_argument(
+    run_flags.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help=(
+            "worker processes for independent trials, sweep levels or "
+            "campaign cells (default: auto = usable cores capped at 8; "
+            "1 = in-process serial; results are bit-identical for any "
+            "value)"
+        ),
+    )
+    run_flags.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write machine-readable results to this JSON file",
     )
-    p_run.set_defaults(func=_cmd_run)
-
-    p_drill = sub.add_parser(
-        "drill",
+    run_flags.add_argument(
+        "--catalog", metavar="DIR", nargs="?", const="catalog",
+        default=None,
         help=(
-            "hedged vs unhedged blob reads under a latency spike (the "
-            "fault-window drills run as 'campaign storm|crash|burst')"
+            "catalog the results as a run record written through the "
+            "simulated blob service into this directory (default "
+            "./catalog); observation-only, results are bit-identical "
+            "with or without it"
         ),
     )
-    p_drill.add_argument(
-        "scenario",
-        choices=["spike"],
-        help="spike = hedged vs unhedged blob reads under a latency spike",
+
+    p_list = sub.add_parser("list", help="list every registered run")
+    p_list.set_defaults(func=_cmd_list)
+
+    p_run = sub.add_parser(
+        "run", parents=[run_flags],
+        help="run any registered run (see 'list'), or 'all' experiments",
     )
-    p_drill.add_argument("--seed", type=int, default=3)
-    p_drill.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write machine-readable verdicts to this JSON file",
+    p_run.add_argument(
+        "name", metavar="NAME", choices=sorted(runnables()) + ["all"],
+        help=(
+            "fig1..table2, scenario:<name>, campaign:<preset>, "
+            "drill:hedge, or all (every paper experiment)"
+        ),
     )
-    p_drill.set_defaults(func=_cmd_drill)
+    p_run.set_defaults(func=_cmd_run)
 
     p_campaign = sub.add_parser(
-        "campaign",
+        "campaign", parents=[run_flags],
         help=(
             "replay a fault schedule (rack/zone/WAN outages or server "
             "fault windows) against a (client policy x geo-failover "
@@ -707,14 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
             "HTTP-500 burst, each against the retry-policy matrix"
         ),
     )
-    p_campaign.add_argument(
-        "--scale", type=float, default=1.0,
-        help=(
-            "time scale for the campaign horizon and fault schedule "
-            "(op cadence is fixed, so smaller scales issue fewer ops)"
-        ),
-    )
-    p_campaign.add_argument("--seed", type=int, default=3)
     p_campaign.add_argument(
         "--modes", metavar="M1,M2", default=None,
         help=(
@@ -738,26 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--fast only: event-level radius in seconds around each "
             "transition (default: replication lag + client timeout, "
             "at least 65s)"
-        ),
-    )
-    p_campaign.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help=(
-            "worker processes for the policy x mode grid (default: "
-            "auto = usable cores capped at 8; 1 = in-process serial; "
-            "results are bit-identical for any value)"
-        ),
-    )
-    p_campaign.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the machine-readable report to this JSON file",
-    )
-    p_campaign.add_argument(
-        "--catalog", metavar="DIR", nargs="?", const="catalog",
-        default=None,
-        help=(
-            "catalog the campaign report as a run record in this "
-            "directory (default ./catalog)"
         ),
     )
     p_campaign.set_defaults(func=_cmd_campaign)
@@ -866,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo.set_defaults(func=_cmd_slo)
 
     p_scenario = sub.add_parser(
-        "scenario",
+        "scenario", parents=[run_flags],
         help=(
             "list/describe/run declarative ScenarioSpec workloads "
             "(registered figure scenarios + trace-shaped packs)"
@@ -892,21 +802,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's population size",
     )
     p_scenario.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed (default: the spec's recorded seed)",
-    )
-    p_scenario.add_argument(
         "--mode", choices=["auto", "exact", "batched"], default="auto",
         help=(
             "auto = exact per-client simulation up to "
             "256 clients, batched population dynamics beyond"
-        ),
-    )
-    p_scenario.add_argument(
-        "--scale", type=float, default=1.0,
-        help=(
-            "cheaper copy of the spec: scales the open-arrival horizon "
-            "or the per-phase op counts (1.0 = as written)"
         ),
     )
     p_scenario.add_argument(
@@ -917,31 +816,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_scenario.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "worker processes for --levels sweeps (1 = in-process; "
-            "results are bit-identical for any value)"
-        ),
-    )
-    p_scenario.add_argument(
         "--seeds", metavar="S1,S2", default=None,
         help=(
             "run the sweep once per comma-separated seed (a seed x "
             "level grid — what the QC variance gate judges)"
-        ),
-    )
-    p_scenario.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the machine-readable summary to this JSON file",
-    )
-    p_scenario.add_argument(
-        "--catalog", metavar="DIR", nargs="?", const="catalog",
-        default=None,
-        help=(
-            "catalog the run/grid as a run record written through the "
-            "simulated blob service into this directory (default "
-            "./catalog); observation-only, results are bit-identical "
-            "with or without it"
         ),
     )
     p_scenario.set_defaults(func=_cmd_scenario)
@@ -1020,7 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_catalog_selector(p_catalog)
     p_catalog.add_argument(
         "--kind", default=None,
-        help="filter/select by record kind (scenario, campaign, ...)",
+        help=(
+            "filter/select by record kind (experiment, scenario, "
+            "campaign, drill, bench, ops)"
+        ),
     )
     p_catalog.set_defaults(func=_cmd_catalog)
 

@@ -13,9 +13,7 @@ from repro.workloads.blob_bench import run_blob_test, sweep_blob
 TITLE = "Blob download/upload bandwidth vs concurrency"
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 1.  ``scale`` multiplies the 1 GB test blob size;
     ``jobs`` fans independent trials across worker processes."""
     size_mb = max(cal.BLOB_TEST_SIZE_MB * scale, 10.0)

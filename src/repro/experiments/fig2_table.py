@@ -28,9 +28,7 @@ def _scaled_ops(scale: float) -> Dict[str, int]:
     }
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 2 at 4 kB entities; ``scale`` multiplies the
     per-client op counts (1.0 = the paper's 500/500/100/500); ``jobs``
     fans independent trials across worker processes."""

@@ -14,9 +14,7 @@ from repro.workloads.queue_bench import OPERATIONS, run_queue_test, sweep_queue
 TITLE = "Queue Add/Peek/Receive throughput vs concurrency"
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 3 at 512-byte messages; ``scale`` multiplies the
     per-client operation count; ``jobs`` fans independent trials across
     worker processes."""

@@ -14,9 +14,7 @@ from repro.workloads.tcp_bench import run_tcp_test
 TITLE = "TCP internal-endpoint latency between paired small VMs"
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 4; ``scale`` multiplies the 5,000-ping budget;
     ``jobs`` fans the deployments across worker processes.
 

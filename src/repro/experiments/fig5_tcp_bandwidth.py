@@ -19,9 +19,7 @@ from repro.workloads.tcp_bench import run_tcp_test
 TITLE = "TCP internal-endpoint bandwidth between paired small VMs"
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 5; ``scale`` multiplies the per-deployment sample
     budget (each sample is a full simulated 2 GB transfer); ``jobs``
     fans the deployments across worker processes."""

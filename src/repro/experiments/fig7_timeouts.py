@@ -15,9 +15,7 @@ from repro.modis.tasks import TaskOutcome
 TITLE = "Percent of task executions with VM timeout over time"
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Fig. 7 over the Feb-Sep 2010 campaign window.
 
     ``jobs`` is accepted for registry uniformity but unused: the

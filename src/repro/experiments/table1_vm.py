@@ -15,9 +15,7 @@ TITLE = "Worker/web role VM request time per lifecycle phase"
 PHASES = ("create", "run", "add", "suspend", "delete")
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Table 1; ``scale`` multiplies the 431-run campaign;
     ``jobs`` fans lifecycle attempts across worker processes."""
     runs = max(int(cal.VM_CAMPAIGN_RUNS * scale), 48)

@@ -34,9 +34,7 @@ PAPER_FAILURES = {
 }
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, jobs: Optional[int] = 1
-) -> ExperimentReport:
+def run(scale: float, seed: int, jobs: Optional[int]) -> ExperimentReport:
     """Reproduce Table 2.  ``scale=1`` runs ~150k executions (the paper
     logged 3.05M; Table 2 compares percentages, which are scale-free).
 

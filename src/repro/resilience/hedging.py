@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Tuple
 
 from repro.simcore import Environment, Tally
+from repro.simcore.rng import GOLDEN_SEED
 
 
 class HedgePolicy:
@@ -220,7 +221,7 @@ def _hedge_run(
 
 
 def run_hedge_drill(
-    seed: int = 7,
+    seed: int = GOLDEN_SEED,
     n_clients: int = 4,
     reads_per_client: int = 50,
     blob_mb: float = 2.0,

@@ -156,6 +156,41 @@ class ScenarioRunResult:
             out["skew"] = dict(self.skew)
         return out
 
+    def render(self) -> str:
+        doc = self.summary()
+        lines = [
+            f"scenario {doc['scenario']} ({doc['mode']} driver, "
+            f"seed {doc['seed']}): {doc['n_clients']:,} clients"
+        ]
+        for key in (
+            "makespan_s", "ops_completed", "errors", "failed_clients",
+            "aggregate_ops_per_s", "latency_mean_s", "latency_p50_s",
+            "latency_p99_s",
+        ):
+            lines.append(f"  {key:20s} {doc[key]:>16,.4f}")
+        for op, row in doc["per_op"].items():
+            lines.append(
+                f"  {op:20s} ops={row['ops']:,.0f} "
+                f"errors={row['errors']:,.0f} "
+                f"mean={row['latency_mean_s'] * 1000:.1f}ms "
+                f"p99={row['latency_p99_s'] * 1000:.1f}ms"
+            )
+        if "windows" in doc:
+            w = doc["windows"]
+            lines.append(
+                f"  windows              {w['count']} "
+                f"(expected {w['expected_ops']:,.0f} ops, "
+                f"observed {w['ops']:,} + {w['errors']:,} errors)"
+            )
+        if "skew" in doc:
+            s = doc["skew"]
+            lines.append(
+                f"  skew                 {s['partitions']:.0f} partitions, "
+                f"theta={s['theta']}, top share {s['top_share']:.3f}, "
+                f"effective {s['effective_partitions']:.1f}"
+            )
+        return "\n".join(lines)
+
 
 def _skew_block(skew: SkewSpec) -> Dict[str, float]:
     router = ZipfRouter(skew)

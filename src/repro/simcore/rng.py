@@ -18,6 +18,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: The master seed every registry run and CLI verb defaults to, and the
+#: one every golden digest and recorded verdict uses.
+GOLDEN_SEED = 3
+
 
 def _stable_stream_key(name: str) -> int:
     """Map a stream name to a stable 64-bit integer (run-to-run constant)."""

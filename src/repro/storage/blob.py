@@ -24,7 +24,7 @@ same simulated links.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Protocol, Tuple
 
 import numpy as np
@@ -47,20 +47,19 @@ from repro.storage.errors import (
 _GET_OP = OpSpec("blob.get")
 _PUT_OP = OpSpec("blob.put")
 
-_etags = itertools.count(1)
-_tokens = itertools.count(1)
-
 
 @dataclass
 class BlobMeta:
-    """Metadata of one stored blob."""
+    """Metadata of one stored blob.  ``etag`` and ``content_token`` are
+    numbered per :class:`BlobService`, so identical runs in one process
+    see identical values."""
 
     container: str
     name: str
     size_mb: float
-    etag: int = field(default_factory=lambda: next(_etags))
+    etag: int
     #: Opaque content identity; integrity checks compare it.
-    content_token: int = field(default_factory=lambda: next(_tokens))
+    content_token: int
     created_at: float = 0.0
 
     @property
@@ -104,6 +103,8 @@ class BlobService:
         self.name = name
         self.replicas = replicas
         self._containers: Dict[str, Dict[str, BlobMeta]] = {}
+        self._etags = itertools.count(1)
+        self._tokens = itertools.count(1)
         # Each blob lives on its own partition range: reads of one blob
         # share that blob's replica set (~replicas x GigE); writes into
         # one container funnel through that container's partition
@@ -224,6 +225,21 @@ class BlobService:
             release=lambda: self._bump(self._upload_conns, link, -1),
         )
 
+    def _meta(
+        self,
+        container: str,
+        name: str,
+        size_mb: float,
+        content_token: Optional[int] = None,
+    ) -> BlobMeta:
+        """A new blob version: the next etag, and the next content token
+        unless the content is copied."""
+        return BlobMeta(
+            container, name, size_mb, next(self._etags),
+            next(self._tokens) if content_token is None else content_token,
+            created_at=self.env.now,
+        )
+
     # -- administrative -------------------------------------------------------
     def create_container(self, container: str) -> None:
         self._containers.setdefault(container, {})
@@ -245,10 +261,7 @@ class BlobService:
         if size_mb <= 0:
             raise ValueError(f"size_mb must be > 0, got {size_mb}")
         blobs = self._containers.setdefault(container, {})
-        meta = BlobMeta(
-            container=container, name=name, size_mb=size_mb,
-            created_at=self.env.now,
-        )
+        meta = self._meta(container, name, size_mb)
         blobs[name] = meta
         return meta
 
@@ -292,10 +305,7 @@ class BlobService:
 
         def commit() -> BlobMeta:
             precheck()  # racing uploads: re-check at commit
-            meta = BlobMeta(
-                container=container, name=name, size_mb=size_mb,
-                created_at=self.env.now,
-            )
+            meta = self._meta(container, name, size_mb)
             blobs[name] = meta
             return meta
 
@@ -442,9 +452,8 @@ class BlobService:
 
         def commit() -> BlobMeta:
             precheck()  # racing copies: re-check at commit
-            meta = BlobMeta(
-                container=container, name=dst_name, size_mb=src.size_mb,
-                content_token=src.content_token, created_at=self.env.now,
+            meta = self._meta(
+                container, dst_name, src.size_mb, src.content_token
             )
             blobs[dst_name] = meta
             return meta
@@ -509,10 +518,7 @@ class BlobService:
                     op="blob.put_block_list",
                 )
             size = sum(staged[b] for b in block_ids)
-            meta = BlobMeta(
-                container=container, name=name, size_mb=size,
-                created_at=self.env.now,
-            )
+            meta = self._meta(container, name, size)
             blobs[name] = meta
             del self._staged[(container, name)]
             return meta

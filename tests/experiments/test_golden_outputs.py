@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.golden import (
+    GOLDEN_RUNS,
     GOLDEN_SCALE,
     GOLDEN_SEED,
     check_digests,
 )
+from repro.experiments.registry import get_experiment, runnables
 
 _GOLDEN_FILE = Path(__file__).parent / "golden_digests.json"
 _GOLDEN = json.loads(_GOLDEN_FILE.read_text())
@@ -43,3 +45,11 @@ def test_experiment_output_bit_identical(experiment_id):
         f"{experiment_id} output diverged from the golden digest "
         f"(scale={GOLDEN_SCALE}, seed={GOLDEN_SEED}): {mismatches}"
     )
+
+
+def test_every_golden_name_resolves_in_the_registry():
+    names = [name for name, _scale in GOLDEN_RUNS]
+    assert sorted(names) == sorted(_GOLDEN["digests"])
+    table = runnables()
+    for name in names:
+        assert name in table and get_experiment(name).name == name

@@ -184,7 +184,7 @@ def test_campaign_report_bit_identical(cell):
     the compressed day at both levels, the fast-forwarded month and the
     three server-window presets (breaker, retry budget, jitter backoff
     on a client without a secondary)."""
-    from repro.experiments.golden import _digest
+    from repro.experiments.golden import digest
 
     scenario, level = cell.split("-")
     if scenario == "day":
@@ -194,4 +194,4 @@ def test_campaign_report_bit_identical(cell):
     else:
         spec = CAMPAIGN_SCENARIOS[scenario](3, scale=0.2)
     report = run_campaign(spec, fast=level == "fast")
-    assert _digest(report.to_dict()) == _CAMPAIGN_PINS[cell]
+    assert digest(report.to_dict()) == _CAMPAIGN_PINS[cell]

@@ -57,7 +57,7 @@ def _churn_spec():
 )
 def test_closed_batched_summary_is_pinned(build, n_clients, digest):
     result = run_scenario(build(), n_clients=n_clients, seed=3, mode="batched")
-    assert golden._digest(result.summary()) == digest
+    assert golden.digest(result.summary()) == digest
 
 
 # -- exact vs batched: one spec, both engines -------------------------------

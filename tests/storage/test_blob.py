@@ -179,3 +179,15 @@ def test_total_stored_accounting():
     _run(env, svc.upload(clients[0], "c", "b", 7.0))
     assert svc.total_stored_mb() == pytest.approx(10.0)
     assert svc.active_transfers() == (0, 0)
+
+
+def test_etags_repeat_across_identical_runs_in_one_process():
+    from repro.workloads.harness import build_platform
+
+    def first_blob():
+        blobs = build_platform(seed=1).account.blobs
+        blobs.create_container("c")
+        meta = blobs.seed_blob("c", "b", 1.0)
+        return meta.etag, meta.content_token
+
+    assert first_blob() == first_blob() == (1, 1)

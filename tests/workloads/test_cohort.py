@@ -207,4 +207,6 @@ def test_solver_memo_carries_no_state_between_runs(order):
     committed = json.loads(_GOLDEN_FILE.read_text())["digests"]
     solve_stationary.cache_clear()
     for name in order:
-        assert golden.digest_scenario(name) == committed[f"scenario:{name}"]
+        assert golden.run_digest(f"scenario:{name}") == (
+            committed[f"scenario:{name}"]
+        )
