@@ -148,3 +148,48 @@ def test_tcp_bench_stable_across_heap_layouts():
     )
     assert first.latency_s == second.latency_s
     assert first.bandwidth_mbps == second.bandwidth_mbps
+
+
+#: ``run_tcp_test(latency_samples=10, bandwidth_samples=5, seed=s)`` for
+#: the first pooled TCP deployments of the net-fig1-fig5 benchmark at
+#: seed 3: (cross-rack pairs, total pairs, SHA-256 of the latencies as
+#: space-joined ``float.hex``, bandwidths as ``float.hex``).  Seeds 40002
+#: and 40003 place cross-rack pairs, so their measured flows cross the
+#: rack uplinks and take the multi-link solver.
+_TCP_DEPLOYMENT_PINS = {
+    40000: (0, 10, "70f69dc3f57385feb2d1b29fb0e3f65ccff82158b56a1d874ab3a5eaf05e333f",
+            ["0x1.992a6781866bap+6", "0x1.7b8038e6821c0p+6",
+             "0x1.76ff3bb414306p+6", "0x1.6140a66206320p+6",
+             "0x1.3c4d69b199c23p+6"]),
+    40001: (0, 10, "5a6fe966ca2dbfb5838bee7eb802f412975fd2e603dd94eb0656a9393205540e",
+            ["0x1.9fd16294764c8p+6", "0x1.8b51aff32e2f4p+6",
+             "0x1.7f77b09f62c04p+6", "0x1.7796e28ea8e3ap+6",
+             "0x1.70038209d45d5p+6"]),
+    40002: (2, 10, "bd22c74eaa5c2b5a630051c3db53eecb3c466e309c41a9246b31197da3450606",
+            ["0x1.ae3e269c9bd7fp+6", "0x1.8cae8f4b2c1cep+6",
+             "0x1.7ec15eb44f7e4p+6", "0x1.4eddf98091c07p+6",
+             "0x1.91522edb161a0p+4"]),
+    40003: (2, 10, "eb89742a364b1d5f177fbc6b35071d4b8ac1423400cf2bfb00019a73825c7d13",
+            ["0x1.99ba17f22c422p+6", "0x1.8f39e6b686b00p+6",
+             "0x1.6317bb575f495p+6", "0x1.40373732e441ap+6",
+             "0x1.3a0600332ee94p+6"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TCP_DEPLOYMENT_PINS))
+def test_tcp_bench_pooled_deployment_pinned(seed):
+    """The pooled TCP deployments repeat bit for bit (every sample is a
+    full transfer through the fair-share network under background
+    churn, so any change to a rate or completion instant shows here)."""
+    result = vars(run_tcp_test(
+        latency_samples=10, bandwidth_samples=5, seed=seed
+    ))
+    cross, total, latency_sha, bandwidth_hex = _TCP_DEPLOYMENT_PINS[seed]
+    assert result["cross_rack_pairs"] == cross
+    assert result["total_pairs"] == total
+    assert [float.hex(b) for b in result["bandwidth_mbps"]] == bandwidth_hex
+    latency = " ".join(map(float.hex, result["latency_s"]))
+    assert hashlib.sha256(latency.encode()).hexdigest() == latency_sha
+    assert set(result) == {
+        "latency_s", "bandwidth_mbps", "cross_rack_pairs", "total_pairs"
+    }
