@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import calibration as cal
 from repro.analysis import ShapeCheck, ascii_table
 from repro.experiments.report import ExperimentReport
 from repro.modis import ModisAzureApp, ModisConfig
