@@ -1,6 +1,6 @@
 """Run catalog + artifact store with QC gates and an operator dashboard.
 
-The simulation keeps its own science: every registry run and bench
+The simulation keeps its own science: every registry run and ops
 snapshot is catalogued as a content-addressed record written through
 the simulated blob service (:mod:`repro.artifacts.store`), judged by QC
 gates before it may become a baseline (:mod:`repro.artifacts.qc`), and
@@ -13,9 +13,7 @@ from repro.artifacts.dash import (
     render_dash,
 )
 from repro.artifacts.ingest import (
-    bench_record,
     ingest,
-    ingest_bench,
     ops_record,
     run_record,
 )
@@ -57,12 +55,10 @@ __all__ = [
     "QCReport",
     "QCThresholds",
     "RunRecord",
-    "bench_record",
     "canonical_data",
     "canonical_json",
     "config_hash",
     "ingest",
-    "ingest_bench",
     "ops_record",
     "pareto_frontier",
     "payload_digest",

@@ -2,7 +2,7 @@
 
 Every ``--catalog`` path lands here: the results of one registry run
 (an experiment, a scenario run or seed × level sweep, a campaign, the
-drill) or a bench snapshot are folded into one
+drill) or a live monitoring snapshot are folded into one
 :class:`~repro.artifacts.records.RunRecord` — spec document, config
 hash, per-cell summaries with bit-precision digests, and the serialized
 tracer/histogram snapshots the dashboard reads — then written through
@@ -91,29 +91,6 @@ def ingest(
     return store.put_record(run_record(results_by_seed))
 
 
-def bench_record(snapshot: Dict[str, Any]) -> RunRecord:
-    """Build a record from a ``repro bench`` perf snapshot — making
-    BENCH_KERNEL.json one view of the general artifact mechanism."""
-    spec_doc = {
-        "scale": snapshot.get("scale"),
-        "seed": snapshot.get("seed"),
-        "jobs": snapshot.get("jobs"),
-    }
-    return RunRecord(
-        run_id="",
-        kind="bench",
-        name="kernel",
-        config_hash=config_hash(spec_doc),
-        spec=spec_doc,
-        metrics=snapshot,
-        digests={"snapshot": payload_digest(snapshot)},
-    )
-
-
-def ingest_bench(store: CatalogStore, snapshot: Dict[str, Any]) -> str:
-    return store.put_record(bench_record(snapshot))
-
-
 def ops_record(
     name: str,
     registry_snapshot: Dict[str, Any],
@@ -139,9 +116,7 @@ def ops_record(
 
 
 __all__ = [
-    "bench_record",
     "ingest",
-    "ingest_bench",
     "ops_record",
     "run_record",
 ]

@@ -3,7 +3,7 @@
 Section 6.3's lesson ("extensive monitoring and logging facilities are
 necessary to not only diagnose problems but also to determine how the
 application is behaving") applied to the simulation itself: every
-registry run (experiment, scenario sweep, campaign, drill) and bench
+registry run (experiment, scenario sweep, campaign, drill) and ops
 snapshot becomes one :class:`RunRecord` — run id, kind, config hash,
 the full spec document, the declared seed × level grid, per-cell
 summary metrics and digests, and serialized histogram/tracer
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Record kinds the catalog understands (free-form kinds are allowed;
-#: these are the run registry's families plus the bench and ops
-#: records).
+#: these are the run registry's families plus the ops records, and
+#: ``bench`` so catalogs holding the kernel snapshots earlier versions
+#: recorded still load).
 RUN_KINDS = ("experiment", "scenario", "campaign", "drill", "bench", "ops")
 
 
@@ -134,9 +135,6 @@ class RunRecord:
 
     def levels_present(self) -> List[int]:
         return sorted({c.level for c in self.cells})
-
-    def seeds_present(self) -> List[int]:
-        return sorted({c.seed for c in self.cells})
 
     def to_dict(self) -> Dict[str, Any]:
         return {

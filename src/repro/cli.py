@@ -145,17 +145,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perfsnapshot import collect_snapshot
 
-    snapshot = collect_snapshot(quick=args.quick, jobs=args.jobs)
-    if args.cohort:
-        from repro.perfsnapshot import _best_rate, cohort_churn
-
-        rate = _best_rate(cohort_churn, args.clients, 5, repeat=3)
-        snapshot["cohort_at_scale"] = {
-            "n_clients": args.clients,
-            "clients_per_s": rate,
-        }
-        print(f"closed batched driver at {args.clients:,} clients: "
-              f"{rate:,.0f} simulated clients/s\n")
+    snapshot = collect_snapshot()
     kernel = snapshot["kernel"]
     print("kernel throughput (best of repeated runs):")
     for key, value in kernel.items():
@@ -164,19 +154,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"\nspeedup vs {name} (same-run / recorded):")
         for key, ratio in ratios.items():
             print(f"  {key:32s} {ratio:>11.2f}x")
-    if "experiment_wallclock_s" in snapshot:
-        print(f"\nexperiment wall-clock at scale={snapshot['scale']}, "
-              f"seed={snapshot['seed']}, jobs={snapshot['jobs']}:")
-        for eid, secs in snapshot["experiment_wallclock_s"].items():
-            print(f"  {eid:8s} {secs:>8.2f}s")
-    if args.catalog:
-        from repro.artifacts import CatalogStore, ingest_bench
-
-        run_id = ingest_bench(CatalogStore(args.catalog), snapshot)
-        print(f"\ncatalogued as {run_id} in {args.catalog}/")
     if args.json:
-        import json
-
         with open(args.json, "w") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
         print(f"\nwrote perf snapshot to {args.json}")
@@ -675,37 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help=(
-            "measure simulator performance (kernel events/sec + "
-            "per-experiment wall-clock) for BENCH_*.json tracking"
+            "measure kernel churn throughput (events/sec) for "
+            "BENCH_KERNEL.json tracking"
         ),
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="kernel throughput only (skip experiment wall-clocks)",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="jobs value used for the experiment wall-clock runs",
     )
     p_bench.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the machine-readable snapshot to this JSON file",
-    )
-    p_bench.add_argument(
-        "--cohort", action="store_true",
-        help="also measure closed batched table clients at --clients scale",
-    )
-    p_bench.add_argument(
-        "--clients", type=int, default=100_000, metavar="N",
-        help="client population for --cohort (default 100000)",
-    )
-    p_bench.add_argument(
-        "--catalog", metavar="DIR", nargs="?", const="catalog",
-        default=None,
-        help=(
-            "catalog the perf snapshot as a run record in this "
-            "directory (default ./catalog)"
-        ),
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -21,7 +21,7 @@ from repro.experiments.registry import run_experiment
 from repro.simcore.rng import GOLDEN_SEED
 
 #: The scale most golden runs use.  Small enough for CI, large enough
-#: that all engine paths (multi-link contention, cap hooks, cross-rack
+#: that all engine paths (multi-link contention, flow ceilings, cross-rack
 #: background churn) are exercised.
 GOLDEN_SCALE = 0.05
 

@@ -34,7 +34,7 @@ attributable (each decision is charged to exactly one window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -259,9 +259,11 @@ class DomainFaultInjector:
     simulation instant*, opens a :class:`FaultWindow` of the realized
     repair duration on every server registered in the domain's subtree
     (creating and attaching a per-server :class:`FaultInjector` where
-    none exists) and slashes every registered link's flows to the
-    blackout floor.  Window expiry is the server-side repair; the link
-    repair is explicit, at the same instant.
+    none exists) and floors every registered link: its flow ceiling on
+    each attached network is :data:`BLACKOUT_FLOOR_MBPS` from the first
+    covering outage until the last repair clears it.  Window expiry is
+    the server-side repair; the link repair is explicit, at the same
+    instant.
 
     Members are expanded when the fault *fires*: partition servers a
     service creates after that instant join only subsequent faults — a
@@ -295,18 +297,21 @@ class DomainFaultInjector:
 
     # -- wiring ------------------------------------------------------------
     def attach_network(self, network: Any) -> None:
-        """Install the blackout cap hook on a flow network (idempotent)."""
+        """Floor down links on a flow network during outages
+        (idempotent); attached mid-outage, the down links floor at once."""
         if any(existing is network for existing in self._networks):
             return
-        network.add_cap_hook(self._cap_hook)
         self._networks.append(network)
+        if self._down_links:
+            for link in self._down_links:
+                network.set_flow_ceiling(link, BLACKOUT_FLOOR_MBPS)
+            network.poke()
 
-    def _cap_hook(self, flow: Any, _n_total: int) -> Optional[float]:
-        if not self._down_links:
-            return None
-        if any(link in self._down_links for link in flow.links):
-            return BLACKOUT_FLOOR_MBPS
-        return None
+    def _set_floor(self, link: Any, floored: bool) -> None:
+        for network in self._networks:
+            network.set_flow_ceiling(
+                link, BLACKOUT_FLOOR_MBPS if floored else None
+            )
 
     def _poke_networks(self) -> None:
         for network in self._networks:
@@ -361,7 +366,10 @@ class DomainFaultInjector:
             injector.add_window(self.env.now, duration, fault.kind)
         links = domain.all_links()
         for link in links:
-            self._down_links[link] = self._down_links.get(link, 0) + 1
+            down = self._down_links.get(link, 0) + 1
+            self._down_links[link] = down
+            if down == 1:
+                self._set_floor(link, True)
         if links:
             self._poke_networks()
         self._down_domains[domain.name] = (
@@ -380,6 +388,7 @@ class DomainFaultInjector:
                 self._down_links[link] = remaining
             else:
                 self._down_links.pop(link, None)
+                self._set_floor(link, False)
         if links:
             self._poke_networks()
         self._down_domains[domain.name] -= 1
@@ -438,11 +447,3 @@ def domain_down_intervals(
             (start, float("inf") if horizon_s is None else float(horizon_s))
         )
     return intervals
-
-
-def down_at(intervals: List[Tuple[float, float]], t: float) -> bool:
-    """Whether ``t`` falls inside any (sorted, disjoint) interval."""
-    import bisect
-
-    i = bisect.bisect_right(intervals, (t, float("inf"))) - 1
-    return i >= 0 and intervals[i][0] <= t < intervals[i][1]

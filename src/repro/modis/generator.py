@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -117,16 +117,3 @@ class RequestGenerator:
         else:
             task.output = f"reduce/{request_id}/{task.id}"
         return task
-
-    def expected_total_distinct(self) -> float:
-        return self.daily_distinct_mean * self.campaign_days
-
-
-def campaign_task_counts(requests: Dict[int, List[UserRequest]]) -> Dict[TaskKind, int]:
-    """Distinct-task counts by kind over a generated campaign."""
-    counts = {kind: 0 for kind in TaskKind}
-    for day_requests in requests.values():
-        for request in day_requests:
-            for task in request.tasks:
-                counts[task.kind] += 1
-    return counts

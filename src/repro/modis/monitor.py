@@ -84,9 +84,6 @@ class TaskMonitor:
     def average(self, kind: TaskKind) -> float:
         return self._avg[kind]
 
-    def kill_threshold(self, kind: TaskKind) -> float:
-        return self.multiplier * self._avg[kind]
-
     @property
     def running_count(self) -> int:
         return len(self._running)

@@ -232,6 +232,10 @@ class FairShareState:
             if len(linkset) == 1 and (cap_f == _INF) != (old == _INF):
                 self._capped[linkset[0]] += -1 if cap_f == _INF else 1
 
+    def members(self, link: Link) -> Iterable[Hashable]:
+        """The flows registered across ``link`` (empty when none)."""
+        return self._members.get(link, ())
+
     # -- solving -----------------------------------------------------------
     @property
     def rates(self) -> Dict[Hashable, float]:

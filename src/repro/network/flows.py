@@ -18,6 +18,12 @@ discards it at pop time, instead of the timer firing as a
 stale-generation no-op.  Both are bit-neutral: rates and completion
 instants are identical to the batch engine they replaced.
 
+Per-flow ceilings are link data: :meth:`FlowNetwork.set_flow_ceiling`
+caps every flow crossing a link.  A flow's effective cap is computed
+when it arrives, and again only when a ceiling on one of its links
+changes — the next reschedule walks the allocator's membership of the
+changed links, never the whole flow set.
+
 Flow state is struct-of-arrays: each active flow owns a slot in two
 numpy arrays, kept dense by swap-remove — its residual megabytes here,
 and its allocated rate in the allocator's ``rate_array`` (flows are
@@ -45,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -74,7 +80,7 @@ class Flow:
 
     __slots__ = (
         "id", "links", "cap", "size_mb", "start_time", "done", "label",
-        "_cap_key", "_eff_cap", "_net", "_slot", "_remaining", "_rate",
+        "_net", "_slot", "_remaining", "_rate",
     )
 
     def __init__(
@@ -92,10 +98,6 @@ class Flow:
         self.start_time = env.now
         self.done: Event = env.event()
         self.label = label
-        #: Memo for the effective (hook-derived) cap, keyed by
-        #: (cap-epoch, active-flow count) — see FlowNetwork._reschedule.
-        self._cap_key: Optional[Tuple[int, int]] = None
-        self._eff_cap: Optional[float] = None
         #: The network whose arrays hold this flow's state at index
         #: ``_slot`` while it is active; ``None`` otherwise, when
         #: ``_remaining``/``_rate`` hold the values.
@@ -131,10 +133,15 @@ class FlowNetwork:
         flow = net.transfer([nic, uplink, server_nic], size_mb=1000)
         elapsed_info = yield flow.done   # fires at completion
 
-    ``dynamic_cap`` hooks allow services to impose a per-flow ceiling
-    that depends on current concurrency (the storage front-end curves).
-    Hook results are memoized per (cap-epoch, concurrency); call
-    :meth:`poke` after a hook's inputs change so the epoch advances.
+    A link may carry a *flow ceiling* (:meth:`set_flow_ceiling`): every
+    flow crossing it is capped there, and a flow's effective cap is the
+    minimum of its own ``cap`` and the ceilings on its links.  Each
+    link has one ceiling owner: the blob service sets its front-end
+    links' ceilings from the connection-count curve, and the domain
+    fault injector floors the rack and NIC links registered in a failure
+    domain during an outage.  A new ceiling takes effect at the next
+    reschedule — a :meth:`transfer`, :meth:`abort`, :meth:`poke` or a
+    completion — so an owner calls :meth:`poke` after changing one.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -144,14 +151,11 @@ class FlowNetwork:
         self._last_update = env.now
         self._timer: Optional[Event] = None
         self.completed_count = 0
-        #: Per-flow cap hooks ``(flow, n_active) -> cap_or_None``; the
-        #: effective cap is the min over all non-None results (services
-        #: use these to impose concurrency-dependent front-end ceilings).
-        self._cap_hooks: List[Callable[[Flow, int], Optional[float]]] = []
-        #: Bumped whenever hook outputs may have changed for reasons
-        #: other than concurrency (poke(), a new hook); invalidates the
-        #: per-flow effective-cap memo.
-        self._cap_epoch = 0
+        #: link -> ceiling (MB/s) on every flow crossing it.
+        self._ceilings: Dict[Link, float] = {}
+        #: Links whose ceiling changed since the last reschedule; only
+        #: their members' effective caps are recomputed.
+        self._changed_ceilings: Set[Link] = set()
         #: slot -> active flow; slots ``[0, len(_slots))`` of ``_rem``
         #: and of the allocator's ``rate_array`` are live.  Flows are
         #: registered with the allocator and attached here in the same
@@ -181,7 +185,7 @@ class FlowNetwork:
         flow = Flow(self.env, links, size_mb, cap, label)
         # The allocator gives the flow its next slot, at rate 0 until
         # re-rated; the residual takes the same slot here.
-        self._state.add_flow(flow, flow.links, cap)
+        self._state.add_flow(flow, flow.links, self._effective_cap(flow))
         slots = self._slots
         slot = len(slots)
         if slot == len(self._rem):
@@ -205,23 +209,18 @@ class FlowNetwork:
     def active_count(self) -> int:
         return len(self._slots)
 
-    def current_rate(self, flow: Flow) -> float:
-        return flow.rate_mbps
-
-    def add_cap_hook(
-        self, hook: Callable[[Flow, int], Optional[float]]
-    ) -> None:
-        """Register a dynamic per-flow rate-cap hook."""
-        self._cap_hooks.append(hook)
-        self._cap_epoch += 1
-        if not self._slots:
-            return  # nothing to re-rate; no timer to churn
-        self._advance_progress()
-        self._reschedule()
+    def set_flow_ceiling(self, link: Link, mbps: Optional[float]) -> None:
+        """Cap every flow crossing ``link`` at ``mbps``; ``None`` clears
+        the ceiling.  Schedules nothing: the value applies at the next
+        reschedule (see :meth:`poke`)."""
+        if mbps is None:
+            self._ceilings.pop(link, None)
+        else:
+            self._ceilings[link] = mbps
+        self._changed_ceilings.add(link)
 
     def poke(self) -> None:
-        """Force a rate recomputation (call after hook inputs change)."""
-        self._cap_epoch += 1
+        """Force a rate recomputation (call after a ceiling changes)."""
         if not self._slots:
             return
         self._advance_progress()
@@ -267,12 +266,15 @@ class FlowNetwork:
             np.subtract(rem, scratch, out=rem)
         self._last_update = now
 
-    def _effective_cap(self, flow: Flow, n: int) -> Optional[float]:
+    def _effective_cap(self, flow: Flow) -> Optional[float]:
+        """The smaller of the flow's own cap and its links' ceilings."""
         cap = flow.cap
-        for hook in self._cap_hooks:
-            dyn = hook(flow, n)
-            if dyn is not None:
-                cap = dyn if cap is None else min(cap, dyn)
+        ceilings = self._ceilings
+        if ceilings:
+            for link in flow.links:
+                ceiling = ceilings.get(link)
+                if ceiling is not None and (cap is None or ceiling < cap):
+                    cap = ceiling
         return cap
 
     def _reschedule(self) -> None:
@@ -282,19 +284,16 @@ class FlowNetwork:
             if not timer._processed:
                 timer.cancel()
             self._timer = None
+        state = self._state
+        changed = self._changed_ceilings
+        if changed:
+            for link in changed:
+                for flow in state.members(link):
+                    state.set_cap(flow, self._effective_cap(flow))
+            changed.clear()
         n = len(self._slots)
         if not n:
             return
-        state = self._state
-        if self._cap_hooks:
-            key = (self._cap_epoch, n)
-            for flow in self._slots:
-                # A memo hit leaves the state's cap as it was set when
-                # the memo was filled, so only a miss can change it.
-                if flow._cap_key != key:
-                    flow._cap_key = key
-                    flow._eff_cap = self._effective_cap(flow, n)
-                    state.set_cap(flow, flow._eff_cap)
         # The allocator writes the re-rated flows' rates into the slots.
         state.recompute()
         # The earliest ``remaining / rate`` over flows with a positive

@@ -10,8 +10,6 @@ tail; cross-rack pairs add a per-hop penalty.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro import calibration as cal
@@ -46,6 +44,3 @@ class LatencyModel:
     def sample_one_way(self, same_rack: bool = True) -> float:
         """One-way delay, half an RTT sample."""
         return self.sample_rtt(same_rack) / 2.0
-
-    def sample_rtt_n(self, n: int, same_rack: bool = True) -> np.ndarray:
-        return np.array([self.sample_rtt(same_rack) for _ in range(int(n))])

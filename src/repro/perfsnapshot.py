@@ -3,9 +3,10 @@
 The churn workloads here are the canonical kernel micro-benchmarks —
 :mod:`benchmarks.test_bench_kernel` imports them so pytest-benchmark and
 the ``repro bench`` CLI measure exactly the same code.  ``repro bench
---json OUT`` emits a snapshot (kernel events/sec plus per-experiment
-wall-clock at a fixed scale) so perf trajectories can be tracked across
-PRs in committed ``BENCH_*.json`` files.
+--json OUT`` emits a snapshot of kernel throughput (plus its ratio to
+each recorded baseline) so the kernel's trajectory can be tracked across
+PRs in the committed ``BENCH_KERNEL.json``.  End-to-end timing of the
+paper experiments is perfbench's job (``perfbench/run.py``).
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-#: Scale/seed every snapshot uses for experiment wall-clocks, so numbers
-#: are comparable across snapshots.
-SNAPSHOT_SCALE = 0.1
-SNAPSHOT_SEED = 3
+from typing import Dict, Optional
 
 #: The committed perf-trajectory file at the repo root (absent when the
 #: package is installed outside the repo).
@@ -284,24 +280,6 @@ def kernel_snapshot(repeat: int = 5) -> Dict[str, float]:
     }
 
 
-def experiment_wallclock(
-    experiment_ids: Optional[Sequence[str]] = None,
-    scale: float = SNAPSHOT_SCALE,
-    seed: int = SNAPSHOT_SEED,
-    jobs: Optional[int] = 1,
-) -> Dict[str, float]:
-    """Wall-clock seconds per experiment at a fixed, comparable scale."""
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-    ids: List[str] = list(experiment_ids or EXPERIMENTS)
-    clocks: Dict[str, float] = {}
-    for eid in ids:
-        t0 = time.perf_counter()
-        run_experiment(eid, scale=scale, seed=seed, jobs=jobs)
-        clocks[eid] = round(time.perf_counter() - t0, 3)
-    return clocks
-
-
 def baseline_ratios(
     kernel: Dict[str, float],
     bench_path: Optional[Path] = None,
@@ -334,26 +312,12 @@ def baseline_ratios(
     return out
 
 
-def collect_snapshot(
-    quick: bool = False,
-    jobs: Optional[int] = 1,
-    repeat: int = 5,
-) -> Dict[str, object]:
-    """The full ``repro bench`` payload.
-
-    ``quick`` skips the experiment wall-clocks (kernel numbers only) —
-    that is what the CI smoke job runs.
-    """
-    kernel = kernel_snapshot(repeat=repeat)
-    snapshot: Dict[str, object] = {
-        "scale": SNAPSHOT_SCALE,
-        "seed": SNAPSHOT_SEED,
-        "kernel": kernel,
-    }
+def collect_snapshot() -> Dict[str, object]:
+    """The ``repro bench`` payload: kernel throughput and its ratios to
+    the recorded baselines."""
+    kernel = kernel_snapshot()
+    snapshot: Dict[str, object] = {"kernel": kernel}
     ratios = baseline_ratios(kernel)
     if ratios:
         snapshot["baseline_ratio"] = ratios
-    if not quick:
-        snapshot["experiment_wallclock_s"] = experiment_wallclock(jobs=jobs)
-        snapshot["jobs"] = jobs
     return snapshot

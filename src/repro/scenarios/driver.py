@@ -5,7 +5,7 @@ One engine runs any :class:`~repro.scenarios.spec.ScenarioSpec`:
 * **exact mode** (populations up to the platform's host count) — one
   kernel process per client through the real client stack, on the
   shared harness primitives (:func:`~repro.workloads.harness.run_clients`
-  / :func:`~repro.workloads.harness.measured_loop`);
+  and :class:`~repro.workloads.harness.ClientRun`) and one client loop;
 * **batched mode** (10^4+ clients) — both arrival kinds price requests
   with the fluid model of :mod:`repro.workloads.cohort`.  Closed-loop
   specs split the population across the mix and drive each op's share
@@ -60,7 +60,6 @@ from repro.workloads.harness import (
     ClientRun,
     Platform,
     build_platform,
-    measured_loop,
     run_clients,
     sweep,
 )
@@ -628,27 +627,6 @@ def _execute_op(
         yield env.timeout(payload_mb / link.bandwidth_mbps)
 
 
-def _loose_loop(
-    env: Environment,
-    idx: int,
-    n_ops: int,
-    make_op: Callable[[int], Generator],
-    outcomes: List[ClientRun],
-    err_counter: Dict[str, int],
-) -> Generator:
-    """Non-aborting op loop (``abort_on_error=False`` packs): failed
-    ops are counted and the client keeps going."""
-    start = env.now
-    completed = 0
-    for op_i in range(n_ops):
-        try:
-            yield from make_op(op_i)
-            completed += 1
-        except Exception:  # noqa: BLE001 - errors are the measurement
-            err_counter["n"] += 1
-    outcomes.append(ClientRun(idx, completed, env.now - start))
-
-
 def _run_scenario_exact(
     spec: ScenarioSpec,
     n_clients: int,
@@ -708,20 +686,11 @@ def _run_scenario_exact(
                     yield env.timeout(
                         float(ramp_rng.uniform(0.0, spec.ramp_s))
                     )
-                if process is not None:
-                    yield from _open_member(
-                        env, idx, process, arrival_rng, one_op,
-                        outcomes, err_counter, spec.abort_on_error,
-                    )
-                elif spec.abort_on_error:
-                    yield from measured_loop(
-                        env, idx, phase.ops_per_client, one_op, outcomes
-                    )
-                else:
-                    yield from _loose_loop(
-                        env, idx, phase.ops_per_client, one_op,
-                        outcomes, err_counter,
-                    )
+                yield from _client_loop(
+                    env, idx, one_op, outcomes, err_counter,
+                    spec.abort_on_error, phase.ops_per_client,
+                    process, arrival_rng,
+                )
 
             return proc
 
@@ -749,38 +718,53 @@ def _run_scenario_exact(
     return result
 
 
-def _open_member(
+def _client_loop(
     env: Environment,
     idx: int,
-    process: ArrivalProcess,
-    arrival_rng: Any,
     one_op: Callable[[int], Generator],
     outcomes: List[ClientRun],
     err_counter: Dict[str, int],
     abort_on_error: bool,
+    n_ops: int,
+    process: Optional[ArrivalProcess] = None,
+    arrival_rng: Any = None,
 ) -> Generator:
-    """One open-loop client: arrivals by thinning against the realized
-    rate envelope; sequential service (a slow service lags arrivals)."""
+    """One exact-mode client: ``n_ops`` operations back to back (closed
+    arrivals), or, given an arrival ``process``, one operation per
+    arrival drawn by thinning against the realized rate envelope, served
+    one at a time (a slow service lags arrivals).
+
+    With ``abort_on_error`` — the paper's benchmark programs ("only 89
+    clients successfully finished all 500 insert operations") — the
+    first exception ends the client and is recorded as its ``error``,
+    which the run counts through ``failed_clients`` alone; otherwise
+    failed ops go to ``err_counter`` and the client keeps going.  One
+    :class:`ClientRun` row records how far the client got.
+    """
     start = env.now
     completed = 0
     error = None
     t_rel = 0.0
     op_i = 0
     while True:
-        t_rel = process.next_arrival(t_rel, arrival_rng)
-        if t_rel >= process.duration_s:
-            break
-        target = start + t_rel
-        if target > env.now:
-            yield env.timeout(target - env.now)
+        if process is None:
+            if op_i >= n_ops:
+                break
+        else:
+            t_rel = process.next_arrival(t_rel, arrival_rng)
+            if t_rel >= process.duration_s:
+                break
+            target = start + t_rel
+            if target > env.now:
+                yield env.timeout(target - env.now)
         try:
             yield from one_op(op_i)
             completed += 1
-        except Exception as exc:  # noqa: BLE001 - open loops tally errors
-            err_counter["n"] += 1
+        except Exception as exc:  # noqa: BLE001 - errors are the measurement
             if abort_on_error:
                 error = type(exc).__name__
                 break
+            err_counter["n"] += 1
         op_i += 1
     outcomes.append(ClientRun(idx, completed, env.now - start, error))
 

@@ -9,7 +9,8 @@ behaviour of Fig. 1 arises from three stacked constraints:
   funnel through the partition primary, ~1x GigE (measured 124.25 MB/s);
 * the front end grants each connection at most ``A * n**-gamma`` MB/s
   with ``n`` concurrent connections (per-connection handling overhead),
-  which bends the per-client curve down between the NIC-limited region
+  set as the front-end link's flow ceiling whenever ``n`` changes, which
+  bends the per-client curve down between the NIC-limited region
   (1-8 clients) and the hard ceiling (>=128 clients).
 
 Every operation is one pass through the shared
@@ -30,7 +31,7 @@ from typing import Any, Dict, Generator, Optional, Protocol, Tuple
 import numpy as np
 
 from repro import calibration as cal
-from repro.network.flows import Flow, FlowNetwork
+from repro.network.flows import FlowNetwork
 from repro.network.links import Link
 from repro.service.pipeline import LatencyProfile, RequestPipeline, TransferSpec
 from repro.service.spec import OpSpec
@@ -116,8 +117,7 @@ class BlobService:
         self._download_conns: Dict[Link, int] = {}
         self._upload_conns: Dict[Link, int] = {}
         # The service curves are pure functions of the connection count;
-        # memoizing per n keeps the pow() out of the cap-hook hot path
-        # (the hook runs for every flow on every front-end recompute).
+        # memoizing per n keeps the pow() off every connection change.
         self._download_curve: Dict[int, float] = {}
         self._upload_curve: Dict[int, float] = {}
         #: Staged (uncommitted) block-blob blocks: (container, name) ->
@@ -135,7 +135,6 @@ class BlobService:
             owner=self,
             tracer=tracer,
         )
-        network.add_cap_hook(self._frontend_cap)
 
     @property
     def tracer(self) -> Optional[RequestTracer]:
@@ -169,33 +168,29 @@ class BlobService:
             self._upload_conns[link] = 0
         return link
 
-    def _frontend_cap(self, flow: Flow, _n_total: int) -> Optional[float]:
-        for link in flow.links:
-            if link in self._download_conns:
-                n = max(self._download_conns[link], 1)
-                cap = self._download_curve.get(n)
-                if cap is None:
-                    curve = (
-                        cal.BLOB_DOWNLOAD_FRONTEND_A_MBPS
-                        * n ** -cal.BLOB_DOWNLOAD_FRONTEND_GAMMA
-                    )
-                    cap = min(cal.BLOB_PER_CLIENT_CAP_MBPS, curve)
-                    self._download_curve[n] = cap
-                return cap
-            if link in self._upload_conns:
-                n = max(self._upload_conns[link], 1)
-                cap = self._upload_curve.get(n)
-                if cap is None:
-                    cap = (
-                        cal.BLOB_UPLOAD_FRONTEND_A_MBPS
-                        * n ** -cal.BLOB_UPLOAD_FRONTEND_GAMMA
-                    )
-                    self._upload_curve[n] = cap
-                return cap
-        return None
-
     def _bump(self, conns: Dict[Link, int], link: Link, delta: int) -> None:
+        """Count a connection in or out of a front-end link and set its
+        flow ceiling from the service curve (the pipeline pokes after)."""
         conns[link] += delta
+        n = max(conns[link], 1)
+        if conns is self._download_conns:
+            cap = self._download_curve.get(n)
+            if cap is None:
+                curve = (
+                    cal.BLOB_DOWNLOAD_FRONTEND_A_MBPS
+                    * n ** -cal.BLOB_DOWNLOAD_FRONTEND_GAMMA
+                )
+                cap = min(cal.BLOB_PER_CLIENT_CAP_MBPS, curve)
+                self._download_curve[n] = cap
+        else:
+            cap = self._upload_curve.get(n)
+            if cap is None:
+                cap = (
+                    cal.BLOB_UPLOAD_FRONTEND_A_MBPS
+                    * n ** -cal.BLOB_UPLOAD_FRONTEND_GAMMA
+                )
+                self._upload_curve[n] = cap
+        self.network.set_flow_ceiling(link, cap)
 
     def _download_transfer(
         self, client: NetworkEndpoint, container: str, name: str, size_mb: float

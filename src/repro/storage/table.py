@@ -412,9 +412,6 @@ class TableService:
     def create_table(self, table: str) -> None:
         self._tables.setdefault(table, {})
 
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
     def entity_count(self, table: str, partition_key: Optional[str] = None) -> int:
         partitions = self._partitions(table)
         if partition_key is None:

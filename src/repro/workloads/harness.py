@@ -6,9 +6,6 @@ storage benchmarks (fig1/fig2/fig3) run on:
 * :class:`ClientRun` — the per-client outcome row every bench records;
 * :func:`run_clients` — spawn one process per client (in index order,
   which fixes the event schedule) and run the platform to quiescence;
-* :func:`measured_loop` — the abort-on-first-error op loop the paper's
-  benchmark programs used ("only 89 clients successfully finished all
-  500 insert operations" is this presentation);
 * :func:`sweep` — fan one trial function across concurrency levels via
   :func:`repro.parallel.run_trials` (bit-identical for any ``jobs``).
 
@@ -148,29 +145,6 @@ def run_clients(
         env.process(make_proc(env, idx))
     env.run()
     return env.now - start
-
-
-def measured_loop(
-    env: Environment,
-    idx: int,
-    n_ops: int,
-    make_op: Callable[[int], Generator],
-    outcomes: List[ClientRun],
-    outcome_cls: type = ClientRun,
-) -> Generator:
-    """The paper's benchmark client loop: run ``n_ops`` operations,
-    aborting the whole run at the first storage exception, and append
-    one ``outcome_cls`` row recording how far this client got."""
-    start = env.now
-    completed = 0
-    error = None
-    try:
-        for op_i in range(n_ops):
-            yield from make_op(op_i)
-            completed += 1
-    except Exception as exc:  # noqa: BLE001 - benchmark aborts on error
-        error = type(exc).__name__
-    outcomes.append(outcome_cls(idx, completed, env.now - start, error))
 
 
 def sweep(

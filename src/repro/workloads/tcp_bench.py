@@ -15,11 +15,10 @@ near GigE and a <=30 MB/s tail -- Fig. 5's two populations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro import calibration as cal
 from repro.client.tcp import TcpEndpointPair
 from repro.cluster import SpilloverPlacement, VMInstance, make_nodes
 from repro.cluster.sizes import get_size
@@ -43,17 +42,6 @@ class TcpBenchResult:
     def latency_ms_grid(self) -> np.ndarray:
         """Latencies on the paper's 1 ms measurement grid (Fig. 4)."""
         return np.ceil(np.asarray(self.latency_s) * 1000.0 - 1e-9)
-
-    def latency_fraction_at_or_below(self, ms: float) -> float:
-        grid = self.latency_ms_grid()
-        return float((grid <= ms).mean())
-
-    def bandwidth_fraction_at_or_below(self, mbps: float) -> float:
-        arr = np.asarray(self.bandwidth_mbps)
-        return float((arr <= mbps).mean())
-
-    def bandwidth_median(self) -> float:
-        return float(np.median(self.bandwidth_mbps))
 
 
 def _place_pairs(env, streams, datacenter, n_vms: int):

@@ -8,7 +8,6 @@ import pytest
 from repro.artifacts import (
     CatalogStore,
     ingest,
-    ingest_bench,
     payload_digest,
     run_qc,
     run_record,
@@ -187,22 +186,6 @@ def test_campaign_config_hash_tracks_driver_and_grid():
     # Same spec, same driver: same identity.
     again = campaign_record(spec, run_campaign(spec))
     assert again.config_hash == event.config_hash
-
-
-def test_ingest_bench_snapshot(tmp_path):
-    snapshot = {
-        "scale": 0.1,
-        "seed": 3,
-        "jobs": 1,
-        "kernel": {"timeout_churn_events_per_s": 1.5e6},
-    }
-    store = CatalogStore(tmp_path / "cat")
-    run_id = ingest_bench(store, snapshot)
-    got = store.get_record(run_id)
-    assert got.kind == "bench"
-    assert got.metrics == snapshot
-    assert got.spec == {"scale": 0.1, "seed": 3, "jobs": 1}
-    assert run_qc(got).passed
 
 
 def test_scenario_sweep_record_identity_is_pinned(spec):

@@ -8,7 +8,7 @@ from repro.cluster.domains import (
     register_account,
     register_datacenter,
 )
-from repro.faults import DomainFault, DomainFaultInjector
+from repro.faults import BLACKOUT_FLOOR_MBPS, DomainFault, DomainFaultInjector
 from repro.network import FlowNetwork, Link
 from repro.network.topology import Datacenter
 from repro.simcore import Environment, RandomStreams
@@ -275,6 +275,36 @@ def test_overlapping_faults_keep_links_down_until_last_repair():
     env.process(sender(env))
     env.run()
     assert finished["t"] == pytest.approx(8.1, rel=1e-3)
+
+
+def test_attach_mid_outage_floors_flows_at_once():
+    env = Environment()
+    root, _, zone, rack = _tree()
+    net = FlowNetwork(env)
+    link = Link("rack.up", 100.0)
+    other = Link("other", 100.0)
+    rack.register_link(link)
+    injector = DomainFaultInjector(env, root, RandomStreams(0).stream("f"))
+    injector.schedule("rack-a1", 0.0, 5.0)
+    rates = {}
+
+    def sender(env):
+        down = net.transfer([link], 1000.0)
+        up = net.transfer([other], 1000.0)
+        yield env.timeout(1.0)
+        rates["before"] = (down.rate_mbps, up.rate_mbps)
+        injector.attach_network(net)
+        rates["attached"] = (down.rate_mbps, up.rate_mbps)
+        yield down.done
+        rates["done"] = env.now
+
+    env.process(sender(env))
+    env.run()
+    assert rates["before"] == (100.0, 100.0)
+    assert rates["attached"] == (BLACKOUT_FLOOR_MBPS, 100.0)
+    # Stalled from t=1 until the repair at t=5 clears the floor; the
+    # last 900 MB then take 9 s at full rate.
+    assert rates["done"] == pytest.approx(14.0, rel=1e-6)
 
 
 def test_mttr_draws_are_deterministic_per_seed():

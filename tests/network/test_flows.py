@@ -110,14 +110,81 @@ def test_dynamic_cap_depends_on_concurrency():
     env = Environment()
     net = FlowNetwork(env)
     link = Link("l", 1000.0)
-    # Front-end curve: each flow capped at 20/n.
-    net.add_cap_hook(lambda flow, n: 20.0 / n)
+    # Front-end curve: each flow capped at 20/n, re-set as n changes.
+    conns = [0]
     results = []
-    _run_transfer(env, net, [link], 10.0, results=results, tag="a")
-    _run_transfer(env, net, [link], 10.0, results=results, tag="b")
+
+    def client(env, tag):
+        conns[0] += 1
+        net.set_flow_ceiling(link, 20.0 / conns[0])
+        flow = net.transfer([link], 10.0, label=tag)
+        yield flow.done
+        conns[0] -= 1
+        net.set_flow_ceiling(link, 20.0 / max(conns[0], 1))
+        net.poke()
+        results.append((tag, env.now))
+
+    env.process(client(env, "a"))
+    env.process(client(env, "b"))
     env.run()
     # Both capped at 10 MB/s while together (until t=1.0 when both finish).
     assert [t for _, t in results] == [pytest.approx(1.0)] * 2
+
+
+def test_ceiling_reaches_only_flows_on_its_link():
+    env = Environment()
+    net = FlowNetwork(env)
+    front, other = Link("front", 100.0), Link("other", 100.0)
+    on = net.transfer([front], 1000.0)
+    off = net.transfer([other], 1000.0)
+    net.set_flow_ceiling(front, 30.0)
+    net.poke()
+    assert on.rate_mbps == 30.0
+    assert off.rate_mbps == 100.0
+
+
+def test_arriving_flow_starts_capped():
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    net.set_flow_ceiling(link, 25.0)
+    flow = net.transfer([Link("nic", 50.0), link], 100.0)
+    assert flow.rate_mbps == 25.0
+    env.run()
+    assert env.now == pytest.approx(4.0)
+
+
+def test_cleared_ceiling_restores_the_uncapped_share():
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    net.set_flow_ceiling(link, 10.0)
+    a = net.transfer([link], 1000.0)
+    b = net.transfer([link], 1000.0)
+    assert (a.rate_mbps, b.rate_mbps) == (10.0, 10.0)
+    net.set_flow_ceiling(link, None)
+    net.poke()
+    assert (a.rate_mbps, b.rate_mbps) == (50.0, 50.0)
+    c = net.transfer([link], 1000.0)
+    assert c.rate_mbps == a.rate_mbps == pytest.approx(100.0 / 3)
+
+
+def test_ceiling_and_own_cap_compose_as_a_minimum():
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    low = net.transfer([link], 1000.0, cap=5.0)
+    high = net.transfer([link], 1000.0, cap=40.0)
+    net.set_flow_ceiling(link, 20.0)
+    net.poke()
+    assert (low.rate_mbps, high.rate_mbps) == (5.0, 20.0)
+    # The lower of two ceilings on one path binds too.
+    nic = Link("nic", 100.0)
+    both = net.transfer([nic, link], 1000.0, cap=40.0)
+    net.set_flow_ceiling(nic, 12.5)
+    net.poke()
+    assert both.rate_mbps == 12.5
+    assert (low.rate_mbps, high.rate_mbps) == (5.0, 20.0)
 
 
 def test_transfer_validation():
@@ -262,8 +329,6 @@ class _LoopFlow:
         self.rate_mbps = 0.0
         self.done = env.event()
         self.label = label
-        self.cap_key = None
-        self.eff_cap = None
 
 
 class _LoopFlowNetwork:
@@ -274,8 +339,7 @@ class _LoopFlowNetwork:
         self.last_update = env.now
         self.timer = None
         self.completed_count = 0
-        self.hooks = []
-        self.epoch = 0
+        self.ceilings = {}
 
     def transfer(self, links, size_mb, cap=None, label=""):
         self._advance()
@@ -292,12 +356,10 @@ class _LoopFlowNetwork:
             self.state.remove_flow(flow)
             self._reschedule()
 
-    def add_cap_hook(self, hook):
-        self.hooks.append(hook)
-        self.poke()
+    def set_flow_ceiling(self, link, mbps):
+        self.ceilings[link] = mbps
 
     def poke(self):
-        self.epoch += 1
         if self.flows:
             self._advance()
             self._reschedule()
@@ -316,18 +378,14 @@ class _LoopFlowNetwork:
             self.timer = None
         if not self.flows:
             return
-        if self.hooks:
-            key = (self.epoch, len(self.flows))
-            for flow in self.flows:
-                if flow.cap_key != key:
-                    flow.cap_key = key
-                    cap = flow.cap
-                    for hook in self.hooks:
-                        dyn = hook(flow, key[1])
-                        if dyn is not None:
-                            cap = dyn if cap is None else min(cap, dyn)
-                    flow.eff_cap = cap
-                self.state.set_cap(flow, flow.eff_cap)
+        # Every flow's effective cap, from scratch on every event.
+        for flow in self.flows:
+            cap = flow.cap
+            for link in flow.links:
+                ceiling = self.ceilings.get(link)
+                if ceiling is not None:
+                    cap = ceiling if cap is None else min(cap, ceiling)
+            self.state.set_cap(flow, cap)
         for flow in self.state.recompute():
             flow.rate_mbps = self.state.rates[flow]
         next_done = math.inf
@@ -385,9 +443,9 @@ def _arrive(path, size, cap=None, hooked=False, delay=0.0):
 
 
 def _starved_script():
-    """Starved flows (cap 0.0, or a hook cap of 0.0) beside moving ones,
-    including one starved at a residual of exactly 0.0: the next
-    completion must skip them, not divide by their zero rate."""
+    """Starved flows (cap 0.0, or a front-end ceiling of 0.0) beside
+    moving ones, including one starved at a residual of exactly 0.0: the
+    next completion must skip them, not divide by their zero rate."""
     script = [
         _arrive((0,), 10.0, cap=0.0),  # alone and starved: no timer
         _arrive((0,), 10.0, delay=0.5),
@@ -395,9 +453,9 @@ def _starved_script():
         _arrive((1,), 30.0, cap=12.5, delay=0.3),
         _arrive((0,), 5.0, cap=0.0, hooked=True, delay=0.2),
         (1.0, ("abort", 0)),
-        # Hooked A drains to exactly 0.0 at t=5 (C's completion at 4.5
-        # re-arms A's timer after the driver's wake-up), then a poke
-        # starves it there; D arrives beside it and both finish at 7.9.
+        # Hooked A drains to exactly 0.0 at t=4, where the driver wakes
+        # before A's completion timer and a poke to a 0.0 ceiling starves
+        # it; the timer that fires next at t=4 completes it.
         _arrive((2,), 10.0, hooked=True, delay=1.0),
         _arrive((3,), 5.0),
         (1.0, ("poke", 0.0)),
@@ -478,12 +536,31 @@ def _shared_path_script():
     return [100.0, 40.0, 125.0], script
 
 
+def _ceiling_cleared_script():
+    """Hooked flows under a front-end ceiling that is cleared (``None``)
+    and set again: clearing restores their uncapped share, a flow that
+    arrives meanwhile starts uncapped, and one keeps its own cap."""
+    script = [
+        _arrive((0,), 40.0, hooked=True),
+        _arrive((0,), 60.0, hooked=True),
+        _arrive((0, 1), 30.0, cap=12.5, hooked=True),
+        _arrive((1,), 50.0, delay=0.2),
+        (0.5, ("poke", None)),
+        _arrive((0,), 20.0, hooked=True, delay=0.3),
+        (0.4, ("poke", 5.0)),
+        _arrive((1,), 25.0, hooked=True, delay=0.2),
+        (0.5, ("poke", None)),
+    ]
+    return [100.0, 40.0], script
+
+
 _EDGE_SCRIPTS = {
     "starved-beside-moving": _starved_script,
     "arrival-at-zero-residual": _arrival_at_zero_residual_script,
     "capped-group-crossing-12-13": _capped_group_crossing_script,
     "capped-group-with-inert": _capped_group_with_inert_script,
     "shared-path-tuple": _shared_path_script,
+    "ceiling-cleared": _ceiling_cleared_script,
 }
 
 
@@ -491,13 +568,12 @@ def _replay(engine_cls, capacities, script):
     env = Environment()
     net = engine_cls(env)
     links = [Link(f"l{i}", capacity) for i, capacity in enumerate(capacities)]
+    # "Hooked" flows also cross a front-end link whose flow ceiling the
+    # script's pokes set; its capacity never binds.
+    front = Link("front", 1e4)
+    net.set_flow_ceiling(front, 20.0)
     # One tuple object per distinct path, as the topology hands out.
     routes = {}
-    ceiling = {"cap": 20.0}
-    net.add_cap_hook(
-        lambda flow, n: ceiling["cap"] * 4.0 / n
-        if flow.label == "hooked" else None
-    )
     flows, completions, trace = [], [], []
 
     def wait(env, index, flow):
@@ -510,9 +586,12 @@ def _replay(engine_cls, capacities, script):
                 yield env.timeout(delay)
             if action[0] == "arrive":
                 _, path, size, cap, hooked = action
-                route = routes.get(path)
+                route = routes.get((path, hooked))
                 if route is None:
-                    route = routes[path] = tuple(links[i] for i in path)
+                    route = tuple(links[i] for i in path)
+                    if hooked:
+                        route += (front,)
+                    routes[path, hooked] = route
                 flow = net.transfer(
                     route, size, cap=cap,
                     label="hooked" if hooked else "plain",
@@ -522,7 +601,7 @@ def _replay(engine_cls, capacities, script):
             elif action[0] == "abort" and flows:
                 net.abort(flows[action[1] % len(flows)])
             elif action[0] == "poke":
-                ceiling["cap"] = action[1]
+                net.set_flow_ceiling(front, action[1])
                 net.poke()
             trace.append([(f.rate_mbps, f.remaining_mb) for f in flows])
 

@@ -153,10 +153,11 @@ def test_duplicate_links_in_one_path_count_once():
 
 # -- timer hygiene regressions --------------------------------------------
 
-def test_add_cap_hook_without_flows_arms_no_timer():
+def test_set_flow_ceiling_without_flows_arms_no_timer():
     env = Environment()
     net = FlowNetwork(env)
-    net.add_cap_hook(lambda flow, n: None)
+    net.set_flow_ceiling(Link("l", 100.0), 10.0)
+    net.poke()
     assert math.isinf(env.peek())
     assert not env._queue
 
@@ -190,15 +191,17 @@ def test_superseded_timers_are_cancelled():
     assert len(live) == 1
 
 
-def test_cap_hook_memo_invalidated_by_poke():
-    """poke() must re-run hooks even when concurrency is unchanged."""
+def test_changed_ceiling_applies_at_poke():
+    """poke() re-caps a changed ceiling's flows even when concurrency is
+    unchanged."""
     env = Environment()
     net = FlowNetwork(env)
-    ceiling = {"cap": 50.0}
-    net.add_cap_hook(lambda flow, n: ceiling["cap"])
-    flow = net.transfer([Link("l", 100.0)], 10.0)
+    link = Link("l", 100.0)
+    net.set_flow_ceiling(link, 50.0)
+    flow = net.transfer([link], 10.0)
     assert flow.rate_mbps == 50.0
-    ceiling["cap"] = 25.0
+    net.set_flow_ceiling(link, 25.0)
+    assert flow.rate_mbps == 50.0  # schedules nothing by itself
     net.poke()
     assert flow.rate_mbps == 25.0
 

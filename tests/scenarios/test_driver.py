@@ -1,5 +1,6 @@
 """The unified scenario driver: exact mode, batched mode, packs, CLI."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -152,6 +153,24 @@ def test_link_adds_latency_and_can_drop_requests():
     )
     assert lossy.errors > 0
     assert lossy.ops_completed + lossy.errors == 3 * 20
+
+
+def test_aborting_clients_count_one_error_each_open_or_closed():
+    # An aborting client's one failure is counted once, through
+    # failed_clients, whether its arrivals are closed or open.
+    lossy = LinkSpec(profile="edge", loss_rate=0.6, max_retransmits=0)
+    closed = run_scenario(
+        _blob_spec(link=lossy, ops_per_client=20), seed=2, mode="exact"
+    )
+    open_spec = dataclasses.replace(
+        _blob_spec(link=lossy),
+        arrival=ArrivalSpec(kind="poisson", rate_hz=2.0),
+        duration_s=20.0,
+    )
+    opened = run_scenario(open_spec, seed=2, mode="exact")
+    for run in (closed, opened):
+        assert run.failed_clients == 3
+        assert run.errors == run.failed_clients
 
 
 # -- batched mode ----------------------------------------------------------

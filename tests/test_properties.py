@@ -1,6 +1,5 @@
 """Cross-cutting property-based tests on core invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 from repro.network import FlowNetwork, Link
 from repro.simcore import Environment, RandomStreams
 from repro.storage import QueueService
-from repro.storage.queue import QueueMessage
-from repro.storage.table import Entity, make_entity
+from repro.storage.table import make_entity
 
 
 @given(
@@ -167,7 +165,7 @@ def test_property_per_flow_caps_respected_dynamically(n_flows, cap):
     env = Environment()
     net = FlowNetwork(env)
     link = Link("l", 1e6)
-    net.add_cap_hook(lambda flow, n: cap)
+    net.set_flow_ceiling(link, cap)
     times = []
 
     def client(env):

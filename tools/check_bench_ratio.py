@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI ratio gate: fail on relative kernel-throughput regressions.
 
-Compares a fresh ``repro bench --quick --json`` snapshot against the
+Compares a fresh ``repro bench --json`` snapshot against the
 committed ``current`` block of ``BENCH_KERNEL.json``.  Absolute rates on
 shared CI runners are meaningless (machines differ several-fold), so the
 gate normalizes: it takes the per-metric ratio measured/committed, uses

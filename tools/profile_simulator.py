@@ -20,7 +20,8 @@ The optimization loop this belongs to:
     1. profile here, find the hot frames,
     2. optimize,
     3. re-check determinism (pytest tests/test_parallel.py) and
-       throughput (``python -m repro bench --quick``).
+       throughput (``python -m repro bench`` for the kernel,
+       ``python3 perfbench/run.py`` end to end).
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ trials across N worker processes.  Every trial seeds its own
 environment, so the numbers below are **identical for any jobs value**;
 only wall-clock changes.  The runtime column here is the serial
 (``--jobs 1``) time on one core; simulator throughput itself is tracked
-in ``BENCH_KERNEL.json`` (regenerate with ``python -m repro bench``).
+in ``BENCH_KERNEL.json`` (kernel churn, ``python -m repro bench``) and
+end to end by ``perfbench/run.py``.
 
 Seed note: every entry point (``repro run``, ``repro campaign``,
 ``repro scenario run``, ``run_experiment``) defaults to seed 3, the seed
