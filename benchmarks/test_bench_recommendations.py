@@ -10,7 +10,7 @@ from repro.analysis import ascii_table
 from repro.client.parallel import StripedReader, parallel_upload, replicate_blob
 from repro.network import Datacenter, FlowNetwork
 from repro.simcore import Environment, RandomStreams
-from repro.storage import BlobService, QueueService
+from repro.storage import BlobService
 from repro.workloads.queue_bench import run_queue_test
 
 

@@ -9,7 +9,7 @@ and EXPERIMENTS.md records them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 
 @dataclass

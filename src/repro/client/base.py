@@ -58,7 +58,13 @@ def race_timeout(
         result = yield from operation
         return result
     proc = env.process(operation)
-    yield Race(env, proc, timeout_s)
+    try:
+        yield Race(env, proc, timeout_s)
+    except BaseException:
+        # The failure's traceback keeps this frame, and the failed
+        # attempt holds the failure: drop it so no cycle outlives us.
+        proc = None
+        raise
     if proc._processed:
         if not proc._ok:
             raise proc._value

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.modis.app import ModisRunResult
-from repro.modis.tasks import ExecutionRecord, TaskKind, TaskOutcome
+from repro.modis.tasks import TaskKind, TaskOutcome
 from repro.simcore import TimeSeries
 
 

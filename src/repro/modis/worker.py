@@ -22,7 +22,6 @@ from repro.modis.monitor import TaskMonitor
 from repro.modis.tasks import (
     ExecutionRecord,
     Task,
-    TaskKind,
     TaskOutcome,
     TERMINAL_COMPLETE,
     TERMINAL_FAILURES,

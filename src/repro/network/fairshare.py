@@ -483,10 +483,14 @@ class FairShareState:
                 slack = row[0] / row[1]
                 if slack < increment:
                     increment = slack
+            # Whether group g's cap sets this increment: it then
+            # freezes whatever ``level`` rounds to (see below).
+            cap_bound = False
             if g < n_groups:
                 cap_slack = cap_groups[g][0] - level
-                if cap_slack < increment:
+                if cap_slack <= increment:
                     increment = cap_slack
+                    cap_bound = True
 
             if math.isinf(increment):
                 # No link constrains the remaining flows and they are
@@ -508,21 +512,26 @@ class FairShareState:
                 row[0] = left
                 if left <= row[2]:
                     frozen |= row[3] & active
+            # Group g is not disjoint here (``active`` still holds the
+            # link-frozen flows), so a cap-bound increment freezes it
+            # first.  The test alone could miss it: above ~4096 MB/s
+            # ``level + (cap - level)`` can round one ulp below the cap
+            # while ``cap - _EPS`` rounds back to the cap.
             while g < n_groups:
                 cap, capped = cap_groups[g]
                 if active.isdisjoint(capped):
                     g += 1
-                elif level >= cap - _EPS:
+                elif cap_bound or level >= cap - _EPS:
                     frozen.update(active.intersection(capped))
                     g += 1
+                    cap_bound = False
                 else:
                     break
             if not frozen:
                 # Numerical guard: freeze everything rather than loop
-                # forever.  Reachable with caps above ~4096 MB/s, where
-                # ``level + (cap - level)`` can round one ulp below the
-                # cap and ``cap - _EPS`` rounds back to the cap; the
-                # unfrozen flows then stop below their max-min rates.
+                # forever.  Every increment is set by a link (frozen
+                # within its tolerance) or a cap group (frozen above),
+                # so this is not expected to run.
                 frozen = set(active)
             active -= frozen
             if not active:

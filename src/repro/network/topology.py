@@ -17,7 +17,7 @@ host can together exceed one VM's share but never the host NIC.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.network.links import Link
 from repro import calibration as cal

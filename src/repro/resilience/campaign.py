@@ -33,6 +33,7 @@ on top of fresh arrivals.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
@@ -795,7 +796,13 @@ def run_campaign(
 
         results = run_trials(_campaign_cell, cells, jobs=jobs)
     else:
-        results = [_campaign_cell(*cell) for cell in cells]
+        results = []
+        for cell in cells:
+            results.append(_campaign_cell(*cell))
+            # A cell's world is one reference cycle through its
+            # environment (the pre-bound ``timeout``/``process``
+            # factories): free it before the next cell builds its own.
+            gc.collect()
     return CampaignReport(
         spec, list(results), fast=fast,
         guard_band_s=guard_band_s if fast else None,

@@ -18,9 +18,9 @@ hedged vs unhedged blob Get under a latency-spike window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
-from repro.simcore import Environment, Tally
+from repro.simcore import Environment, Event, Tally
 from repro.simcore.rng import GOLDEN_SEED
 
 
@@ -89,45 +89,80 @@ def hedged_call(
     policy.calls += 1
     start = env.now
     primary = env.process(make_operation())
-    try:
-        # Race against a private cancellable deadline: when the primary
-        # wins, the hedge timer is discarded instead of fired dead.
-        yield env.race(primary, policy.hedge_delay())
-    except Exception:
-        # The primary failed before the hedge fired; surface it to the
-        # retry layer unchanged.
-        policy.latency.observe(env.now - start)
-        raise
-    if primary.processed:
-        policy.latency.observe(env.now - start)
-        if not primary.ok:
-            raise primary.value
-        return primary.value
-
-    # Primary is past the hedge percentile: launch the backup and race.
-    policy.launched += 1
-    backup_factory = make_backup if make_backup is not None else make_operation
-    racers = [primary, env.process(backup_factory())]
     last_error: Optional[Exception] = None
-    while True:
-        winner = next((r for r in racers if r.processed and r.ok), None)
-        if winner is not None:
-            if winner is not primary:
-                policy.wins += 1
-            for loser in racers:
-                if not loser.processed:
-                    loser.defuse()
-            policy.latency.observe(env.now - start)
-            return winner.value
-        pending = [r for r in racers if not r.processed]
-        if not pending:
-            policy.latency.observe(env.now - start)
-            assert last_error is not None
-            raise last_error
+    try:
         try:
-            yield env.any_of(pending)
-        except Exception as error:  # one racer failed; wait for the other
-            last_error = error
+            # Race against a private cancellable deadline: when the
+            # primary wins, the hedge timer is discarded instead of
+            # fired dead.
+            yield env.race(primary, policy.hedge_delay())
+        except Exception:
+            # The primary failed before the hedge fired; surface it to
+            # the retry layer unchanged.
+            policy.latency.observe(env.now - start)
+            raise
+        if primary.processed:
+            policy.latency.observe(env.now - start)
+            if not primary.ok:
+                raise primary.value
+            return primary.value
+
+        # Primary is past the hedge percentile: launch the backup and
+        # race.
+        policy.launched += 1
+        backup_factory = (
+            make_backup if make_backup is not None else make_operation
+        )
+        racers = [primary, env.process(backup_factory())]
+        while True:
+            winner = next((r for r in racers if r.processed and r.ok), None)
+            if winner is not None:
+                if winner is not primary:
+                    policy.wins += 1
+                for loser in racers:
+                    if not loser.processed:
+                        loser.defuse()
+                policy.latency.observe(env.now - start)
+                return winner.value
+            pending = [r for r in racers if not r.processed]
+            if not pending:
+                policy.latency.observe(env.now - start)
+                assert last_error is not None
+                raise last_error
+            try:
+                yield _first_done(env, pending)
+            except Exception as error:  # one racer failed; wait for the other
+                last_error = error
+    finally:
+        # A failed attempt holds its exception, whose traceback keeps
+        # this frame: drop every local that reaches one, so the call
+        # leaves no reference cycle.
+        primary = racers = winner = loser = pending = last_error = None
+
+
+def _first_done(env: Environment, racers: List[Event]) -> Event:
+    """An event that fires when the first of ``racers`` does: with its
+    value, or failing with its exception (defusing it).
+
+    ``env.any_of(racers)`` schedules the same one event, but its child
+    list and value dict hold the racers while their callback slots hold
+    the condition: a reference cycle per hedged read.  Here only the
+    racers refer to the event.
+    """
+    done = env.event()
+
+    def fire(racer: Event) -> None:
+        if done.triggered:
+            return
+        if racer.ok:
+            done.succeed(racer.value)
+        else:
+            racer.defuse()
+            done.fail(racer.value)
+
+    for racer in racers:
+        racer.add_callback(fire)
+    return done
 
 
 # -- the hedging drill ------------------------------------------------------

@@ -267,6 +267,12 @@ class Environment:
                 # Exhausted queue before the time limit: clock still
                 # advances to the requested horizon.
                 self._now = limit
+        finally:
+            # A traceback can keep this frame: an undefused failure
+            # raised here, or a process failure caught in a resume frame
+            # that links back to it.  Drop the loop's locals, which can
+            # hold the failed event or a callback that reaches it.
+            event = cb1 = more = callback = None
         return None
 
     @staticmethod

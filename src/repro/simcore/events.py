@@ -239,6 +239,13 @@ class Race(Event):
     contender, exactly as :class:`Condition` would) if the contender
     fails first.  The deadline Timeout must stay private to the race:
     nothing else may wait on it, since a cancelled event never fires.
+
+    A settled race holds nothing: :meth:`_settle` and :meth:`_expire`
+    drop ``contender`` and ``deadline`` and clear a cancelled deadline's
+    callback.  Both bound methods refer back to the race, so with the
+    fields kept every client call would leave the race, its deadline
+    and the attempt process as cyclic garbage, and a cancelled deadline
+    would keep the race's value alive until its heap slot came due.
     """
 
     __slots__ = ("contender", "deadline")
@@ -275,10 +282,12 @@ class Race(Event):
         if self._value is not PENDING:
             return  # deadline already won; the contender is an orphan
         deadline = self.deadline
+        self.contender = self.deadline = None
         if not deadline._processed:
             # Inlined deadline.cancel(): the deadline is private to the
-            # race, so no waiter slots need clearing.
+            # race, so its one slot holds this race's ``_expire``.
             deadline._cancelled = True
+            deadline._cb1 = None
         if contender._ok:
             # Inlined self.succeed(contender._value): the common win.
             self._value = contender._value
@@ -291,6 +300,7 @@ class Race(Event):
 
     def _expire(self, _deadline: Event) -> None:
         if self._value is PENDING:
+            self.contender = self.deadline = None
             self.succeed(None)
 
 

@@ -16,7 +16,9 @@ the wait path, and the process attaches its own pre-bound callback
 instead of going through ``add_callback``.  That bound method refers
 back to its process, so every terminal branch of ``_resume`` drops it:
 a finished process is then freed by reference counting instead of
-lingering as cyclic garbage until the next collection.
+lingering as cyclic garbage until the next collection.  A process that
+fails also clears its ``_resume`` frame's locals: the exception's
+traceback keeps that frame, whose ``self`` holds the exception.
 """
 
 from __future__ import annotations
@@ -152,6 +154,9 @@ class Process(Event):
                     self._resume_cb = None
                     env._seq = seq = env._seq + 1
                     _heappush(env._queue, (env._now, seq, self))
+                    # The traceback keeps this frame: drop the locals
+                    # that lead back to the exception (asyncio's idiom).
+                    self = event = target = send = resume_cb = None
                     return
 
                 # Optimistic wait path: anything without Event's slots

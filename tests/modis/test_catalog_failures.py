@@ -1,6 +1,5 @@
 """Unit tests for the MODIS catalog and the calibrated failure model."""
 
-import numpy as np
 import pytest
 
 from repro import calibration as cal

@@ -5,7 +5,7 @@ import pytest
 from repro.client import QueueClient
 from repro.modis import FailureModel, TaskMonitor
 from repro.modis.tasks import Task, TaskKind, TaskOutcome
-from repro.modis.worker import TASK_QUEUE, Worker, WorkerPool
+from repro.modis.worker import TASK_QUEUE, WorkerPool
 from repro.simcore import Environment, Interrupt, RandomStreams
 from repro.storage import QueueService
 

@@ -55,6 +55,22 @@ def test_classic_three_link_example():
     assert alloc["C"] == pytest.approx(15.0)
 
 
+def test_large_cap_freezes_its_group_when_the_level_rounds_below_it():
+    # On a 1e8 MB/s link, B's cap sets the second increment, but
+    # ``level + (cap - level)`` lands one ulp below B's cap, and
+    # ``cap - 1e-12`` rounds back to the cap.  B must still freeze
+    # there and leave C the rest of the link, not stop C with it.
+    link = Link("l", 1e8)
+    alloc = max_min_fair([
+        ("A", (link,), 3103922.891089503),
+        ("B", (link,), 8030044.774671094),
+        ("C", (link,), None),
+    ])
+    assert alloc["A"] == 3103922.891089503
+    assert alloc["B"] == 8030044.774671093  # one ulp below its cap
+    assert alloc["C"] == 88866032.33423941
+
+
 def test_cap_only_flow_allowed():
     alloc = max_min_fair([("nolink", [], 7.0)])
     assert alloc["nolink"] == pytest.approx(7.0)

@@ -8,8 +8,6 @@ with tracing on or off.
 
 import dataclasses
 
-import pytest
-
 from repro.observability.export import to_chrome_trace
 from repro.workloads.blob_bench import run_blob_test
 from repro.workloads.harness import build_platform

@@ -109,8 +109,14 @@ def test_race_contender_wins_cancels_deadline():
 
     def waiter(env):
         proc = env.process(op(env))
-        yield Race(env, proc, 10.0)
+        race = Race(env, proc, 10.0)
+        deadline = race.deadline
+        yield race
         assert proc.processed and proc.ok
+        # A settled race holds nothing, and its cancelled deadline no
+        # longer refers back to it while the dead slot waits its turn.
+        assert race.contender is None and race.deadline is None
+        assert deadline.cancelled and deadline._cb1 is None
         return proc.value
 
     p = env.process(waiter(env))
@@ -130,8 +136,10 @@ def test_race_deadline_wins_yields_none():
 
     def waiter(env):
         proc = env.process(op(env))
-        result = yield Race(env, proc, 2.0)
+        race = Race(env, proc, 2.0)
+        result = yield race
         assert result is None
+        assert race.contender is None and race.deadline is None
         assert not proc.processed
         proc.defuse()
         return "timed-out"

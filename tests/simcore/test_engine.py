@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import Environment, Event, StopSimulation
+from repro.simcore import Environment
 
 
 def test_clock_starts_at_initial_time():

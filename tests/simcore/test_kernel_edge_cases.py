@@ -1,7 +1,5 @@
 """Kernel robustness: interrupts interacting with resources/conditions."""
 
-import pytest
-
 from repro.simcore import (
     AllOf,
     AnyOf,

@@ -21,7 +21,6 @@ from repro.cluster import SpilloverPlacement, VMInstance, make_nodes
 from repro.cluster.sizes import get_size
 from repro.faults import FaultInjector
 from repro.network import LatencyModel
-from repro.simcore import RandomStreams
 from repro.storage.table import make_entity
 from repro.workloads import build_platform
 
