@@ -218,12 +218,6 @@ class CatalogStore:
         self.manifest["frozen"][label] = run_id
         self._write_manifest()
 
-    def unfreeze(self, label: str = "frozen") -> None:
-        if label not in self.manifest["frozen"]:
-            raise CatalogError(f"no frozen label {label!r}")
-        del self.manifest["frozen"][label]
-        self._write_manifest()
-
     # -- reads -------------------------------------------------------------
     def get_record(self, run_id: str) -> RunRecord:
         """Reconstruct one typed record, via the simulated read path.

@@ -311,6 +311,24 @@ def _scenario_spec(args: argparse.Namespace):
     return spec
 
 
+def _int_list(flag: str, text: str, minimum: int) -> List[int]:
+    """Parse a comma-separated ``flag`` value of integers >= ``minimum``."""
+    values = []
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        try:
+            value = int(item)
+        except ValueError:
+            raise ValueError(f"{flag}: {item.strip()!r} is not an integer") from None
+        if value < minimum:
+            raise ValueError(f"{flag}: {value} is below {minimum}")
+        values.append(value)
+    if not values:
+        raise ValueError(f"{flag}: no values given")
+    return values
+
+
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import (
         get_scenario,
@@ -360,17 +378,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             return 2
         _publish(args, [{args.seed: {result.level: result}}], result.data)
         return 0
+    try:
+        levels = _int_list("--levels", args.levels, 1) if args.levels else None
+        seeds = _int_list("--seeds", args.seeds, 0) if args.seeds else [args.seed]
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     scaled = spec.scaled(args.scale)
-    levels = (
-        [int(v) for v in args.levels.split(",") if v.strip()]
-        if args.levels
-        else None
-    )
-    seeds = (
-        [int(v) for v in args.seeds.split(",") if v.strip()]
-        if args.seeds
-        else [args.seed]
-    )
     start = time.time()
     grid = {
         seed: {

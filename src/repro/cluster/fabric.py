@@ -47,10 +47,6 @@ class PhaseRecord:
     #: Instance-ready offsets from request start (run/add only).
     instance_ready_s: List[float] = field(default_factory=list)
 
-    @property
-    def all_ready_s(self) -> float:
-        return max(self.instance_ready_s) if self.instance_ready_s else self.duration_s
-
 
 class Deployment:
     """A hosted service deployment of one role type and size."""

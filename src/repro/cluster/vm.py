@@ -87,9 +87,5 @@ class VMInstance:
     def is_degraded(self) -> bool:
         return self.slowdown > 1.0
 
-    def compute_time(self, nominal_s: float) -> float:
-        """Wall-clock seconds to do ``nominal_s`` of guest computation."""
-        return nominal_s * self.slowdown
-
     def __repr__(self) -> str:
         return f"<VM {self.name} {self.state.value} slowdown={self.slowdown}>"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis import ShapeCheck
 from repro.experiments import (
@@ -210,13 +210,3 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one registered runnable (see :meth:`Runnable.run`)."""
     return get_experiment(name).run(seed=seed, scale=scale, jobs=jobs)
-
-
-def run_all(
-    scale: float = 1.0, seed: int = GOLDEN_SEED, jobs: Optional[int] = 1
-) -> Tuple[ExperimentReport, ...]:
-    """Run every paper experiment."""
-    return tuple(
-        run_experiment(eid, scale=scale, seed=seed, jobs=jobs)
-        for eid in EXPERIMENTS
-    )

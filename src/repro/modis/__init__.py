@@ -7,12 +7,12 @@ source/intermediate/final products, table storage for task status, a
 task monitor enforcing the 4x timeout-kill-retry rule, and the host
 degradation process that makes that rule necessary.
 
-The package reproduces Fig. 6 (as architecture), Table 2 (task/failure
-breakdown) and Fig. 7 (daily VM-timeout percentage).
+The package reproduces Table 2 (task/failure breakdown) and Fig. 7
+(daily VM-timeout percentage); Fig. 6, the architecture, is
+``repro.modis.app``.
 """
 
 from repro.modis.catalog import ModisCatalog, SourceGranule
-from repro.modis.dag import DagRequest, DagServiceManager, DagStats
 from repro.modis.tasks import Task, TaskKind, TaskOutcome
 from repro.modis.failures import FailureModel
 from repro.modis.generator import RequestGenerator, UserRequest
@@ -22,9 +22,6 @@ from repro.modis.app import ModisAzureApp, ModisConfig, ModisRunResult
 from repro.modis.analysis import daily_timeout_series, failure_breakdown, task_breakdown
 
 __all__ = [
-    "DagRequest",
-    "DagServiceManager",
-    "DagStats",
     "FailureModel",
     "ModisAzureApp",
     "ModisCatalog",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class WorkerPool:
     records: List[ExecutionRecord] = field(default_factory=list)
     tasks_completed: int = 0
     tasks_abandoned: int = 0
-    #: Called with each task that reaches a terminal state (completed or
-    #: abandoned); DAG service managers use it to release successors.
-    on_task_finished: Optional[Callable[[Task], None]] = None
     _ids: itertools.count = field(default_factory=lambda: itertools.count())
 
     def __post_init__(self) -> None:
@@ -83,10 +80,6 @@ class WorkerPool:
 
     def resubmit(self, task: Task):
         yield from self.submit(task)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.work_tokens.items)
 
     def _scavenger(self):
         """Re-arms dispatch for messages whose visibility expired.
@@ -169,12 +162,10 @@ class WorkerPool:
 
         yield from self._delete_quietly(message)
 
-        became_terminal = False
         if outcome is TaskOutcome.SUCCESS:
             if not task.finished:  # guard against duplicate deliveries
                 task.completed = True
                 self.tasks_completed += 1
-                became_terminal = True
             if self.monitor is not None and not degraded:
                 self.monitor.record_completion(task.kind, env.now - started)
         elif outcome in TERMINAL_FAILURES:
@@ -187,15 +178,11 @@ class WorkerPool:
                 else:
                     task.abandoned = True
                     self.tasks_abandoned += 1
-                became_terminal = True
         elif attempt >= MAX_ATTEMPTS:
             task.abandoned = True
             self.tasks_abandoned += 1
-            became_terminal = True
         else:
             yield from self.resubmit(task)
-        if became_terminal and self.on_task_finished is not None:
-            self.on_task_finished(task)
 
     def _sleep_through(self, duration: float):
         """The interruptible execution body; returns True if killed."""

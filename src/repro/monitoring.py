@@ -202,28 +202,6 @@ class Sampler:
         return float(series.values.max())
 
 
-def attach_partition_server(
-    registry: MetricsRegistry,
-    server,
-    prefix: str = "",
-) -> None:
-    """Register a partition server's live state as gauges.
-
-    Exposes active requests, in-flight payload and CPU queue depth under
-    ``prefix`` (defaults to the server's name).
-    """
-    base = prefix or server.name
-    registry.register_gauge(
-        f"{base}.active", lambda s=server: s.active_requests
-    )
-    registry.register_gauge(
-        f"{base}.inflight_mb", lambda s=server: s.inflight_payload_mb
-    )
-    registry.register_gauge(
-        f"{base}.cpu_queue", lambda s=server: len(s.cpu.queue)
-    )
-
-
 #: Numeric encoding of breaker states for gauges/time series.
 BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
@@ -359,17 +337,6 @@ def request_summary(tracer, title: str = "request summary") -> str:
         rows,
         title=title,
     )
-
-
-def attach_worker_pool(registry: MetricsRegistry, pool) -> None:
-    """Register a ModisAzure worker pool's state as gauges/counters."""
-    registry.register_gauge("pool.outstanding", lambda: pool.outstanding)
-    registry.register_gauge(
-        "pool.degraded_workers",
-        lambda: sum(1 for w in pool.workers if w.is_degraded),
-    )
-    registry.register_gauge("pool.completed", lambda: pool.tasks_completed)
-    registry.register_gauge("pool.abandoned", lambda: pool.tasks_abandoned)
 
 
 def render_dashboard(

@@ -40,7 +40,3 @@ class LatencyModel:
         if not same_rack:
             rtt += 2 * self.CROSS_RACK_HOP_S
         return max(rtt, 1e-5)
-
-    def sample_one_way(self, same_rack: bool = True) -> float:
-        """One-way delay, half an RTT sample."""
-        return self.sample_rtt(same_rack) / 2.0

@@ -119,9 +119,6 @@ class Datacenter:
     def same_rack(self, src: Host, dst: Host) -> bool:
         return src.rack is dst.rack
 
-    def host_count(self) -> int:
-        return len(self.hosts)
-
     def __repr__(self) -> str:
         return (
             f"<Datacenter racks={len(self.racks)}"

@@ -25,8 +25,6 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.observability.slo import SLOResult, availability_slo, evaluate_slo
-
 __all__ = ["MinuteAvailability"]
 
 
@@ -125,41 +123,8 @@ class MinuteAvailability:
         values = self.availabilities()
         return sum(values) / len(values) if values else 1.0
 
-    # -- SLO bridge --------------------------------------------------------
-    @property
-    def total_ops(self) -> int:
-        return int(self.total.sum())
-
-    @property
-    def total_ok(self) -> int:
-        return int(self.ok.sum())
-
-    def availability_result(
-        self, target: float, name: str = "availability"
-    ) -> SLOResult:
-        """The aggregate availability objective over every operation —
-        the same evaluation the drill/campaign SLO engine performs, so
-        burn rates computed from merged accumulators equal the unsplit
-        evaluation exactly."""
-        total = self.total_ops
-        return evaluate_slo(
-            availability_slo(target, name=name),
-            total=total,
-            errors=total - self.total_ok,
-        )
-
     def __repr__(self) -> str:
         return (
             f"<MinuteAvailability {self.minutes}/{self.n_minutes} sampled"
             f" bad={self.bad_minutes} dark={self.zero_minutes}>"
         )
-
-
-def minute_availability_for(
-    duration_s: float, window_s: float = 60.0
-) -> MinuteAvailability:
-    """An accumulator covering ``duration_s`` (at least one window)."""
-    import math
-
-    n = max(1, int(math.ceil(duration_s / window_s)))
-    return MinuteAvailability(n, window_s=window_s)

@@ -65,12 +65,6 @@ class RetryBudget:
         self.shed += 1
         return False
 
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of requested retries that were shed."""
-        asked = self.granted + self.shed
-        return self.shed / asked if asked else 0.0
-
     def __repr__(self) -> str:
         return (
             f"<RetryBudget tokens={self.tokens:.1f} calls={self.calls}"

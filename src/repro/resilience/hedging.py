@@ -142,7 +142,9 @@ def hedged_call(
 
 def _first_done(env: Environment, racers: List[Event]) -> Event:
     """An event that fires when the first of ``racers`` does: with its
-    value, or failing with its exception (defusing it).
+    value, or failing with its exception.  Every failing racer is
+    defused, including one that fails after ``done`` has fired (two
+    attempts failing at the same instant): nothing else waits on it.
 
     ``env.any_of(racers)`` schedules the same one event, but its child
     list and value dict hold the racers while their callback slots hold
@@ -152,12 +154,13 @@ def _first_done(env: Environment, racers: List[Event]) -> Event:
     done = env.event()
 
     def fire(racer: Event) -> None:
+        if not racer.ok:
+            racer.defuse()
         if done.triggered:
             return
         if racer.ok:
             done.succeed(racer.value)
         else:
-            racer.defuse()
             done.fail(racer.value)
 
     for racer in racers:

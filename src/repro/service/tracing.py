@@ -249,9 +249,6 @@ class RequestTracer:
         kind = self.CLIENT_KIND
         return [trace for k, trace in self._records if k == kind]
 
-    def of_op(self, op: str) -> List[RequestTrace]:
-        return [t for t in self.records() if t.op == op]
-
     def per_service_op_totals(self) -> Dict[Tuple[str, str], Dict[str, float]]:
         """Exact aggregate sums keyed by ``(service, op)`` (never trimmed).
 
@@ -259,20 +256,6 @@ class RequestTracer:
         transfer_s / size_mb`` to the running totals for that pair.
         """
         return {key: dict(agg) for key, agg in self._per_op.items()}
-
-    def per_op_totals(self) -> Dict[str, Dict[str, float]]:
-        """Compatibility view of :meth:`per_service_op_totals`, keyed by
-        op kind alone (two services sharing an op name are summed —
-        use the ``(service, op)``-keyed form to keep them apart)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for (_service, op), agg in self._per_op.items():
-            merged = out.get(op)
-            if merged is None:
-                out[op] = dict(agg)
-            else:
-                for field, value in agg.items():
-                    merged[field] += value
-        return out
 
     def client_per_op_totals(self) -> Dict[Tuple[str, str], Dict[str, float]]:
         """Exact client-call aggregates keyed by ``(service, op)``

@@ -83,13 +83,6 @@ class Environment:
         self._seq = seq = self._seq + 1
         _heappush(self._queue, (self._now + delay, seq, event))
 
-    def schedule_at(self, time: float, event: Event) -> None:
-        """Schedule a pre-triggered event at an absolute time."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        self._seq = seq = self._seq + 1
-        _heappush(self._queue, (time, seq, event))
-
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
         """Create a fresh, untriggered event."""

@@ -41,7 +41,6 @@ from repro.storage.errors import (
     BlobAlreadyExistsError,
     BlobNotFoundError,
     CorruptBlobError,
-    PreconditionFailedError,
 )
 
 #: Admission-time op descriptors handed to an attached fault injector.
@@ -372,54 +371,7 @@ class BlobService:
             commit=commit,
         )
 
-    # -- extended API: listing, conditional ops, copies, block upload -----
-    def list_blobs(self, container: str, prefix: str = "") -> Generator:
-        """List blob metadata in a container (one metadata round trip)."""
-
-        def commit() -> list:
-            blobs = self._containers.get(container, {})
-            return sorted(
-                (
-                    meta
-                    for name, meta in blobs.items()
-                    if name.startswith(prefix)
-                ),
-                key=lambda m: m.name,
-            )
-
-        result = yield from self.pipeline.execute(
-            "blob.list",
-            base_latency_s=cal.BLOB_REQUEST_LATENCY_S,
-            commit=commit,
-        )
-        return result
-
-    def download_if_match(
-        self,
-        client: NetworkEndpoint,
-        container: str,
-        name: str,
-        etag: int,
-    ) -> Generator:
-        """Conditional download: fails fast if the blob changed."""
-        meta = self.get_meta(container, name)
-        if meta.etag != etag:
-
-            def fail() -> None:
-                raise PreconditionFailedError(
-                    f"{container}/{name}: etag {meta.etag} != {etag}",
-                    service=self.name,
-                    op="blob.get_if_match",
-                )
-
-            yield from self.pipeline.execute(
-                "blob.get_if_match",
-                base_latency_s=cal.BLOB_REQUEST_LATENCY_S,
-                commit=fail,
-            )
-        result = yield from self.download(client, container, name)
-        return result
-
+    # -- extended API: copies, block upload -------------------------------
     def copy_blob(
         self,
         container: str,

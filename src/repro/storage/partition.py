@@ -48,7 +48,6 @@ class PartitionStats:
     completed: int = 0
     shed: int = 0
     peak_concurrency: int = 0
-    busy_cpu_s: float = 0.0
     ops_by_name: Dict[str, int] = field(default_factory=dict)
 
 
@@ -185,7 +184,6 @@ class PartitionServer:
                     if observer is not None:
                         observer("cpu_wait", wait)
                     work = self._jitter(op.cpu_s, op)
-                    stats.busy_cpu_s += work
                     yield env.timeout(work)
                     if observer is not None:
                         observer("cpu_work", work)
@@ -219,14 +217,6 @@ class PartitionServer:
             return max(mean, 0.0)
         # Exponential service times give M/M/c-like response variance.
         return float(self.rng.exponential(mean))
-
-    def utilization_estimate(self) -> float:
-        """Fraction of elapsed time the CPU pool has been busy."""
-        if self.env.now <= 0:
-            return 0.0
-        return min(
-            self.stats.busy_cpu_s / (self.env.now * self.cpu.capacity), 1.0
-        )
 
     def __repr__(self) -> str:
         return (

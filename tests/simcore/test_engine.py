@@ -105,23 +105,6 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
-def test_schedule_at_absolute_time():
-    env = Environment()
-    ev = env.event()
-    ev._ok = True
-    ev._value = "x"
-    env.schedule_at(9.0, ev)
-    env.run()
-    assert env.now == 9.0
-    assert ev.processed
-
-
-def test_schedule_at_past_raises():
-    env = Environment(initial_time=5.0)
-    with pytest.raises(ValueError):
-        env.schedule_at(4.0, env.event())
-
-
 def test_unhandled_event_failure_propagates():
     env = Environment()
     ev = env.event()

@@ -1,5 +1,5 @@
-"""Tests for the extended blob API (listing, conditional ops, copies,
-block upload) and the parallel client utilities."""
+"""Tests for the extended blob API (copies, block upload) and the
+parallel client utilities."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.client.parallel import StripedReader, parallel_upload, replicate_blob
 from repro.network import Datacenter, FlowNetwork
 from repro.simcore import Environment, RandomStreams
 from repro.storage import BlobService
-from repro.storage.errors import (
-    BlobAlreadyExistsError,
-    BlobNotFoundError,
-    PreconditionFailedError,
-)
+from repro.storage.errors import BlobAlreadyExistsError, BlobNotFoundError
 
 
 class _EP:
@@ -40,28 +36,6 @@ def _run(env, gen):
     env.process(proc(env))
     env.run()
     return box.get("result"), box.get("error")
-
-
-def test_list_blobs_with_prefix():
-    env, svc, clients = _setup()
-    for name in ("a/x", "a/y", "b/z"):
-        svc.seed_blob("c", name, 1.0)
-    listed, err = _run(env, svc.list_blobs("c", prefix="a/"))
-    assert err is None
-    assert [m.name for m in listed] == ["a/x", "a/y"]
-    all_blobs, _ = _run(env, svc.list_blobs("c"))
-    assert len(all_blobs) == 3
-
-
-def test_conditional_download_checks_etag():
-    env, svc, clients = _setup()
-    meta = svc.seed_blob("c", "b", 2.0)
-    got, err = _run(env, svc.download_if_match(clients[0], "c", "b", meta.etag))
-    assert err is None and got is meta
-    _, err = _run(
-        env, svc.download_if_match(clients[0], "c", "b", meta.etag + 999)
-    )
-    assert isinstance(err, PreconditionFailedError)
 
 
 def test_copy_blob_server_side():

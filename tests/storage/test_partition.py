@@ -167,15 +167,6 @@ def test_parameter_validation():
         PartitionServer(env, rng, frontend_c_s=-1.0)
 
 
-def test_utilization_estimate_bounded():
-    env = Environment()
-    server = _server(env, cores=1)
-    op = OpSpec(name="op", cpu_s=0.5, deterministic=True)
-    _drive(env, server, [op] * 4)
-    env.run()
-    assert 0.0 < server.utilization_estimate() <= 1.0
-
-
 # -- server selection (the pipeline's routing targets) --------------------
 
 

@@ -136,22 +136,6 @@ def test_monitoring_a_live_platform():
     assert svc.queue_length("work") == 0
 
 
-def test_attach_partition_server_gauges():
-    from repro.monitoring import attach_partition_server
-    from repro.simcore import RandomStreams
-    from repro.storage import PartitionServer
-
-    env = Environment()
-    server = PartitionServer(
-        env, RandomStreams(0).stream("p"), name="tables/t/p"
-    )
-    reg = MetricsRegistry()
-    attach_partition_server(reg, server)
-    assert reg.read_gauge("tables/t/p.active") == 0
-    assert reg.read_gauge("tables/t/p.inflight_mb") == 0.0
-    assert reg.read_gauge("tables/t/p.cpu_queue") == 0
-
-
 def test_attach_circuit_breaker_gauges_and_transition_counters():
     from repro.monitoring import attach_circuit_breaker
     from repro.resilience.breaker import CircuitBreaker
@@ -296,31 +280,3 @@ def test_render_dashboard_shows_tally_error_counts():
     assert "latency_count:lat" in out
     assert "latency_errors:lat" in out
     assert "latency_p99:lat" in out
-
-
-def test_attach_worker_pool_gauges():
-    from repro.client import QueueClient
-    from repro.modis import FailureModel
-    from repro.modis.worker import TASK_QUEUE, WorkerPool
-    from repro.monitoring import attach_worker_pool
-    from repro.simcore import RandomStreams
-    from repro.storage import QueueService
-
-    env = Environment()
-    streams = RandomStreams(0)
-    qsvc = QueueService(env, streams.stream("q"))
-    qsvc.create_queue(TASK_QUEUE)
-    pool = WorkerPool(
-        env=env,
-        queue_client=QueueClient(qsvc),
-        monitor=None,
-        failure_model=FailureModel(streams.stream("f")),
-        rng=streams.stream("j"),
-        n_workers=4,
-    )
-    reg = MetricsRegistry()
-    attach_worker_pool(reg, pool)
-    assert reg.read_gauge("pool.outstanding") == 0
-    pool.workers[0].slowdown = 6.0
-    assert reg.read_gauge("pool.degraded_workers") == 1
-    assert reg.read_gauge("pool.completed") == 0

@@ -16,6 +16,11 @@ from repro.workloads.queue_bench import run_queue_test
 from repro.workloads.table_bench import run_table_test
 
 
+def _totals_by_op(tracer):
+    # Each bench drives one service, so the op kind alone is a unique key.
+    return {op: agg for (_, op), agg in tracer.per_service_op_totals().items()}
+
+
 def test_platform_carries_the_account_tracer():
     p = build_platform(seed=0, n_clients=1)
     assert p.tracer is p.account.tracer
@@ -26,7 +31,7 @@ def test_blob_bench_emits_request_traces():
     p = build_platform(seed=0, n_clients=2)
     run_blob_test("download", 2, size_mb=64.0, platform=p)
     # Server-side records use the wire op kind ...
-    downloads = p.tracer.of_op("blob.get")
+    downloads = [t for t in p.tracer.records() if t.op == "blob.get"]
     assert len(downloads) == 2
     assert all(t.ok and t.size_mb == 64.0 for t in downloads)
     assert all(t.transfer_s > 0 for t in downloads)
@@ -40,7 +45,7 @@ def test_table_bench_emits_request_traces_with_queue_waits():
     p = build_platform(seed=0, n_clients=4)
     ops = {"insert": 5, "query": 3, "update": 2, "delete": 5}
     run_table_test(4, entity_kb=4.0, ops_per_client=ops, platform=p)
-    totals = p.tracer.per_op_totals()
+    totals = _totals_by_op(p.tracer)
     assert totals["table.insert"]["count"] == 20
     assert totals["table.query"]["count"] == 12
     assert totals["table.update"]["count"] == 8
@@ -53,7 +58,7 @@ def test_table_bench_emits_request_traces_with_queue_waits():
 def test_queue_bench_emits_request_traces():
     p = build_platform(seed=0, n_clients=2)
     run_queue_test("receive", 2, ops_per_client=5, platform=p)
-    totals = p.tracer.per_op_totals()
+    totals = _totals_by_op(p.tracer)
     assert totals["queue.receive"]["count"] == 10
     assert totals["queue.receive"]["errors"] == 0
 
