@@ -142,40 +142,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perfsnapshot import collect_snapshot
-
-    snapshot = collect_snapshot()
-    kernel = snapshot["kernel"]
-    print("kernel throughput (best of repeated runs):")
-    for key, value in kernel.items():
-        print(f"  {key:32s} {value:>12,.0f}")
-    for name, ratios in snapshot.get("baseline_ratio", {}).items():
-        print(f"\nspeedup vs {name} (same-run / recorded):")
-        for key, ratio in ratios.items():
-            print(f"  {key:32s} {ratio:>11.2f}x")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-        print(f"\nwrote perf snapshot to {args.json}")
-    return 0
-
-
 def _run_traced_workload(args: argparse.Namespace, spans: bool):
-    """One fig1-style blob run on a fresh platform, tracer attached."""
+    """One fig1-style blob run on a fresh platform, tracer attached;
+    ``None`` (exit 2) when the run rejects its arguments."""
     from repro.workloads.blob_bench import run_blob_test
     from repro.workloads.harness import build_platform
 
-    platform = build_platform(
-        seed=args.seed, n_clients=args.clients, spans=spans
-    )
-    run_blob_test(
-        args.direction,
-        n_clients=args.clients,
-        size_mb=args.size_mb,
-        seed=args.seed,
-        platform=platform,
-    )
+    try:
+        platform = build_platform(
+            seed=args.seed, n_clients=args.clients, spans=spans
+        )
+        run_blob_test(
+            args.direction,
+            n_clients=args.clients,
+            size_mb=args.size_mb,
+            seed=args.seed,
+            platform=platform,
+        )
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return None
     return platform
 
 
@@ -187,6 +173,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     platform = _run_traced_workload(args, spans=True)
+    if platform is None:
+        return 2
     assert platform.spans is not None
     spans = platform.spans.spans()
     print(
@@ -231,6 +219,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     )
 
     platform = _run_traced_workload(args, spans=False)
+    if platform is None:
+        return 2
     tracer = platform.tracer
     assert tracer is not None
     histograms = tracer.latency_histograms()
@@ -663,19 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_campaign.set_defaults(func=_cmd_campaign)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help=(
-            "measure kernel churn throughput (events/sec) for "
-            "BENCH_KERNEL.json tracking"
-        ),
-    )
-    p_bench.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the machine-readable snapshot to this JSON file",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(

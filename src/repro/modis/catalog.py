@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 #: Continental-US tile grid (MODIS sinusoidal h08-h13 x v04-v06 is ~16
 #: land tiles; we use a named 4x4 grid).
@@ -76,18 +76,6 @@ class ModisCatalog:
             tile=tile, day=day, band_group=band_group,
             size_mb=self._size_mb(tile, day, band_group),
         )
-
-    def granules_for_task(
-        self, tile: Tuple[int, int], day: int, n_files: int = 4
-    ) -> List[SourceGranule]:
-        """The source files one reprojection unit needs (3-4 typically)."""
-        n_files = max(1, min(n_files, self.band_groups))
-        # Deterministic band-group choice per (tile, day).
-        start = self._digest(f"{tile}/{day}") % self.band_groups
-        return [
-            self.granule(tile, day, (start + i) % self.band_groups)
-            for i in range(n_files)
-        ]
 
     @property
     def total_size_tb(self) -> float:

@@ -98,7 +98,7 @@ class RequestGenerator:
         prediction_error = float(
             np.exp(self.rng.normal(0.0, cal.MODIS_PREDICTION_SIGMA))
         )
-        task = Task(
+        return Task(
             kind=kind,
             request_id=request_id,
             tile=tile,
@@ -106,14 +106,3 @@ class RequestGenerator:
             nominal_duration_s=duration,
             predicted_duration_s=duration * prediction_error,
         )
-        if kind is TaskKind.SOURCE_DOWNLOAD:
-            task.inputs = [
-                g.name for g in self.catalog.granules_for_task(tile, day_index)
-            ]
-        elif kind is TaskKind.REPROJECTION:
-            task.output = f"reproj/{tile[0]}-{tile[1]}/{day_index}/{task.id}"
-        elif kind is TaskKind.AGGREGATION:
-            task.output = f"agg/{request_id}/{task.id}"
-        else:
-            task.output = f"reduce/{request_id}/{task.id}"
-        return task

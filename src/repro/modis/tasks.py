@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro import calibration as cal
 from repro.simcore import Distribution
@@ -108,9 +108,6 @@ class Task:
     attempts: int = 0
     completed: bool = False
     abandoned: bool = False
-    #: Blob names this task would download / produce (cache keys).
-    inputs: List[str] = field(default_factory=list)
-    output: Optional[str] = None
 
     @property
     def finished(self) -> bool:

@@ -227,12 +227,6 @@ class CampaignSpec:
             entity_kb=float(scenario.mean_entity_kb()),
         )
 
-    def in_window(self, t: float) -> bool:
-        return any(
-            f.start_s <= t < f.start_s + (f.duration_s or (f.mttr_s or 0.0))
-            for f in self.faults
-        ) or any(w.covers(t) for w in self.windows)
-
     def to_dict(self) -> Dict[str, Any]:
         """The full JSON-able spec document (schedule and grid
         included) — what the run catalog hashes as this campaign's
@@ -786,7 +780,13 @@ def run_campaign(
     ``jobs`` fans the cells over a process pool
     (:func:`repro.parallel.run_trials`) — each cell is an independent
     world, so parallel execution is bit-identical to serial.
+    Raises :class:`ValueError` for a ``guard_band_s`` without ``fast``.
     """
+    if guard_band_s is not None and not fast:
+        raise ValueError(
+            "a guard band applies only to the fast-forward driver "
+            "(--fast)"
+        )
     cells = [
         (spec, p, m, fast, guard_band_s)
         for p in spec.policies for m in spec.modes
@@ -804,8 +804,7 @@ def run_campaign(
             # factories): free it before the next cell builds its own.
             gc.collect()
     return CampaignReport(
-        spec, list(results), fast=fast,
-        guard_band_s=guard_band_s if fast else None,
+        spec, list(results), fast=fast, guard_band_s=guard_band_s
     )
 
 

@@ -53,6 +53,7 @@ come from a dedicated RNG stream rather than the policy stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, cast
 
@@ -306,7 +307,8 @@ def fast_run_mode(
     driver.  ``policy`` defaults to the spec's first.
 
     Raises :class:`ValueError` for a cell outside the fast path's
-    model rather than return plausible numbers for it.
+    model, or a negative or non-finite ``guard_band_s``, rather than
+    return plausible numbers for it.
     """
     pspec = spec.policies[0] if policy is None else policy
     # The analytic fold knows domain outages, a retry budget and
@@ -326,6 +328,13 @@ def fast_run_mode(
         default_guard_band_s(spec) if guard_band_s is None
         else float(guard_band_s)
     )
+    if not (math.isfinite(guard_s) and guard_s >= 0.0):
+        # A negative radius merges into no bands at all: every op would
+        # be solved analytically, transitions included.
+        raise ValueError(
+            f"guard band must be a finite number of seconds >= 0, "
+            f"got {guard_band_s}"
+        )
     timeline = realize_timeline(spec, mode)
     bands = merge_guard_bands(timeline.transitions, guard_s)
 

@@ -155,6 +155,37 @@ def test_scenario_grid_rejects_bad_levels_and_seeds_with_exit_2(
     assert err == f"repro: {message}\n"
 
 
+@pytest.mark.parametrize("verb", ["trace", "slo"])
+@pytest.mark.parametrize("args,message", [
+    (["--clients", "0"], "n_clients must be >= 1"),
+    (["--clients", "300"], "300 clients need more hosts"),
+    (["--size-mb", "-1"], "size_mb must be > 0, got -1.0"),
+])
+def test_traced_workload_rejects_bad_arguments_with_exit_2(
+    capsys, verb, args, message
+):
+    assert main([verb, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: {message}")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--fast", "--guard-band", "-5"], "guard band must be"),
+    (["--fast", "--guard-band", "nan"], "guard band must be"),
+    (["--guard-band", "100"], "a guard band applies only to the fast-forward"),
+])
+def test_campaign_rejects_a_bad_guard_band_with_exit_2(
+    capsys, args, message
+):
+    assert main(["campaign", "day", "--jobs", "1", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"repro: {message}")
+
+
+def test_bench_verb_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])
+
+
 @pytest.mark.parametrize("name,scale", [
     ("fig7", 0.05),
     ("scenario:fig1-blob-upload", 0.05),

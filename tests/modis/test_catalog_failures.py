@@ -25,15 +25,6 @@ def test_granule_names_are_stable():
     assert 2.0 <= a.size_mb <= 12.5
 
 
-def test_granules_for_task_typical_count_and_determinism():
-    catalog = ModisCatalog()
-    files = catalog.granules_for_task((9, 5), 42)
-    assert len(files) == 4  # "typically 3-4 source data files"
-    again = catalog.granules_for_task((9, 5), 42)
-    assert [f.name for f in files] == [f.name for f in again]
-    assert len({f.name for f in files}) == 4
-
-
 def test_catalog_validation():
     catalog = ModisCatalog()
     with pytest.raises(ValueError):

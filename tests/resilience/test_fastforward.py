@@ -205,3 +205,14 @@ def test_fast_forward_refuses_unmodelled_cells(spec, cell):
         fast_run_mode(bad, "none", policy=policy)
     with pytest.raises(ValueError, match="fast-forward cannot model"):
         run_campaign(replace(bad, policies=(policy,)), fast=True)
+
+
+@pytest.mark.parametrize("guard", [-5.0, float("nan"), float("inf")])
+def test_fast_forward_rejects_a_bad_guard_band(spec, guard):
+    with pytest.raises(ValueError, match="guard band must be"):
+        fast_run_mode(spec, "none", guard_band_s=guard)
+
+
+def test_guard_band_without_fast_is_rejected(spec):
+    with pytest.raises(ValueError, match="only to the fast-forward"):
+        run_campaign(spec, guard_band_s=100.0)

@@ -20,8 +20,8 @@ The optimization loop this belongs to:
     1. profile here, find the hot frames,
     2. optimize,
     3. re-check determinism (pytest tests/test_parallel.py) and
-       throughput (``python -m repro bench`` for the kernel,
-       ``python3 perfbench/run.py`` end to end).
+       throughput (``python3 perfbench/run.py`` end to end and by
+       layer, ``python tools/perf_ab.py BASE`` against the base).
 """
 
 from __future__ import annotations
