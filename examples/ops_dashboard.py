@@ -32,6 +32,10 @@ from repro.workloads import build_platform
 def main():
     platform = build_platform(seed=13, n_clients=24, racks=4, hosts_per_rack=8)
     env, account = platform.env, platform.account
+    # The scraper below folds raw request records into the registry, so
+    # the account's tracer keeps a window of them (by default it keeps
+    # none); each scrape clears it, so the window stays small.
+    platform.tracer.capacity = None
     account.blobs.create_container("data")
     account.tables.create_table("status")
     account.queues.create_queue("work")

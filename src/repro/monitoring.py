@@ -265,7 +265,7 @@ def attach_request_tracer(
     registry.register_gauge(f"{prefix}.total", lambda t=tracer: t.total)
     registry.register_gauge(f"{prefix}.errors", lambda t=tracer: t.errors)
     registry.register_gauge(
-        f"{prefix}.recorded", lambda t=tracer: len(t.records())
+        f"{prefix}.recorded", lambda t=tracer: t.recorded()
     )
     registry.register_gauge(f"{prefix}.dropped", lambda t=tracer: t.dropped)
     registry.register_gauge(
@@ -285,6 +285,11 @@ def ingest_request_traces(
 ) -> int:
     """Fold the tracer's retained per-request records into latency tallies.
 
+    The tracer must keep a record window (``RequestTracer(capacity=N)``
+    or ``capacity=None``): one without a window (the default) raises
+    :class:`ValueError` rather than ingest nothing — and, with
+    ``clear_after``, wipe the exact aggregates it does hold.
+
     Each record's end-to-end latency lands in ``<prefix>.<op>`` (so the
     registry snapshot exposes p50/p95/p99 per operation) and each failed
     record increments that tally's error counter.  Returns the number of
@@ -294,6 +299,11 @@ def ingest_request_traces(
     calls.  (The tracer's exact running aggregates are reset too, so
     pair ``clear_after`` with the registry as the long-lived store.)
     """
+    if tracer.capacity == 0:
+        raise ValueError(
+            "ingest_request_traces: the tracer keeps no records; build it"
+            " with a window (RequestTracer(capacity=N) or capacity=None)"
+        )
     count = 0
     for trace in tracer.records():
         tally = registry.tally(f"{prefix}.{trace.op}")

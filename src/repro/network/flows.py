@@ -131,7 +131,7 @@ class FlowNetwork:
 
         net = FlowNetwork(env)
         flow = net.transfer([nic, uplink, server_nic], size_mb=1000)
-        elapsed_info = yield flow.done   # fires at completion
+        yield flow.done   # fires at completion
 
     A link may carry a *flow ceiling* (:meth:`set_flow_ceiling`): every
     flow crossing it is capped there, and a flow's effective cap is the
@@ -176,7 +176,7 @@ class FlowNetwork:
         label: str = "",
     ) -> Flow:
         """Begin a transfer; returns the Flow whose ``done`` event fires
-        with the flow itself when the last byte arrives."""
+        (with value ``None``) when the last byte arrives."""
         if size_mb <= 0:
             raise ValueError(f"size_mb must be > 0, got {size_mb}")
         if not links and cap is None:
@@ -335,7 +335,9 @@ class FlowNetwork:
             self._detach(flow)
             flow._remaining = 0.0
             self.completed_count += 1
-            flow.done.succeed(flow)
+            # Fired with ``None``, not the flow: a flow whose event held
+            # it would be a cycle left for the collector.
+            flow.done.succeed()
         self._reschedule()
 
     def snapshot(self) -> Dict[str, float]:

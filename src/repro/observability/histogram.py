@@ -1,9 +1,9 @@
 """Log-bucketed, mergeable streaming histograms.
 
-The monitoring layer needs percentiles that survive bounded-window
-trimming: :class:`~repro.service.tracing.RequestTracer` drops raw
-records once its capacity is reached, and a registry tally that keeps
-every sample grows without bound on a long run.  A :class:`Histogram`
+The monitoring layer needs percentiles that do not depend on raw
+records: :class:`~repro.service.tracing.RequestTracer` keeps none unless
+asked to, and then only a bounded window, and a registry tally that
+keeps every sample grows without bound on a long run.  A :class:`Histogram`
 replaces raw-record retention as the percentile source: geometric
 buckets (each ``growth`` times wider than the last) give a bounded
 *relative* error on any quantile — ``sqrt(growth) - 1`` (~2% at the
@@ -22,6 +22,9 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
+
+_isfinite = math.isfinite
+_log = math.log
 
 
 class Histogram:
@@ -74,21 +77,31 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Add one sample; NaN or ±inf raises :class:`ValueError`
-        before any state changes, as in :meth:`observe_batch`."""
+        before any state changes, as in :meth:`observe_batch`.
+
+        The same arithmetic as :meth:`_index` and the builtin
+        ``min``/``max``, inlined: this runs once per traced request."""
         value = float(value)
-        if not math.isfinite(value):
+        if not _isfinite(value):
             raise ValueError(
                 f"histogram {self.name!r}: cannot observe non-finite values"
             )
         self._n += 1
         self._sum += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         if value <= 0.0:
             self._zero += 1
             return
-        idx = self._index(value)
-        self._counts[idx] = self._counts.get(idx, 0) + 1
+        min_value = self.min_value
+        idx = (
+            0 if value <= min_value
+            else int(_log(value / min_value) / self._log_growth) + 1
+        )
+        counts = self._counts
+        counts[idx] = counts.get(idx, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

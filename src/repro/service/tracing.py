@@ -5,11 +5,13 @@ emits one :class:`RequestTrace` (op kind, payload size, queue wait,
 transfer time, outcome); every client call that runs through
 :class:`repro.client.service_client.ServiceClient` emits a second,
 call-level record carrying the retry count.  Both land in a
-:class:`RequestTracer`, which is a bounded window of the newest records
-plus exact running aggregates and per-``(service, op)`` streaming
-latency histograms (:class:`repro.observability.histogram.Histogram`)
-— so a full-scale experiment can keep tracing on without the window
-growing with the run, and percentiles survive the window trimming.
+:class:`RequestTracer`, which keeps exact running aggregates and
+per-``(service, op)`` streaming latency histograms
+(:class:`repro.observability.histogram.Histogram`) of every record, so
+a full-scale experiment can keep tracing on at a fixed cost per record.
+The raw records themselves are kept only in a window the caller asks
+for (``capacity``): by default none are, since nothing in a run reads
+them, and percentiles never depend on the window.
 
 The tracer is read back through :mod:`repro.monitoring`
 (:func:`~repro.monitoring.attach_request_tracer`,
@@ -72,13 +74,16 @@ class RequestTrace:
 
 
 class RequestTracer:
-    """Bounded per-request trace log with exact running aggregates.
+    """Exact running aggregates of per-request traces, with an opt-in
+    window of the raw records.
 
-    ``capacity`` bounds how many individual records are retained (the
-    most recent ones win); the counters ``total``/``errors``/``dropped``,
-    the per-``(service, op)`` tallies and the streaming latency
-    histograms stay exact regardless of trimming.  Pass
-    ``capacity=None`` to retain everything.
+    ``capacity`` is how many individual records the window retains (the
+    most recent ones win): the default ``0`` keeps none, a positive
+    value keeps that many, and ``None`` keeps every record.  The
+    counters ``total``/``errors``, the per-``(service, op)`` tallies and
+    the streaming latency histograms stay exact whatever the window
+    keeps; ``dropped`` counts the records trimmed from a window, so it
+    stays 0 without one.
     """
 
     #: Kinds tagging the entries of the record window.
@@ -86,10 +91,12 @@ class RequestTracer:
     CLIENT_KIND = "client_call"
 
     def __init__(
-        self, capacity: Optional[int] = 100_000, enabled: bool = True
+        self, capacity: Optional[int] = 0, enabled: bool = True
     ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive (or None)")
+        if capacity is not None and capacity < 0:
+            raise ValueError(
+                "capacity must be >= 0 (0 keeps no records) or None"
+            )
         self.capacity = capacity
         self.enabled = enabled
         self._records: List[Tuple[str, RequestTrace]] = []
@@ -113,37 +120,53 @@ class RequestTracer:
         """Record one server-side request trace."""
         if not self.enabled:
             return
-        ok = trace.ok
-        agg, hist = self._view(False, trace.service, trace.op, ok)
+        latency = trace.finished_at - trace.started_at
+        key = (trace.service, trace.op)
+        agg = self._per_op.get(key)
+        if agg is None:
+            agg = self._new_aggregate(False, key)
         self.total += 1
         agg["count"] += 1
-        if not ok:
+        if trace.outcome == OK:
+            hist = self._latency.get(key)
+            if hist is None:
+                hist = self._new_histogram(False, key)
+        else:
+            hist = None
             self.errors += 1
             agg["errors"] += 1
-        agg["latency_s"] += trace.latency_s
+        agg["latency_s"] += latency
         agg["queue_wait_s"] += trace.queue_wait_s
         agg["transfer_s"] += trace.transfer_s
         agg["size_mb"] += trace.size_mb
         if hist is not None:
-            hist.observe(trace.latency_s)
-        self._append(self.REQUEST_KIND, trace)
+            hist.observe(latency)
+        if self.capacity != 0:
+            self._append(self.REQUEST_KIND, trace)
 
     def observe_call(self, trace: RequestTrace) -> None:
         """Record one client-call trace (whole retried operation)."""
         if not self.enabled:
             return
-        ok = trace.ok
-        agg, hist = self._view(True, trace.service, trace.op, ok)
+        key = (trace.service, trace.op)
+        agg = self._client_per_op.get(key)
+        if agg is None:
+            agg = self._new_aggregate(True, key)
         self.client_total += 1
         agg["count"] += 1
-        if not ok:
+        retries = trace.retries
+        self.retries += retries
+        agg["retries"] += retries
+        if trace.outcome == OK:
+            hist = self._client_latency.get(key)
+            if hist is None:
+                hist = self._new_histogram(True, key)
+            hist.observe(trace.finished_at - trace.started_at)
+        else:
             self.client_errors += 1
             agg["errors"] += 1
-        self.retries += trace.retries
-        agg["retries"] += trace.retries
-        if hist is not None:
-            hist.observe(trace.latency_s)
-        self._append(self.CLIENT_KIND, trace)
+        if self.capacity != 0:
+            self._append(self.CLIENT_KIND, trace)
 
     def observe_batch(
         self,
@@ -169,11 +192,10 @@ class RequestTracer:
         path).  With ``client=True`` the batch folds into the
         client-call view instead of the server-side one.
 
-        Individual :class:`RequestTrace` records are *not* appended —
-        batch ingestion trades the bounded raw-record window for
-        aggregate-only accounting, so ``records()`` stays empty under
-        pure batched traffic while totals, aggregates and percentiles
-        remain exact.
+        Individual :class:`RequestTrace` records are *not* appended,
+        even to a window — batch ingestion is aggregate-only accounting,
+        so ``records()`` stays empty under pure batched traffic while
+        totals, aggregates and percentiles remain exact.
         """
         if not self.enabled:
             return
@@ -182,7 +204,11 @@ class RequestTracer:
         total_n = n + errors
         if total_n == 0:
             return
-        agg, hist = self._view(client, service, op, n > 0)
+        key = (service, op)
+        per_op = self._client_per_op if client else self._per_op
+        agg = per_op.get(key)
+        if agg is None:
+            agg = self._new_aggregate(client, key)
         agg["count"] += total_n
         agg["errors"] += errors
         if client:
@@ -198,35 +224,38 @@ class RequestTracer:
                 agg["transfer_s"] += float(np.sum(transfers))
             if sizes_mb is not None:
                 agg["size_mb"] += float(np.sum(sizes_mb))
-        if hist is not None:
+        if n:
+            latency = self._client_latency if client else self._latency
+            hist = latency.get(key)
+            if hist is None:
+                hist = self._new_histogram(client, key)
             hist.observe_batch(arr)
 
-    def _view(
-        self, client: bool, service: str, op: str, ok: bool
-    ) -> Tuple[Dict[str, float], Optional[Histogram]]:
-        """The ``(service, op)`` aggregate of the client-call or
-        server-side view, created zeroed on first use, and — when
-        ``ok`` — its latency histogram, created on the first successful
-        sample (so a failures-only pair has no histogram)."""
-        key = (service, op)
+    def _new_aggregate(
+        self, client: bool, key: Tuple[str, str]
+    ) -> Dict[str, float]:
+        """A zeroed ``(service, op)`` aggregate of the client-call or
+        server-side view, registered under ``key``."""
         if client:
-            per_op, latency = self._client_per_op, self._client_latency
+            agg = self._client_per_op[key] = dict.fromkeys(_CLIENT_FIELDS, 0.0)
         else:
-            per_op, latency = self._per_op, self._latency
-        agg = per_op.get(key)
-        if agg is None:
-            agg = per_op[key] = dict.fromkeys(
-                _CLIENT_FIELDS if client else _SERVER_FIELDS, 0.0
-            )
-        if not ok:
-            return agg, None
-        hist = latency.get(key)
-        if hist is None:
-            name = f"{service}.{op}.call" if client else f"{service}.{op}"
-            hist = latency[key] = Histogram(name)
-        return agg, hist
+            agg = self._per_op[key] = dict.fromkeys(_SERVER_FIELDS, 0.0)
+        return agg
+
+    def _new_histogram(
+        self, client: bool, key: Tuple[str, str]
+    ) -> Histogram:
+        """An empty latency histogram for ``key``; created on the first
+        successful sample, so a failures-only pair has none."""
+        service, op = key
+        if client:
+            hist = self._client_latency[key] = Histogram(f"{service}.{op}.call")
+        else:
+            hist = self._latency[key] = Histogram(f"{service}.{op}")
+        return hist
 
     def _append(self, kind: str, trace: RequestTrace) -> None:
+        """Keep ``trace`` in the window (only called when there is one)."""
         records = self._records
         records.append((kind, trace))
         cap = self.capacity
@@ -243,6 +272,12 @@ class RequestTracer:
         """Retained server-side request traces, oldest first."""
         kind = self.REQUEST_KIND
         return [trace for k, trace in self._records if k == kind]
+
+    def recorded(self) -> int:
+        """How many server-side request traces the window retains:
+        ``len(records())`` without building the list."""
+        kind = self.REQUEST_KIND
+        return sum(1 for k, _ in self._records if k == kind)
 
     def client_calls(self) -> List[RequestTrace]:
         """Retained client-call traces, oldest first."""
@@ -292,10 +327,10 @@ class RequestTracer:
         """JSON-able aggregate state: counters, per-``(service, op)``
         totals, and every streaming histogram bucket-for-bucket.
 
-        The bounded raw-record window is deliberately *not* serialized
-        — aggregates and histograms are the exact, trim-proof science;
-        the window is a debugging convenience.  Round-trips through
-        :meth:`from_snapshot` (the catalog stores these per sweep cell).
+        The raw-record window, when there is one, is deliberately *not*
+        serialized — aggregates and histograms are the exact, trim-proof
+        science; the window is a debugging convenience.  Round-trips
+        through :meth:`from_snapshot` (the catalog stores these per sweep cell).
         """
         return {
             "total": self.total,
@@ -327,7 +362,7 @@ class RequestTracer:
         """Rebuild a tracer from :meth:`snapshot` output.  Aggregates,
         counters and histograms are restored exactly (percentiles and
         :func:`repro.monitoring.request_summary` render identically);
-        the raw-record window starts empty."""
+        the rebuilt tracer keeps no raw records."""
         tracer = cls()
         tracer.total = int(payload.get("total", 0))  # type: ignore[arg-type]
         tracer.errors = int(payload.get("errors", 0))  # type: ignore[arg-type]

@@ -30,10 +30,12 @@ class StorageAccount:
     """The storage half of a simulated Azure subscription.
 
     All three services share one :class:`RequestTracer`, so every
-    request against the account — blob, table or queue — lands in a
-    single per-request trace log (read back via :mod:`repro.monitoring`).
-    Pass ``tracer=None`` explicitly only to build a custom one;
-    ``RequestTracer(enabled=False)`` disables collection entirely.
+    request against the account — blob, table or queue — lands in one
+    set of exact per-``(service, op)`` aggregates and latency histograms
+    (read back via :mod:`repro.monitoring`).  The default tracer keeps
+    no raw records; pass ``tracer=RequestTracer(capacity=N)`` (or
+    ``capacity=None``) to keep a window of them, or
+    ``RequestTracer(enabled=False)`` to disable collection entirely.
     """
 
     def __init__(

@@ -6,6 +6,7 @@ from repro.observability import spans as spanlib
 from repro.observability.spans import SpanTracer
 from repro.resilience.backoff import NO_RETRY, RetryPolicy
 from repro.resilience.hedging import HedgePolicy
+from repro.service.tracing import RequestTracer
 from repro.simcore import Environment, RandomStreams
 from repro.storage import (
     AccountFailoverError,
@@ -17,12 +18,13 @@ from repro.storage.errors import ConnectionFailureError, is_transport_failure
 from repro.storage.table import make_entity
 
 
-def _geo(seed=0, spans=False, **cfg):
+def _geo(seed=0, spans=False, tracer=None, **cfg):
     env = Environment()
     streams = RandomStreams(seed)
     geo = GeoReplicatedAccount(
         env, streams, name="geo",
         replication=ReplicationConfig(**cfg) if cfg else None,
+        tracer=tracer,
     )
     if spans:
         geo.tracer.spans = SpanTracer()
@@ -207,7 +209,7 @@ def test_failed_geo_call_span_names_its_replica():
 def test_client_retries_match_the_traced_call_retries():
     """``ServiceClient.retries`` counts every retry of every call, both
     passes included, exactly as the call traces report them."""
-    env, geo = _geo()
+    env, geo = _geo(tracer=RequestTracer(capacity=None))
     # A 30 s blackout on the primary: calls inside it retry there, then
     # fail over; calls after it succeed on the primary first time.
     server = geo.primary.tables.server_for("t", "hot")

@@ -35,7 +35,7 @@ def _trace(service, op, start, latency, outcome=OK, retries=0):
 
 @pytest.fixture()
 def tracer():
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     rng = np.random.default_rng(11)
     for i in range(200):
         lat = float(rng.lognormal(-3.0, 0.5))

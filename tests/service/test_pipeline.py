@@ -52,7 +52,7 @@ class FakeNetwork:
 
 def test_commit_result_is_returned_and_traced():
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
     box = drive(env, pipe.execute("svc.op", commit=lambda: "payload"))
     assert box["result"] == "payload"
@@ -64,7 +64,7 @@ def test_commit_result_is_returned_and_traced():
 
 def test_base_latency_draw_is_fixed_plus_jitter():
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     pipe = RequestPipeline(
         env,
         _rng(),
@@ -105,7 +105,7 @@ def test_routed_op_measures_queue_wait():
     from repro.storage import PartitionServer
 
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     server = PartitionServer(env, _rng(1), frontend_c_s=0.0)
     pipe = RequestPipeline(
         env, _rng(), service="svc", router=lambda key: server, tracer=tracer
@@ -139,7 +139,7 @@ def test_routed_op_requires_spec():
 
 def test_transfer_runs_flow_with_connection_accounting():
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     network = FakeNetwork(env, duration_s=2.0)
     pipe = RequestPipeline(
         env, _rng(), service="svc", network=network, tracer=tracer
@@ -175,7 +175,7 @@ def test_transfer_without_network_raises():
 
 def test_failed_request_traces_outcome_and_reraises():
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
 
     def bad_commit():
@@ -219,7 +219,7 @@ def test_fault_injector_read_from_owner():
 
 def test_work_stage_advances_clock():
     env = Environment()
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
     drive(env, pipe.execute("svc.copy", work_s=3.5))
     assert env.now == pytest.approx(3.5)

@@ -29,13 +29,20 @@ def test_trace_latency_and_ok():
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        RequestTracer(capacity=0)
+        RequestTracer(capacity=-1)
     # None = unbounded is allowed.
     RequestTracer(capacity=None)
+    # 0 (the default) keeps no records; the aggregates stay exact.
+    for tracer in (RequestTracer(capacity=0), RequestTracer()):
+        tracer.observe(_trace())
+        tracer.observe_call(_trace(retries=1))
+        assert tracer.records() == [] and tracer.client_calls() == []
+        assert tracer.recorded() == 0 and tracer.dropped == 0
+        assert tracer.total == 1 and tracer.client_total == 1
 
 
 def test_counters_and_records():
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     tracer.observe(_trace())
     tracer.observe(_trace(outcome="ServerBusyError"))
     assert tracer.total == 2 and tracer.errors == 1
@@ -44,7 +51,7 @@ def test_counters_and_records():
 
 
 def test_client_calls_tracked_separately():
-    tracer = RequestTracer()
+    tracer = RequestTracer(capacity=None)
     tracer.observe_call(_trace(retries=2))
     tracer.observe_call(_trace(outcome="ClientTimeoutError", retries=3))
     assert tracer.client_total == 2 and tracer.client_errors == 1

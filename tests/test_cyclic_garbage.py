@@ -1,4 +1,5 @@
-"""Client calls and campaign cells are freed by reference counting.
+"""Client calls, flows and campaign cells are freed by reference
+counting.
 
 Each test runs its workload with the cyclic collector off, then
 collects once with ``DEBUG_SAVEALL`` and looks at what only the
@@ -14,14 +15,19 @@ from dataclasses import replace
 
 from repro.client import TableClient
 from repro.faults import FaultInjector
+from repro.network import FlowNetwork, Link
+from repro.network.flows import Flow
 from repro.resilience import HedgePolicy, hedged_call
 from repro.resilience.backoff import RetryPolicy
 from repro.resilience.campaign import day_campaign_spec, run_campaign
-from repro.simcore import Environment, Race, RandomStreams, Timeout
+from repro.service.tracing import RequestTrace
+from repro.simcore import Environment, Event, Race, RandomStreams, Timeout
 from repro.simcore.process import Process
 from repro.storage import StorageAccount
 from repro.storage.errors import ServerBusyError
 from repro.storage.table import make_entity
+from repro.workloads import build_platform
+from repro.workloads.table_bench import run_table_test
 
 #: What one client call creates: the race, its deadline, the attempt
 #: process and generator, and a failed attempt's exception.
@@ -206,3 +212,59 @@ def test_campaign_cells_leave_no_environment_behind():
         assert _cyclic_garbage(
             lambda: run_campaign(spec, fast=fast), (Environment,)
         ) == [], f"fast={fast}"
+
+
+_TABLE_OPS = {"insert": 5, "query": 3, "update": 2, "delete": 5}
+
+
+def test_table_bench_keeps_no_request_traces_by_default():
+    def run():
+        platform = build_platform(seed=0, n_clients=4)
+        run_table_test(4, ops_per_client=_TABLE_OPS, platform=platform)
+        return platform
+
+    # Nothing holds a trace once its request is counted, so none is
+    # alive beside the platform and none is left for the collector.
+    assert _cyclic_garbage(run, (RequestTrace,)) == []
+    platform = run()
+    tracer = platform.tracer
+    assert tracer.total == tracer.client_total == 60
+    assert tracer.records() == [] and tracer.client_calls() == []
+    assert not any(isinstance(obj, RequestTrace) for obj in gc.get_objects())
+
+
+def test_a_record_window_leaves_the_snapshot_unchanged():
+    snapshots = []
+    for capacity in (0, None):
+        platform = build_platform(seed=0, n_clients=4)
+        platform.tracer.capacity = capacity
+        run_table_test(4, ops_per_client=_TABLE_OPS, platform=platform)
+        snapshots.append(platform.tracer.snapshot())
+    windowless, full = snapshots
+    assert windowless == full
+    assert full["total"] == 60 and full["dropped"] == 0
+
+
+def test_flow_churn_leaves_no_cyclic_garbage():
+    done = []
+
+    def run():
+        env = Environment()
+        net = FlowNetwork(env)
+        links = [Link(f"l{i}", 10.0 * (i + 1)) for i in range(3)]
+
+        def sender(env, i):
+            for k in range(20):
+                flow = net.transfer(
+                    links[i % 3:], 1.0 + (i + k) % 4, label=f"s{i}"
+                )
+                yield flow.done
+                done.append(env.now)
+
+        for i in range(6):
+            env.process(sender(env, i))
+        env.run()
+        return env, net
+
+    assert _cyclic_garbage(run, (Flow, Event)) == []
+    assert len(done) == 120

@@ -29,6 +29,7 @@ def test_platform_carries_the_account_tracer():
 
 def test_blob_bench_emits_request_traces():
     p = build_platform(seed=0, n_clients=2)
+    p.tracer.capacity = None  # keep every raw record
     run_blob_test("download", 2, size_mb=64.0, platform=p)
     # Server-side records use the wire op kind ...
     downloads = [t for t in p.tracer.records() if t.op == "blob.get"]
@@ -65,6 +66,7 @@ def test_queue_bench_emits_request_traces():
 
 def test_traces_flow_into_monitoring():
     p = build_platform(seed=0, n_clients=2)
+    p.tracer.capacity = None  # keep every raw record
     run_queue_test("add", 2, ops_per_client=4, platform=p)
 
     registry = MetricsRegistry()
