@@ -5,25 +5,29 @@ Section 6.3: "extensive monitoring and logging facilities are necessary
 to not only diagnose problems but also to determine how the application
 is behaving."  This example wires gauges onto every service of a
 simulated platform, runs a mixed blob/table/queue workload with a
-mid-run 503 storm, and prints the dashboard an operator would watch.
+mid-run 503 storm, and prints the dashboard an operator would watch,
+then one row per ``(service, op)`` straight from the account's request
+tracer: exact counts and mean stage timings, and latency percentiles of
+the successful requests.
 
-The final registry state is then catalogued as an ``ops`` run record —
-written through the catalog's own simulated blob service into
-``catalog-example/`` — so ``repro dash --catalog catalog-example``
-re-renders this run's KPIs long after the process exits (the
-run-catalog upgrade of the old print-and-forget loop).
+The final registry state and the tracer's snapshot are then catalogued
+as an ``ops`` run record — written through the catalog's own simulated
+blob service into ``catalog-example/`` — so ``repro dash --catalog
+catalog-example`` re-renders this run's KPIs long after the process
+exits (the run-catalog upgrade of the old print-and-forget loop).
 
 Run:  python examples/ops_dashboard.py
 """
 
+from repro.analysis import ascii_table
 from repro.client import BlobClient, QueueClient, TableClient
 from repro.resilience.backoff import RetryPolicy
 from repro.faults import FaultInjector
 from repro.monitoring import (
     MetricsRegistry,
     Sampler,
-    ingest_request_traces,
     render_dashboard,
+    request_summary,
 )
 from repro.storage.table import make_entity
 from repro.workloads import build_platform
@@ -32,10 +36,6 @@ from repro.workloads import build_platform
 def main():
     platform = build_platform(seed=13, n_clients=24, racks=4, hosts_per_rack=8)
     env, account = platform.env, platform.account
-    # The scraper below folds raw request records into the registry, so
-    # the account's tracer keeps a window of them (by default it keeps
-    # none); each scrape clears it, so the window stays small.
-    platform.tracer.capacity = None
     account.blobs.create_container("data")
     account.tables.create_table("status")
     account.queues.create_queue("work")
@@ -101,24 +101,11 @@ def main():
             yield from queue.delete("work", msg, msg.pop_receipt)
             registry.counter("jobs.done").increment()
 
-    def scraper(env):
-        # Periodically fold the account's request traces into per-op
-        # latency tallies.  clear_after=True makes the scrape
-        # idempotent: each record lands in the registry exactly once,
-        # however often this loop runs.
-        while True:
-            yield env.timeout(30.0)
-            ingest_request_traces(
-                registry, platform.tracer, clear_after=True
-            )
-
     for idx in range(8):
         env.process(producer(env, idx))
     for idx in range(8):
         env.process(worker(env, idx))
-    env.process(scraper(env))
     env.run(until=450.0)
-    ingest_request_traces(registry, platform.tracer, clear_after=True)
 
     print(render_dashboard(
         registry,
@@ -129,6 +116,10 @@ def main():
     print(f"\n503s injected by the drill: {injector.stats.rejections} "
           "(absorbed by client retries -- visible only in the retry "
           "counter and the latency tallies, which is the paper's point)")
+    print()
+    print(request_summary(platform.tracer, title="Requests per operation"))
+    print()
+    print(latency_table(platform.tracer))
 
     # Catalog the registry snapshot as a durable 'ops' artifact.
     from repro.artifacts import CatalogStore, ops_record, render_dash
@@ -146,6 +137,21 @@ def main():
           "any time with:\n  python -m repro dash --catalog catalog-example")
     print()
     print(render_dash(store.get_record(run_id)))
+    return platform.tracer
+
+
+def latency_table(tracer):
+    """p50/p95/p99 in ms per ``(service, op)``, over successful requests."""
+    rows = [
+        [service, op, hist.count,
+         *(round(hist.percentile(q) * 1000, 1) for q in (50, 95, 99))]
+        for (service, op), hist in sorted(tracer.latency_histograms().items())
+    ]
+    return ascii_table(
+        ["service", "op", "ok", "p50_ms", "p95_ms", "p99_ms"],
+        rows,
+        title="Latency of successful requests",
+    )
 
 
 if __name__ == "__main__":

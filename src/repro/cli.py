@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -172,6 +173,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
+    if args.limit < 1:
+        print(f"repro: --limit must be >= 1, got {args.limit}",
+              file=sys.stderr)
+        return 2
     platform = _run_traced_workload(args, spans=True)
     if platform is None:
         return 2
@@ -218,6 +223,18 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         latency_slo,
     )
 
+    # Bad objectives exit 2 before the run (exit 1 means an SLO failed).
+    try:
+        availability = availability_slo(args.availability)
+    except ValueError as exc:
+        print(f"repro: --availability: {exc}", file=sys.stderr)
+        return 2
+    try:
+        latency = latency_slo(args.latency_ms / 1000.0, args.latency_target)
+    except ValueError as exc:
+        print(f"repro: --latency-ms/--latency-target: {exc}",
+              file=sys.stderr)
+        return 2
     platform = _run_traced_workload(args, spans=False)
     if platform is None:
         return 2
@@ -236,10 +253,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         else None
     )
     report = evaluate_slos(
-        [
-            availability_slo(args.availability),
-            latency_slo(args.latency_ms / 1000.0, args.latency_target),
-        ],
+        [availability, latency],
         total=tracer.total,
         errors=tracer.errors,
         histogram=merged,
@@ -409,9 +423,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _open_catalog(args: argparse.Namespace):
-    """Open the selected catalog directory (or exit 2 when empty/bad)."""
+    """Open the selected catalog directory for reading (or exit 2 when
+    it is missing or bad); a missing one is not created."""
     from repro.artifacts import CatalogError, CatalogStore
 
+    if not os.path.isdir(args.catalog):
+        print(f"repro: no catalog at {args.catalog}", file=sys.stderr)
+        return None
     try:
         return CatalogStore(args.catalog)
     except CatalogError as exc:
@@ -690,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--limit", type=int, default=3,
-        help="max traces printed in waterfall mode",
+        help="max traces printed in waterfall mode (at least 1)",
     )
     p_trace.set_defaults(func=_cmd_trace)
 

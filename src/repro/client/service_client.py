@@ -17,11 +17,10 @@ client is then just an op table::
             )
             return result
 
-Every client call additionally emits a call-level
-:class:`~repro.service.tracing.RequestTrace` (op kind, latency, retry
-count, outcome) into the service's :class:`RequestTracer` — the client
-half of the per-request observability layer (the service half is
-emitted by the request pipeline itself).  When the tracer carries a
+Every client call additionally reports its op kind, latency, retry
+count and outcome to the service's :class:`RequestTracer` — the client
+half of the per-request aggregates (the request pipeline reports the
+service half).  When the tracer carries a
 :class:`~repro.observability.spans.SpanTracer`, every call opens a
 ``call:<op>`` span and every raw attempt (each retry, each hedge leg)
 runs under its own ``attempt`` span bound as ambient context, so the
@@ -64,7 +63,7 @@ from repro.observability import spans as spanlib
 from repro.observability.spans import Span, SpanTracer
 from repro.resilience.backoff import RetryPolicy
 from repro.resilience.hedging import HedgePolicy, hedged_call
-from repro.service.tracing import OK, RequestTrace, RequestTracer
+from repro.service.tracing import RequestTracer
 from repro.storage.errors import is_transport_failure
 
 
@@ -330,19 +329,13 @@ class ServiceClient:
         replica: Optional[str],
         error: Optional[BaseException],
     ) -> None:
-        """Emit the call trace and close the call span; the span names
-        the replica that answered (or failed) exactly when the client
-        has a secondary."""
+        """Report the call to the tracer and close the call span; the
+        span names the replica that answered (or failed) exactly when
+        the client has a secondary."""
         if self.tracer is not None:
             self.tracer.observe_call(
-                RequestTrace(
-                    service=getattr(self.service, "name", "service"),
-                    op=kind,
-                    started_at=started_at,
-                    finished_at=self.env.now,
-                    retries=retries,
-                    outcome=OK if error is None else type(error).__name__,
-                )
+                getattr(self.service, "name", "service"), kind,
+                self.env.now - started_at, error is None, retries,
             )
         if spans is None or call_span is None:
             return

@@ -258,16 +258,12 @@ def attach_request_tracer(
 ) -> None:
     """Register a :class:`repro.service.tracing.RequestTracer` as gauges.
 
-    Exposes the service-side request totals (count, errors, retained
-    records, dropped-by-capacity) and the client-observed call totals
-    (count, errors, retries across all attempts) under ``prefix``.
+    Exposes the service-side request totals (count, errors) and the
+    client-observed call totals (count, errors, retries across all
+    attempts) under ``prefix``.
     """
     registry.register_gauge(f"{prefix}.total", lambda t=tracer: t.total)
     registry.register_gauge(f"{prefix}.errors", lambda t=tracer: t.errors)
-    registry.register_gauge(
-        f"{prefix}.recorded", lambda t=tracer: t.recorded()
-    )
-    registry.register_gauge(f"{prefix}.dropped", lambda t=tracer: t.dropped)
     registry.register_gauge(
         f"{prefix}.client_total", lambda t=tracer: t.client_total
     )
@@ -277,50 +273,9 @@ def attach_request_tracer(
     registry.register_gauge(f"{prefix}.retries", lambda t=tracer: t.retries)
 
 
-def ingest_request_traces(
-    registry: MetricsRegistry,
-    tracer,
-    prefix: str = "requests",
-    clear_after: bool = False,
-) -> int:
-    """Fold the tracer's retained per-request records into latency tallies.
-
-    The tracer must keep a record window (``RequestTracer(capacity=N)``
-    or ``capacity=None``): one without a window (the default) raises
-    :class:`ValueError` rather than ingest nothing — and, with
-    ``clear_after``, wipe the exact aggregates it does hold.
-
-    Each record's end-to-end latency lands in ``<prefix>.<op>`` (so the
-    registry snapshot exposes p50/p95/p99 per operation) and each failed
-    record increments that tally's error counter.  Returns the number of
-    records ingested.  With ``clear_after=True`` the tracer's retained
-    records are dropped once folded, making periodic ingestion
-    idempotent — each record is counted exactly once across repeated
-    calls.  (The tracer's exact running aggregates are reset too, so
-    pair ``clear_after`` with the registry as the long-lived store.)
-    """
-    if tracer.capacity == 0:
-        raise ValueError(
-            "ingest_request_traces: the tracer keeps no records; build it"
-            " with a window (RequestTracer(capacity=N) or capacity=None)"
-        )
-    count = 0
-    for trace in tracer.records():
-        tally = registry.tally(f"{prefix}.{trace.op}")
-        tally.observe(trace.latency_s)
-        if not trace.ok:
-            tally.observe_error()
-        count += 1
-    if clear_after:
-        tracer.clear()
-    return count
-
-
 def request_summary(tracer, title: str = "request summary") -> str:
-    """An operator-readable per-operation rollup of the request log.
-
-    Aggregates are exact over the tracer's whole lifetime (capacity
-    trimming drops raw records, never the running sums).
+    """An operator-readable per-``(service, op)`` rollup of the
+    tracer's aggregates, exact over its whole lifetime.
     """
     rows = []
     for (service, op), totals in sorted(

@@ -1,9 +1,9 @@
 """Log-bucketed, mergeable streaming histograms.
 
 The monitoring layer needs percentiles that do not depend on raw
-records: :class:`~repro.service.tracing.RequestTracer` keeps none unless
-asked to, and then only a bounded window, and a registry tally that
-keeps every sample grows without bound on a long run.  A :class:`Histogram`
+records: :class:`~repro.service.tracing.RequestTracer` keeps none, and
+a registry tally that keeps every sample grows without bound on a long
+run.  A :class:`Histogram`
 replaces raw-record retention as the percentile source: geometric
 buckets (each ``growth`` times wider than the last) give a bounded
 *relative* error on any quantile — ``sqrt(growth) - 1`` (~2% at the

@@ -13,10 +13,10 @@ pipeline once:
   :class:`~repro.storage.blob.BlobService`,
   :class:`~repro.storage.table.TableService` and
   :class:`~repro.storage.queue.QueueService` are thin op-tables over;
-* :mod:`repro.service.tracing`  -- :class:`RequestTracer`, the
-  per-request structured trace log (op kind, size, queue wait, transfer
-  time, retries, outcome): a bounded window of records plus exact
-  aggregates, surfaced through :mod:`repro.monitoring`.
+* :mod:`repro.service.tracing`  -- :class:`RequestTracer`, exact
+  per-``(service, op)`` aggregates of every request and client call
+  (count, errors, size, queue wait, transfer time, retries, latency
+  histograms), surfaced through :mod:`repro.monitoring`.
 
 The pipeline is stage-exact with the three request paths it replaced:
 every RNG draw and every kernel event happens at the same point in the
@@ -26,13 +26,12 @@ bit-identical across the refactor.
 
 from repro.service.pipeline import LatencyProfile, RequestPipeline, TransferSpec
 from repro.service.spec import OpSpec
-from repro.service.tracing import RequestTrace, RequestTracer
+from repro.service.tracing import RequestTracer
 
 __all__ = [
     "LatencyProfile",
     "OpSpec",
     "RequestPipeline",
-    "RequestTrace",
     "RequestTracer",
     "TransferSpec",
 ]

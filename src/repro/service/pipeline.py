@@ -38,7 +38,7 @@ import numpy as np
 from repro.observability import spans as spanlib
 from repro.observability.spans import SpanTracer
 from repro.service.spec import OpSpec
-from repro.service.tracing import RequestTrace, RequestTracer
+from repro.service.tracing import RequestTracer
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,9 @@ class RequestPipeline:
         The service object; consulted for its ``fault_injector`` at
         admission so drills keep working unchanged.
     tracer:
-        Optional :class:`RequestTracer`; every request emits one
-        :class:`RequestTrace` on completion, including failures.
+        Optional :class:`RequestTracer`; every request reports its
+        latency, queue wait, transfer time, payload size and outcome to
+        it on completion, failures included.
     """
 
     def __init__(
@@ -160,9 +161,9 @@ class RequestPipeline:
         7. ``commit()`` — state mutation; its return value is the
            request's result.
 
-        Exactly one trace record is emitted per request, successful or
-        not, carrying the stage timings observed up to the outcome.
-        When the tracer carries a
+        Every request, successful or not, is folded into the tracer's
+        aggregates once, with the stage timings observed up to the
+        outcome.  When the tracer carries a
         :class:`~repro.observability.spans.SpanTracer`, the request also
         emits a span tree — one server span (parented under the ambient
         client-attempt context if one is bound) with one child per
@@ -172,12 +173,8 @@ class RequestPipeline:
         kernel event.  Without it, no span closure is built at all.
         """
         env = self.env
-        trace = RequestTrace(
-            service=self.service,
-            op=kind,
-            started_at=env.now,
-            finished_at=env.now,
-        )
+        started_at = env.now
+        size_mb = queue_wait_s = transfer_s = 0.0
         spans = self._span_tracer()
         server_span = None
         if spans is not None:
@@ -213,7 +210,6 @@ class RequestPipeline:
 
             if base_latency_s > 0:
                 delay = self.latency.draw(self.rng, base_latency_s)
-                trace.base_latency_s = delay
                 entered = env.now
                 yield env.timeout(delay)
                 if spans is not None:
@@ -237,7 +233,7 @@ class RequestPipeline:
                     raise ValueError(
                         f"{self.service}: routed op {kind!r} needs an OpSpec"
                     )
-                trace.size_mb = spec.payload_mb
+                size_mb = spec.payload_mb
                 observer: Optional[Callable[[str, float], None]] = None
                 routing_span = None
                 if spans is not None:
@@ -263,16 +259,14 @@ class RequestPipeline:
 
                     observer = observe_wait
 
-                entered = env.now
                 try:
                     # The server returns its queue/latch wait seconds.
-                    trace.queue_wait_s = yield from server.execute(
+                    queue_wait_s = yield from server.execute(
                         spec, observer=observer
                     )
                 finally:
                     if spans is not None and routing_span is not None:
                         spans.finish(routing_span, env.now)
-                trace.server_s = env.now - entered
 
             if work_s > 0:
                 entered = env.now
@@ -287,7 +281,7 @@ class RequestPipeline:
                         f"{self.service}: op {kind!r} transfers but the"
                         " pipeline has no network"
                     )
-                trace.size_mb = xfer.size_mb
+                size_mb = xfer.size_mb
                 started = env.now
                 if xfer.acquire is not None:
                     xfer.acquire()
@@ -302,7 +296,7 @@ class RequestPipeline:
                     # Connection release changes front-end caps; let the
                     # network re-solve the affected component.
                     self.network.poke()
-                trace.transfer_s = env.now - started
+                transfer_s = env.now - started
                 if spans is not None:
                     stage = spans.start(
                         "stage:transfer",
@@ -329,16 +323,19 @@ class RequestPipeline:
             else:
                 result = None
         except BaseException as error:
-            trace.outcome = type(error).__name__
-            trace.finished_at = env.now
             if self.tracer is not None:
-                self.tracer.observe(trace)
+                self.tracer.observe(
+                    self.service, kind, env.now - started_at, False,
+                    queue_wait_s, transfer_s, size_mb,
+                )
             if spans is not None and server_span is not None:
                 spans.finish(server_span, env.now, type(error).__name__)
             raise
-        trace.finished_at = env.now
         if self.tracer is not None:
-            self.tracer.observe(trace)
+            self.tracer.observe(
+                self.service, kind, env.now - started_at, True,
+                queue_wait_s, transfer_s, size_mb,
+            )
         if spans is not None and server_span is not None:
             spans.finish(server_span, env.now)
         return result

@@ -32,10 +32,11 @@ class StorageAccount:
     All three services share one :class:`RequestTracer`, so every
     request against the account — blob, table or queue — lands in one
     set of exact per-``(service, op)`` aggregates and latency histograms
-    (read back via :mod:`repro.monitoring`).  The default tracer keeps
-    no raw records; pass ``tracer=RequestTracer(capacity=N)`` (or
-    ``capacity=None``) to keep a window of them, or
-    ``RequestTracer(enabled=False)`` to disable collection entirely.
+    (read back via :mod:`repro.monitoring`).  Pass
+    ``tracer=RequestTracer(enabled=False)`` to disable collection; the
+    per-request record is the span tree of a
+    :class:`~repro.observability.spans.SpanTracer` attached as the
+    tracer's ``spans``.
     """
 
     def __init__(

@@ -11,8 +11,8 @@ storage benchmarks (fig1/fig2/fig3) run on:
 
 Every platform carries the storage account's shared
 :class:`~repro.service.tracing.RequestTracer`, so any bench run on the
-harness emits per-request trace records retrievable through
-:mod:`repro.monitoring`.
+harness folds every request and client call into exact aggregates
+retrievable through :mod:`repro.monitoring`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Platform:
     #: Per-client network endpoints (each on its own host, as the
     #: paper's worker-role test clients were).
     clients: List["HostEndpoint"] = field(default_factory=list)
-    #: The account's shared per-request trace log (see
+    #: The account's shared request aggregates (see
     #: :mod:`repro.service.tracing`); read via :mod:`repro.monitoring`.
     tracer: Optional[RequestTracer] = None
     #: The span collector, when the platform was built with

@@ -6,7 +6,6 @@ from repro.observability import spans as spanlib
 from repro.observability.spans import SpanTracer
 from repro.resilience.backoff import NO_RETRY, RetryPolicy
 from repro.resilience.hedging import HedgePolicy
-from repro.service.tracing import RequestTracer
 from repro.simcore import Environment, RandomStreams
 from repro.storage import (
     AccountFailoverError,
@@ -18,13 +17,12 @@ from repro.storage.errors import ConnectionFailureError, is_transport_failure
 from repro.storage.table import make_entity
 
 
-def _geo(seed=0, spans=False, tracer=None, **cfg):
+def _geo(seed=0, spans=False, **cfg):
     env = Environment()
     streams = RandomStreams(seed)
     geo = GeoReplicatedAccount(
         env, streams, name="geo",
         replication=ReplicationConfig(**cfg) if cfg else None,
-        tracer=tracer,
     )
     if spans:
         geo.tracer.spans = SpanTracer()
@@ -208,8 +206,8 @@ def test_failed_geo_call_span_names_its_replica():
 
 def test_client_retries_match_the_traced_call_retries():
     """``ServiceClient.retries`` counts every retry of every call, both
-    passes included, exactly as the call traces report them."""
-    env, geo = _geo(tracer=RequestTracer(capacity=None))
+    passes included, exactly as the call spans report them."""
+    env, geo = _geo(spans=True)
     # A 30 s blackout on the primary: calls inside it retry there, then
     # fail over; calls after it succeed on the primary first time.
     server = geo.primary.tables.server_for("t", "hot")
@@ -233,12 +231,13 @@ def test_client_retries_match_the_traced_call_retries():
     env.process(writer(env))
     env.run()
 
-    calls = geo.tracer.client_calls()
+    calls = [s for s in geo.tracer.spans.spans() if s.kind == spanlib.CLIENT]
+    assert len(calls) == geo.tracer.client_total == 7
     assert client.failovers >= 1
     assert client.retries > 0
     assert client.retries == geo.tracer.retries
-    assert client.retries == sum(t.retries for t in calls)
+    assert client.retries == sum(s.attributes["retries"] for s in calls)
     # The write retried on the primary, failed over and retried on the
-    # secondary: its trace counts the retries of both passes.
-    (write,) = [t for t in calls if t.op == "table.insert"]
-    assert write.retries == 2 * 2
+    # secondary: its call span counts the retries of both passes.
+    (write,) = [s for s in calls if s.attributes["op"] == "table.insert"]
+    assert write.attributes["retries"] == 2 * 2

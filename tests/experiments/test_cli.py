@@ -170,6 +170,45 @@ def test_traced_workload_rejects_bad_arguments_with_exit_2(
 
 
 @pytest.mark.parametrize("args,message", [
+    (["--availability", "1.5"],
+     "--availability: target must be in (0, 1), got 1.5"),
+    (["--latency-target", "2"],
+     "--latency-ms/--latency-target: target must be in (0, 1), got 2.0"),
+    (["--latency-ms", "-5"],
+     "--latency-ms/--latency-target: latency SLOs need a positive"
+     " threshold_s"),
+])
+def test_slo_rejects_bad_objectives_with_exit_2_before_the_run(
+    capsys, monkeypatch, args, message
+):
+    import repro.cli as cli
+
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("the workload ran")
+
+    monkeypatch.setattr(cli, "_run_traced_workload", no_run)
+    assert main(["slo", *args]) == 2
+    assert capsys.readouterr().err == f"repro: {message}\n"
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_trace_rejects_a_limit_below_1_with_exit_2(capsys, limit):
+    assert main(["trace", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: --limit must be >= 1, got {limit}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", [["qc"], ["dash"], ["catalog", "list"]])
+def test_read_only_catalog_verbs_create_no_directory(tmp_path, capsys, verb):
+    root = tmp_path / "nonexist"
+    assert main([*verb, "--catalog", str(root)]) == 2
+    assert capsys.readouterr().err == f"repro: no catalog at {root}\n"
+    assert not root.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,message", [
     (["--fast", "--guard-band", "-5"], "guard band must be"),
     (["--fast", "--guard-band", "nan"], "guard band must be"),
     (["--guard-band", "100"], "a guard band applies only to the fast-forward"),

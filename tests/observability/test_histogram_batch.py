@@ -91,8 +91,8 @@ def test_tracer_batch_folds_client_view():
     assert agg["count"] == 5 and agg["errors"] == 2
     hist = tracer.client_latency_histograms()[("account.tables", "table.insert")]
     assert hist.count == 3  # errors are not histogrammed
-    # Aggregate-only: no raw records appended.
-    assert tracer.records() == [] and tracer.client_calls() == []
+    # The client view only: the server-side view stays empty.
+    assert tracer.total == 0 and tracer.per_service_op_totals() == {}
 
 
 def test_tracer_batch_folds_server_view_with_sums():
@@ -117,17 +117,11 @@ def test_tracer_batch_folds_server_view_with_sums():
 
 def test_tracer_batch_matches_scalar_fold():
     """A batch fold must leave the same aggregates and histogram as the
-    equivalent sequence of observe_call()s (records aside)."""
-    from repro.service.tracing import RequestTrace
-
+    equivalent sequence of observe_call()s."""
     lat = [0.011, 0.025, 0.04, 0.033]
     scalar, batch = RequestTracer(), RequestTracer()
     for latency in lat:
-        scalar.observe_call(
-            RequestTrace(
-                service="svc", op="op", started_at=0.0, finished_at=latency
-            )
-        )
+        scalar.observe_call("svc", "op", latency)
     batch.observe_batch("svc", "op", lat, client=True)
     assert batch.client_total == scalar.client_total
     key = ("svc", "op")

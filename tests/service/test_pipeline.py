@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.observability.spans import SpanTracer
 from repro.service import (
     LatencyProfile,
     OpSpec,
@@ -16,6 +17,18 @@ from repro.simcore import Environment, RandomStreams
 
 def _rng(seed=0):
     return RandomStreams(seed).stream("svc")
+
+
+def _traced():
+    """A request tracer carrying a span collector that keeps every span."""
+    tracer = RequestTracer()
+    tracer.spans = SpanTracer(capacity=None)
+    return tracer
+
+
+def _span(tracer, name):
+    (span,) = [s for s in tracer.spans.spans() if s.name == name]
+    return span
 
 
 def drive(env, gen):
@@ -52,19 +65,20 @@ class FakeNetwork:
 
 def test_commit_result_is_returned_and_traced():
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = RequestTracer()
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
     box = drive(env, pipe.execute("svc.op", commit=lambda: "payload"))
     assert box["result"] == "payload"
     assert tracer.total == 1 and tracer.errors == 0
-    (trace,) = tracer.records()
-    assert trace.service == "svc" and trace.op == "svc.op"
-    assert trace.ok and trace.latency_s == 0.0
+    (key,) = tracer.per_service_op_totals()
+    assert key == ("svc", "svc.op")
+    assert tracer.per_service_op_totals()[key]["latency_s"] == 0.0
+    assert tracer.latency_histograms()[key].count == 1
 
 
 def test_base_latency_draw_is_fixed_plus_jitter():
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = _traced()
     pipe = RequestPipeline(
         env,
         _rng(),
@@ -73,10 +87,10 @@ def test_base_latency_draw_is_fixed_plus_jitter():
         tracer=tracer,
     )
     drive(env, pipe.execute("svc.op", base_latency_s=1.0))
-    (trace,) = tracer.records()
+    delay = _span(tracer, "stage:base_latency").duration_s
     # At least the fixed floor, plus a nonnegative exponential draw.
-    assert trace.base_latency_s >= 0.8
-    assert env.now == pytest.approx(trace.base_latency_s)
+    assert delay >= 0.8
+    assert env.now == pytest.approx(delay)
 
 
 def test_lazy_op_evaluates_after_base_latency():
@@ -105,20 +119,25 @@ def test_routed_op_measures_queue_wait():
     from repro.storage import PartitionServer
 
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = _traced()
     server = PartitionServer(env, _rng(1), frontend_c_s=0.0)
     pipe = RequestPipeline(
         env, _rng(), service="svc", router=lambda key: server, tracer=tracer
     )
     op = OpSpec(name="w", exclusive_s=1.0, latch_key="k", deterministic=True)
-    for _ in range(2):
-        env.process(pipe.execute("svc.w", op, route="k"))
+    for i in range(2):
+        env.process(pipe.execute(f"svc.w{i}", op, route="k"))
     env.run()
-    first, second = tracer.records()
-    assert first.queue_wait_s == pytest.approx(0.0)
+    totals = tracer.per_service_op_totals()
+    assert totals[("svc", "svc.w0")]["queue_wait_s"] == pytest.approx(0.0)
     # The second request sat on the latch while the first held it.
-    assert second.queue_wait_s == pytest.approx(1.0)
-    assert second.server_s == pytest.approx(2.0)
+    assert totals[("svc", "svc.w1")]["queue_wait_s"] == pytest.approx(1.0)
+    routing = {
+        s.parent_id: s for s in tracer.spans.spans()
+        if s.name == "stage:routing"
+    }
+    second = routing[_span(tracer, "svc.svc.w1").span_id]
+    assert second.duration_s == pytest.approx(2.0)
 
 
 def test_route_without_router_raises():
@@ -139,7 +158,7 @@ def test_routed_op_requires_spec():
 
 def test_transfer_runs_flow_with_connection_accounting():
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = RequestTracer()
     network = FakeNetwork(env, duration_s=2.0)
     pipe = RequestPipeline(
         env, _rng(), service="svc", network=network, tracer=tracer
@@ -156,9 +175,9 @@ def test_transfer_runs_flow_with_connection_accounting():
     assert network.flows == [(("a", "b"), 64.0, "xfer")]
     assert conns == ["+", "-"]
     assert network.pokes == 1
-    (trace,) = tracer.records()
-    assert trace.transfer_s == pytest.approx(2.0)
-    assert trace.size_mb == 64.0
+    totals = tracer.per_service_op_totals()[("svc", "svc.get")]
+    assert totals["transfer_s"] == pytest.approx(2.0)
+    assert totals["size_mb"] == 64.0
 
 
 def test_transfer_without_network_raises():
@@ -175,7 +194,7 @@ def test_transfer_without_network_raises():
 
 def test_failed_request_traces_outcome_and_reraises():
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = _traced()
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
 
     def bad_commit():
@@ -184,8 +203,10 @@ def test_failed_request_traces_outcome_and_reraises():
     box = drive(env, pipe.execute("svc.op", commit=bad_commit))
     assert isinstance(box["error"], KeyError)
     assert tracer.total == 1 and tracer.errors == 1
-    (trace,) = tracer.records()
-    assert trace.outcome == "KeyError" and not trace.ok
+    assert tracer.per_service_op_totals()[("svc", "svc.op")]["errors"] == 1
+    assert tracer.latency_histograms() == {}  # failures skip the histogram
+    server = _span(tracer, "svc.svc.op")
+    assert server.status == "KeyError" and not server.ok
 
 
 def test_precheck_runs_before_routing():
@@ -219,12 +240,12 @@ def test_fault_injector_read_from_owner():
 
 def test_work_stage_advances_clock():
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = RequestTracer()
     pipe = RequestPipeline(env, _rng(), service="svc", tracer=tracer)
     drive(env, pipe.execute("svc.copy", work_s=3.5))
     assert env.now == pytest.approx(3.5)
-    (trace,) = tracer.records()
-    assert trace.latency_s == pytest.approx(3.5)
+    totals = tracer.per_service_op_totals()[("svc", "svc.copy")]
+    assert totals["latency_s"] == pytest.approx(3.5)
 
 
 def _contended_run(with_spans):
@@ -232,8 +253,9 @@ def _contended_run(with_spans):
 
     Returns the request tracer, the span tracer (or None) and the
     partition server's per-request return values in completion order.
+    Each request has its own op kind, so the tracer's per-op aggregates
+    are per-request, in completion order.
     """
-    from repro.observability.spans import SpanTracer
     from repro.storage import PartitionServer
 
     returned = []
@@ -245,7 +267,7 @@ def _contended_run(with_spans):
             return waited
 
     env = Environment()
-    tracer = RequestTracer(capacity=None)
+    tracer = RequestTracer()
     spans = SpanTracer(capacity=None) if with_spans else None
     tracer.spans = spans
     server = RecordingServer(env, _rng(1), cores=1)
@@ -266,11 +288,20 @@ def _contended_run(with_spans):
     return tracer, spans, returned
 
 
+def _queue_waits(tracer):
+    """Each op kind's queue wait, in the order the kinds first finished."""
+    return {
+        op: agg["queue_wait_s"]
+        for (_, op), agg in tracer.per_service_op_totals().items()
+    }
+
+
 def test_queue_wait_is_the_same_with_spans_on_and_off():
     plain, _, plain_returned = _contended_run(with_spans=False)
     traced, spans, traced_returned = _contended_run(with_spans=True)
-    waits = [t.queue_wait_s for t in plain.records()]
-    assert [t.queue_wait_s for t in traced.records()] == waits
+    per_op = _queue_waits(plain)
+    assert list(_queue_waits(traced).items()) == list(per_op.items())
+    waits = list(per_op.values())
     assert sum(w > 0 for w in waits) >= 6  # the run really contends
     # The pipeline takes queue_wait_s from the server's return value.
     assert plain_returned == traced_returned == waits
@@ -284,7 +315,5 @@ def test_queue_wait_is_the_same_with_spans_on_and_off():
             op = by_id[by_id[s.parent_id].parent_id].attributes["op"]
             span_wait[op] = span_wait.get(op, 0.0) + s.duration_s
     assert len(span_wait) == 12  # every request waits for the core
-    for trace in traced.records():
-        assert span_wait[trace.op] == pytest.approx(
-            trace.queue_wait_s, abs=1e-12
-        )
+    for op, wait in per_op.items():
+        assert span_wait[op] == pytest.approx(wait, abs=1e-12)

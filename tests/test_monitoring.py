@@ -184,89 +184,23 @@ def test_attach_retry_budget_gauges():
 
 def test_attach_request_tracer_gauges():
     from repro.monitoring import attach_request_tracer
-    from repro.service.tracing import RequestTrace, RequestTracer
-
-    tracer = RequestTracer(capacity=None)
-    reg = MetricsRegistry()
-    attach_request_tracer(reg, tracer)
-    trace = RequestTrace(
-        service="svc", op="get", started_at=0.0, finished_at=1.0,
-        outcome="ok",
-    )
-    tracer.observe(trace)
-    tracer.observe_call(
-        RequestTrace(
-            service="svc", op="get", started_at=0.0, finished_at=2.0,
-            outcome="ServerBusyError", retries=2,
-        )
-    )
-    assert reg.read_gauge("requests.total") == 1.0
-    assert reg.read_gauge("requests.recorded") == 1.0
-    assert reg.read_gauge("requests.client_total") == 1.0
-    assert reg.read_gauge("requests.client_errors") == 1.0
-    assert reg.read_gauge("requests.retries") == 2.0
-
-
-def _service_trace(op="get", outcome=None, latency=0.2, service="blob"):
-    from repro.service.tracing import OK, RequestTrace
-
-    outcome = OK if outcome is None else outcome
-
-    return RequestTrace(
-        service=service, op=op, started_at=0.0, finished_at=latency,
-        outcome=outcome,
-    )
-
-
-def test_ingest_request_traces_folds_latencies_and_errors():
-    from repro.monitoring import ingest_request_traces
-    from repro.service.tracing import RequestTracer
-
-    tracer = RequestTracer(capacity=None)
-    for _ in range(4):
-        tracer.observe(_service_trace())
-    tracer.observe(_service_trace(outcome="ServerBusyError"))
-    reg = MetricsRegistry()
-    assert ingest_request_traces(reg, tracer) == 5
-    assert reg.tally("requests.get").count == 5
-    assert reg.tally("requests.get").errors == 1
-    assert reg.snapshot()["latency_errors:requests.get"] == 1
-
-
-def test_ingest_request_traces_clear_after_is_idempotent():
-    from repro.monitoring import ingest_request_traces
-    from repro.service.tracing import RequestTracer
-
-    tracer = RequestTracer(capacity=None)
-    reg = MetricsRegistry()
-    tracer.observe(_service_trace())
-    tracer.observe(_service_trace())
-    assert ingest_request_traces(reg, tracer, clear_after=True) == 2
-    # A second scrape with no new traffic adds nothing...
-    assert ingest_request_traces(reg, tracer, clear_after=True) == 0
-    assert reg.tally("requests.get").count == 2
-    # ...and new records are counted exactly once.
-    tracer.observe(_service_trace())
-    ingest_request_traces(reg, tracer, clear_after=True)
-    assert reg.tally("requests.get").count == 3
-    # Without the flag, repeated scrapes double-count.
-    tracer.observe(_service_trace())
-    ingest_request_traces(reg, tracer)
-    ingest_request_traces(reg, tracer)
-    assert reg.tally("requests.get").count == 5
-
-
-def test_ingest_request_traces_refuses_a_tracer_without_a_window():
-    from repro.monitoring import ingest_request_traces
     from repro.service.tracing import RequestTracer
 
     tracer = RequestTracer()
-    tracer.observe(_service_trace())
-    with pytest.raises(ValueError, match="keeps no records"):
-        ingest_request_traces(MetricsRegistry(), tracer, clear_after=True)
-    # Nothing was folded, and the exact aggregates were not wiped.
-    assert tracer.total == 1
-    assert tracer.per_service_op_totals()[("blob", "get")]["count"] == 1
+    reg = MetricsRegistry()
+    attach_request_tracer(reg, tracer)
+    tracer.observe("svc", "get", 1.0)
+    tracer.observe_call("svc", "get", 2.0, False, 2)
+    assert reg.read_gauge("requests.total") == 1.0
+    assert reg.read_gauge("requests.errors") == 0.0
+    assert reg.read_gauge("requests.client_total") == 1.0
+    assert reg.read_gauge("requests.client_errors") == 1.0
+    assert reg.read_gauge("requests.retries") == 2.0
+    assert sorted(reg.snapshot()) == [
+        f"gauge:requests.{name}" for name in (
+            "client_errors", "client_total", "errors", "retries", "total",
+        )
+    ]
 
 
 def test_request_summary_breaks_out_services():
@@ -274,9 +208,8 @@ def test_request_summary_breaks_out_services():
     from repro.service.tracing import RequestTracer
 
     tracer = RequestTracer()
-    tracer.observe(_service_trace(service="blob", op="get"))
-    tracer.observe(_service_trace(service="table", op="get",
-                                  outcome="ServerBusyError"))
+    tracer.observe("blob", "get", 0.2)
+    tracer.observe("table", "get", 0.2, False)
     out = request_summary(tracer)
     lines = [line for line in out.splitlines() if "get" in line]
     assert len(lines) == 2  # one row per (service, op), not merged by op
@@ -293,3 +226,28 @@ def test_render_dashboard_shows_tally_error_counts():
     assert "latency_count:lat" in out
     assert "latency_errors:lat" in out
     assert "latency_p99:lat" in out
+
+
+def test_ops_dashboard_example_catalogues_the_live_tracer(
+    tmp_path, monkeypatch, capsys
+):
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    from repro.artifacts import CatalogStore
+
+    path = Path(__file__).parents[1] / "examples" / "ops_dashboard.py"
+    spec = importlib.util.spec_from_file_location("ops_dashboard", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    monkeypatch.chdir(tmp_path)
+    tracer = example.main()
+    assert "Requests per operation" in capsys.readouterr().out
+
+    store = CatalogStore(tmp_path / "catalog-example")
+    (run,) = store.list_runs()
+    snapshot = store.get_record(run["run_id"]).snapshots["tracer"]
+    assert snapshot["total"] > 0 and snapshot["client_total"] > 0
+    assert snapshot["per_op"] and snapshot["latency"]
+    assert snapshot == json.loads(json.dumps(tracer.snapshot()))

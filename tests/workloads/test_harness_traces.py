@@ -1,13 +1,13 @@
-"""Every bench on the unified harness emits per-request traces, and the
-trace log is retrievable through the monitoring layer (the acceptance
-contract for the single request-path runtime)."""
+"""Every bench on the unified harness folds each request into the
+account tracer's aggregates, and they are retrievable through the
+monitoring layer (the acceptance contract for the single request-path
+runtime)."""
 
 import pytest
 
 from repro.monitoring import (
     MetricsRegistry,
     attach_request_tracer,
-    ingest_request_traces,
     request_summary,
 )
 from repro.workloads.blob_bench import run_blob_test
@@ -29,17 +29,18 @@ def test_platform_carries_the_account_tracer():
 
 def test_blob_bench_emits_request_traces():
     p = build_platform(seed=0, n_clients=2)
-    p.tracer.capacity = None  # keep every raw record
     run_blob_test("download", 2, size_mb=64.0, platform=p)
-    # Server-side records use the wire op kind ...
-    downloads = [t for t in p.tracer.records() if t.op == "blob.get"]
-    assert len(downloads) == 2
-    assert all(t.ok and t.size_mb == 64.0 for t in downloads)
-    assert all(t.transfer_s > 0 for t in downloads)
-    # ... and the client-call records riding the same tracer use the
+    # Server-side aggregates use the wire op kind ...
+    downloads = _totals_by_op(p.tracer)["blob.get"]
+    assert downloads["count"] == 2 and downloads["errors"] == 0
+    assert downloads["size_mb"] == 2 * 64.0
+    assert downloads["transfer_s"] > 0
+    # ... and the client-call aggregates riding the same tracer use the
     # client API kind, carrying retry counts.
     assert p.tracer.client_total == 2
-    assert {t.op for t in p.tracer.client_calls()} == {"blob.download"}
+    calls = p.tracer.client_per_op_totals()
+    assert {op for _, op in calls} == {"blob.download"}
+    assert all(agg["retries"] == 0 for agg in calls.values())
 
 
 def test_table_bench_emits_request_traces_with_queue_waits():
@@ -66,7 +67,6 @@ def test_queue_bench_emits_request_traces():
 
 def test_traces_flow_into_monitoring():
     p = build_platform(seed=0, n_clients=2)
-    p.tracer.capacity = None  # keep every raw record
     run_queue_test("add", 2, ops_per_client=4, platform=p)
 
     registry = MetricsRegistry()
@@ -76,9 +76,13 @@ def test_traces_flow_into_monitoring():
     assert snapshot["gauge:requests.errors"] == 0
     assert snapshot["gauge:requests.client_total"] == 8
 
-    ingested = ingest_request_traces(registry, p.tracer)
-    assert ingested == p.tracer.total
-    assert "latency_p50:requests.queue.add" in registry.snapshot()
+    # Every successful request reached its op's latency histogram.
+    (hist,) = [
+        h for (_, op), h in p.tracer.latency_histograms().items()
+        if op == "queue.add"
+    ]
+    assert hist.count == p.tracer.total
+    assert hist.percentile(50) > 0
 
     summary = request_summary(p.tracer)
     assert "queue.add" in summary
