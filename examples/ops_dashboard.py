@@ -11,8 +11,8 @@ tracer: exact counts and mean stage timings, and latency percentiles of
 the successful requests.
 
 The final registry state and the tracer's snapshot are then catalogued
-as an ``ops`` run record — written through the catalog's own simulated
-blob service into ``catalog-example/`` — so ``repro dash --catalog
+as an ``ops`` run record — a content-addressed file in
+``catalog-example/`` — so ``repro dash --catalog
 catalog-example`` re-renders this run's KPIs long after the process
 exits (the run-catalog upgrade of the old print-and-forget loop).
 

@@ -1,8 +1,8 @@
 """Run catalog + artifact store with QC gates and an operator dashboard.
 
 The simulation keeps its own science: every registry run and ops
-snapshot is catalogued as a content-addressed record written through
-the simulated blob service (:mod:`repro.artifacts.store`), judged by QC
+snapshot is catalogued as a content-addressed record in a plain
+catalog directory (:mod:`repro.artifacts.store`), judged by QC
 gates before it may become a baseline (:mod:`repro.artifacts.qc`), and
 rendered as KPI / burn-rate / Pareto views (:mod:`repro.artifacts.dash`).
 """
@@ -35,7 +35,6 @@ from repro.artifacts.records import (
 )
 from repro.artifacts.store import (
     CATALOG_CONTAINER,
-    MANIFEST_BLOB,
     MANIFEST_VERSION,
     CatalogError,
     CatalogStore,
@@ -45,7 +44,6 @@ __all__ = [
     "CATALOG_CONTAINER",
     "DEFAULT_AVAILABILITY_TARGET",
     "DEFAULT_GATED_METRICS",
-    "MANIFEST_BLOB",
     "MANIFEST_VERSION",
     "RUN_KINDS",
     "CatalogError",

@@ -5,12 +5,12 @@ Every ``--catalog`` path lands here: the results of one registry run
 drill) or a live monitoring snapshot are folded into one
 :class:`~repro.artifacts.records.RunRecord` — spec document, config
 hash, per-cell summaries with bit-precision digests, and the serialized
-tracer/histogram snapshots the dashboard reads — then written through
-the store's simulated blob service.
+tracer/histogram snapshots the dashboard reads — then written to the
+catalog directory.
 
 Cataloging is strictly post-hoc observation: every adapter consumes
-finished results and touches only the store's private platform, so a
-catalogued run is bit-identical to an uncatalogued one.
+finished results and writes only files, so a catalogued run is
+bit-identical to an uncatalogued one.
 """
 
 from __future__ import annotations

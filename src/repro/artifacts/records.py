@@ -13,7 +13,7 @@ render it long after the run.
 
 Records are plain dataclasses over JSON-able dicts; the catalog store
 (:mod:`repro.artifacts.store`) persists them as content-addressed
-payloads through the simulated blob service.
+files in a catalog directory.
 """
 
 from __future__ import annotations

@@ -535,8 +535,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             )
         stats = store.stats()
         print(
-            f"({stats['runs']:.0f} runs, {stats['objects']:.0f} blob "
-            f"objects, {stats['stored_mb']:.3f} MB stored, "
+            f"({stats['runs']:.0f} runs, {stats['objects']:.0f} objects, "
+            f"{stats['stored_mb']:.3f} MB stored, "
             f"{stats['frozen_labels']:.0f} frozen label(s))"
         )
         return 0
@@ -604,10 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog", metavar="DIR", nargs="?", const="catalog",
         default=None,
         help=(
-            "catalog the results as a run record written through the "
-            "simulated blob service into this directory (default "
-            "./catalog); observation-only, results are bit-identical "
-            "with or without it"
+            "catalog the results as a content-addressed run record in "
+            "this directory (default ./catalog); observation-only, "
+            "results are bit-identical with or without it"
         ),
     )
 

@@ -529,7 +529,6 @@ class CampaignWorld:
                 )
                 yield from self.client.insert("t", entity)
         except Exception:  # noqa: BLE001 - a failed op is a data point
-            registry.tally("drill.give_up_latency").observe(env.now - start)
             registry.counter("drill.failed").increment()
             self.avail.observe(minute, False)
         else:

@@ -442,7 +442,6 @@ def _fold_analytic(
 
     ok_flags = np.isin(cat, _OK_CATS)
     success_lats: List[np.ndarray] = []
-    giveup_lats: List[np.ndarray] = []
 
     def draw_direct(
         mask: np.ndarray, model: Any, st: Any
@@ -461,12 +460,10 @@ def _fold_analytic(
     m_read = analytic & (cat == CAT_OK_READ)
     lat_read, f_read = draw_direct(m_read, model_read, st_read)
     success_lats.append(lat_read[~f_read])
-    giveup_lats.append(lat_read[f_read])
 
     m_write = analytic & (cat == CAT_OK_WRITE)
     lat_write, f_write = draw_direct(m_write, model_write, st_write)
     success_lats.append(lat_write[~f_write])
-    giveup_lats.append(lat_write[f_write])
 
     # Cross-replica failover reads: a full failed first pass (each
     # attempt pays the base-latency stage before the blacked-out
@@ -478,28 +475,7 @@ def _fold_analytic(
         (r1[m_fo] + 1) * model_read.base_s
     )
     success_lats.append(lat_fo[~f_fo])
-    giveup_lats.append(lat_fo[f_fo])
     client_failovers = int((~f_fo).sum())
-
-    # Give-up latencies for deterministic failures: ladder sums over
-    # both passes plus the base-stage cost of server-reaching attempts
-    # (guard-rejected write passes fail before any service work).
-    base_rw = np.where(is_read, model_read.base_s, model_write.base_s)
-    for c in (CAT_FAIL_READ, CAT_FAIL_WRITE, CAT_FAIL_READONLY,
-              CAT_FAIL_NONE):
-        m = analytic & (cat == c)
-        if not m.any():
-            continue
-        lat = backoff_sums(r1[m])
-        if c != CAT_FAIL_NONE:
-            lat += backoff_sums(r2[m])
-        if c == CAT_FAIL_READ:
-            lat += (r1[m] + r2[m] + 2) * model_read.base_s
-        elif c == CAT_FAIL_WRITE:
-            lat += (r1[m] + 1) * model_write.base_s
-        elif c == CAT_FAIL_NONE:
-            lat += (r1[m] + 1) * base_rw[m]
-        giveup_lats.append(lat)
 
     # -- batched ingestion into the event path's sinks -----------------
     registry, avail = world.registry, world.avail
@@ -513,16 +489,9 @@ def _fold_analytic(
     registry.counter("drill.retries").increment(
         int(r1[analytic].sum() + r2[analytic].sum())
     )
-    success = np.concatenate(success_lats) if success_lats else (
-        np.empty(0)
-    )
+    success = np.concatenate(success_lats)
     if success.size:
         world.latency.observe_batch(success)
-    giveup = np.concatenate(giveup_lats) if giveup_lats else np.empty(0)
-    if giveup.size:
-        registry.tally("drill.give_up_latency").observe_batch(
-            cast(Sequence[float], giveup)
-        )
 
     # Per-(service, op) windows for the tracer — the same keys the
     # client stack uses, so request_summary lines up.

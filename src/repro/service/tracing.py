@@ -310,17 +310,6 @@ class RequestTracer:
             )
         return tracer
 
-    def clear(self) -> None:
-        self.total = 0
-        self.errors = 0
-        self.client_total = 0
-        self.client_errors = 0
-        self.retries = 0
-        self._per_op.clear()
-        self._latency.clear()
-        self._client_per_op.clear()
-        self._client_latency.clear()
-
     def __repr__(self) -> str:
         return (
             f"<RequestTracer total={self.total} errors={self.errors}"

@@ -262,13 +262,6 @@ class BlobService:
     def blob_count(self, container: str) -> int:
         return len(self._containers.get(container, {}))
 
-    def total_stored_mb(self) -> float:
-        return sum(
-            blob.size_mb
-            for blobs in self._containers.values()
-            for blob in blobs.values()
-        )
-
     # -- data plane ------------------------------------------------------------
     def upload(
         self,

@@ -195,7 +195,7 @@ def test_cli_catalog_list_and_show(seeded_catalog, capsys):
 
 def test_cli_qc_missing_run_exits_2(tmp_path, capsys):
     root = tmp_path / "cat"
-    CatalogStore(root)  # empty catalog
+    root.mkdir()  # empty catalog
     rc = main(["qc", "nope", "--catalog", str(root)])
     captured = capsys.readouterr()
     assert rc == 2

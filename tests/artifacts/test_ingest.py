@@ -133,7 +133,7 @@ def test_ingest_single_run_and_read_back(tmp_path, spec):
 
 def test_cataloging_is_observation_only(tmp_path, spec):
     """The tentpole invariant: a catalogued run is bit-identical to an
-    uncatalogued one (catalog I/O runs on the store's own platform)."""
+    uncatalogued one (catalog I/O only writes files)."""
     plain = run_scenario(spec, n_clients=2, seed=3, mode="exact")
     store = CatalogStore(tmp_path / "cat")
     catalogued = run_scenario(spec, n_clients=2, seed=3, mode="exact")

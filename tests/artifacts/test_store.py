@@ -1,11 +1,16 @@
-"""Catalog store: round-trips, content addressing, durability, pins."""
+"""Catalog store: round-trips, content addressing, durability, pins,
+and the on-disk format."""
 
+import hashlib
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.artifacts import (
-    CATALOG_CONTAINER,
     CatalogError,
     CatalogStore,
     CellResult,
@@ -50,16 +55,21 @@ def test_put_get_round_trip(tmp_path):
     assert got.cell(3, 2).metrics == {"ops_completed": 20}
 
 
-def test_records_written_through_simulated_blob_service(tmp_path):
+def _object_files(store):
+    return sorted(p.name for p in store.objects_dir.iterdir())
+
+
+def test_records_written_as_object_and_manifest_files(tmp_path):
     store = CatalogStore(tmp_path / "cat")
-    store.put_record(_record())
-    # The object + manifest blobs exist in the simulated container and
-    # the store's private tracer saw real pipeline requests.
-    assert store.blobs.blob_count(CATALOG_CONTAINER) == 2
-    assert store.platform.tracer.total >= 2
+    run_id = store.put_record(_record())
+    digest = store.manifest["runs"][run_id]["object"]
+    assert _object_files(store) == [f"{digest}.json"]
+    assert store.manifest_path.exists()
     stats = store.stats()
     assert stats["runs"] == 1.0
-    assert stats["catalog_requests"] >= 2.0
+    assert stats["objects"] == 1.0
+    size = (store.objects_dir / f"{digest}.json").stat().st_size
+    assert stats["stored_mb"] == pytest.approx(size / 1e6)
 
 
 def test_run_ids_are_sequential_and_unique(tmp_path):
@@ -85,12 +95,9 @@ def test_reopen_preserves_catalog(tmp_path):
     store = CatalogStore(root)
     got = store.get_record(run_id)
     assert got.to_dict() == record.to_dict()
-    # Mounted objects are administratively seeded, then served through
-    # the simulated download path.
-    assert store.blobs.exists(
-        CATALOG_CONTAINER, f"objects/{store.manifest['runs'][run_id]['object']}"
-    )
-    assert store.platform.tracer.total >= 1
+    assert _object_files(store) == [
+        f"{store.manifest['runs'][run_id]['object']}.json"
+    ]
 
 
 def test_content_address_check_catches_tampering(tmp_path):
@@ -158,9 +165,61 @@ def test_identical_payloads_share_one_object(tmp_path):
     id_b = store.put_record(record_b)
     # run_id is assigned before hashing, so payloads differ; but a
     # bit-identical payload (same run_id forced) would dedupe.  Check
-    # the cheaper invariant instead: object count equals distinct
-    # payload digests + 1 manifest blob.
+    # the cheaper invariant instead: one object file per distinct
+    # payload digest.
     objects = {
         store.manifest["runs"][rid]["object"] for rid in (id_a, id_b)
     }
-    assert store.blobs.blob_count(CATALOG_CONTAINER) == len(objects) + 1
+    assert _object_files(store) == sorted(f"{d}.json" for d in objects)
+
+
+def test_on_disk_format_is_pinned(tmp_path):
+    """A fixed record writes the same object and manifest bytes as
+    catalogs written before the store became a plain directory, so old
+    and new catalogs are interchangeable."""
+    record = _record()
+    record.run_id = "scenario-demo-pinned"
+    record.created_at = "2026-01-01T00:00:00Z"
+    store = CatalogStore(tmp_path / "cat")
+    store.put_record(record)
+    (obj,) = store.objects_dir.iterdir()
+    assert hashlib.sha256(obj.read_bytes()).hexdigest() == (
+        "52e4593f18fcef379b279223c73298918d516fddd8d4318f37b53e863360eda4"
+    )
+    manifest = store.manifest_path.read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "9fd90008a9b0d2572fbe1a42e0154a056542e4e198baedfe6822b62b515e4c3e"
+    )
+    assert sorted(json.loads(manifest)) == [
+        "container", "frozen", "runs", "sequence", "version",
+    ]
+
+
+def test_catalog_imports_no_simulator(tmp_path):
+    """Opening, writing, reading, listing and summarizing a catalog
+    loads none of the simulator's packages."""
+    script = textwrap.dedent("""
+        import sys
+        src, root = sys.argv[1:]
+        sys.path.insert(0, src)
+        from repro.artifacts import CatalogStore, RunRecord
+        store = CatalogStore(root)
+        run_id = store.put_record(
+            RunRecord(run_id="", kind="ops", name="demo", config_hash="x")
+        )
+        store.get_record(run_id)
+        store.list_runs()
+        store.stats()
+        simulator = ("simcore", "storage", "client", "workloads")
+        print(sorted(
+            name for name in sys.modules
+            if name.startswith("repro.")
+            and name.split(".")[1] in simulator
+        ))
+    """)
+    src = str(Path(__file__).parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, src, str(tmp_path / "cat")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

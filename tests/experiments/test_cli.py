@@ -199,13 +199,26 @@ def test_trace_rejects_a_limit_below_1_with_exit_2(capsys, limit):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("verb", [["qc"], ["dash"], ["catalog", "list"]])
-def test_read_only_catalog_verbs_create_no_directory(tmp_path, capsys, verb):
-    root = tmp_path / "nonexist"
-    assert main([*verb, "--catalog", str(root)]) == 2
-    assert capsys.readouterr().err == f"repro: no catalog at {root}\n"
-    assert not root.exists()
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("verb,existing,code", [
+    pytest.param(["qc"], False, 2, id="verb0"),
+    pytest.param(["dash"], False, 2, id="verb1"),
+    pytest.param(["catalog", "list"], False, 2, id="verb2"),
+    # An existing empty directory is an empty catalog: nothing to judge
+    # or render (exit 2), nothing to list (exit 0), and nothing written.
+    pytest.param(["qc"], True, 2, id="qc-empty-dir"),
+    pytest.param(["dash"], True, 2, id="dash-empty-dir"),
+    pytest.param(["catalog", "list"], True, 0, id="catalog-list-empty-dir"),
+])
+def test_read_only_catalog_verbs_create_no_directory(
+    tmp_path, capsys, verb, existing, code
+):
+    root = tmp_path / "catalog"
+    if existing:
+        root.mkdir()
+    assert main([*verb, "--catalog", str(root)]) == code
+    if not existing:
+        assert capsys.readouterr().err == f"repro: no catalog at {root}\n"
+    assert list(tmp_path.rglob("*")) == ([root] if existing else [])
 
 
 @pytest.mark.parametrize("args,message", [

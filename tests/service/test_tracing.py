@@ -98,19 +98,6 @@ def test_disabled_tracer_records_nothing():
     assert tracer.client_per_op_totals() == {}
 
 
-def test_clear_resets_everything():
-    tracer = RequestTracer()
-    for _ in range(50):
-        tracer.observe("svc", "svc.op", 1.0)
-    tracer.observe_call("svc", "svc.op", 1.0, retries=1)
-    tracer.clear()
-    assert tracer.total == 0 and tracer.errors == 0
-    assert tracer.client_total == 0 and tracer.retries == 0
-    assert tracer.per_service_op_totals() == {}
-    assert tracer.client_per_op_totals() == {}
-    assert tracer.latency_histograms() == {}
-
-
 def test_snapshot_digest_is_pinned():
     """A mixed workload (two services, both kinds, failures, batches on
     both views) serializes to the same bytes as recorded.
