@@ -97,8 +97,7 @@ class CatalogStore:
         SHA-256 names the object file (``objects/<digest>.json``).  The
         manifest gains one entry and is rewritten.
         """
-        self.manifest["sequence"] += 1
-        seq = self.manifest["sequence"]
+        seq = self.manifest["sequence"] + 1
         if not record.run_id:
             base = _ID_SANITIZE.sub("-", f"{record.kind}-{record.name}")
             record.run_id = f"{base}-{seq:04d}"
@@ -113,6 +112,7 @@ class CatalogStore:
         digest = payload_digest(record.to_dict())
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self._object_path(digest).write_bytes(payload)
+        self.manifest["sequence"] = seq
         self.manifest["runs"][record.run_id] = {
             "seq": seq,
             "kind": record.kind,

@@ -19,7 +19,7 @@ from repro.cluster.placement import (
     make_nodes,
 )
 from repro.cluster.lifecycle import LifecycleTimingModel
-from repro.cluster.fabric import Deployment, DeploymentPhase, FabricController
+from repro.cluster.fabric import Deployment, FabricController
 from repro.cluster.degradation import DegradationModel
 from repro.cluster.domains import (
     DOMAIN_KINDS,
@@ -35,7 +35,6 @@ __all__ = [
     "register_account",
     "register_datacenter",
     "Deployment",
-    "DeploymentPhase",
     "FabricController",
     "LifecycleTimingModel",
     "Node",

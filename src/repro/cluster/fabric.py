@@ -9,7 +9,6 @@ per-instance ready times (observation (3)'s stagger).
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
@@ -25,14 +24,6 @@ from repro.simcore import Environment
 
 class StartupFailureError(Exception):
     """A run/add request hit the fabric's startup failure mode."""
-
-
-class DeploymentPhase(enum.Enum):
-    CREATE = "create"
-    RUN = "run"
-    ADD = "add"
-    SUSPEND = "suspend"
-    DELETE = "delete"
 
 
 @dataclass

@@ -336,6 +336,8 @@ class DomainFaultInjector:
     def is_down(self, domain_name: str) -> bool:
         """Whether the domain — or any ancestor — is inside an outage."""
         domain = self.root.find(domain_name)
+        if not self._down_domains:
+            return False
         if self._down_domains.get(domain.name, 0) > 0:
             return True
         return any(

@@ -943,30 +943,37 @@ def _apply_link_batched(
     link_rng: Any,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized last-mile adjustment: propagation + serialization +
-    geometric retransmissions (drop beyond the budget)."""
+    geometric retransmissions (drop beyond the budget).  ``lat`` and
+    ``failed`` are the caller's fresh draws; both are updated in place
+    and returned."""
     k = int(lat.size)
+    payload: Any
     if op.service == "blob":
         if op.size_mb is not None and op.size_mb.kind != "constant":
             payload = size_rng.draw_batch(op.size_mb, k)
         else:
-            payload = np.full(k, op.mean_size_mb)
+            payload = op.mean_size_mb
     else:
         if op.size_kb is not None and op.size_kb.kind != "constant":
-            payload = size_rng.draw_batch(op.size_kb, k) / 1024.0
+            payload = size_rng.draw_batch(op.size_kb, k)
+            payload /= 1024.0
         else:
-            payload = np.full(k, op.mean_size_kb / 1024.0)
-    lat = lat + link.extra_latency_ms / 1000.0
+            payload = op.mean_size_kb / 1024.0
+    lat += link.extra_latency_ms / 1000.0
     if link.bandwidth_mbps is not None:
-        lat = lat + payload / link.bandwidth_mbps
+        payload /= link.bandwidth_mbps
+        lat += payload
     if link.loss_rate > 0:
-        u = np.maximum(link_rng.uniform_batch(0.0, 1.0, k), 1e-300)
-        retransmits = np.floor(
-            np.log(u) / math.log(link.loss_rate)
-        ).astype(np.int64)
-        lat = lat + np.minimum(retransmits, link.max_retransmits) * (
-            link.retransmit_penalty_ms / 1000.0
-        )
-        failed = failed | (retransmits > link.max_retransmits)
+        # Retransmit counts are small whole numbers, exact as floats.
+        retransmits = link_rng.uniform_batch(0.0, 1.0, k)
+        np.maximum(retransmits, 1e-300, out=retransmits)
+        np.log(retransmits, out=retransmits)
+        retransmits /= math.log(link.loss_rate)
+        np.floor(retransmits, out=retransmits)
+        failed |= retransmits > link.max_retransmits
+        np.minimum(retransmits, link.max_retransmits, out=retransmits)
+        retransmits *= link.retransmit_penalty_ms / 1000.0
+        lat += retransmits
     return lat, failed
 
 
@@ -1055,11 +1062,11 @@ def _run_open_batched(
                     lat, failed = _apply_link_batched(
                         spec.link, op, lat, failed, size_rng, link_rng
                     )
-                ok = ~failed
-                n_ok = int(ok.sum())
-                n_bad = int(k_op) - n_ok
+                n_bad = int(np.count_nonzero(failed))
+                n_ok = int(k_op) - n_bad
                 tracer.observe_batch(
-                    f"account.{op.service}s", op.key, lat[ok],
+                    f"account.{op.service}s", op.key,
+                    lat[~failed] if n_bad else lat,
                     errors=n_bad, client=True,
                 )
                 result.ops_completed += n_ok

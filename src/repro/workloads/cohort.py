@@ -247,9 +247,9 @@ def draw_stationary_latencies(
     client-side timeout clamp mark failures, exactly as the driver
     aborts members.
     """
-    lat = model.base_s * model.fixed_frac + rng.exponential_batch(
-        model.base_s * model.jitter_frac, k
-    )
+    # ``draws + floor`` in place: float addition commutes bit for bit.
+    lat = rng.exponential_batch(model.base_s * model.jitter_frac, k)
+    lat += model.base_s * model.fixed_frac
     if state.frontend_mean_s > 0:
         lat += rng.exponential_batch(state.frontend_mean_s, k)
     if model.cpu_s > 0:
@@ -270,7 +270,7 @@ def draw_stationary_latencies(
         )
     if timeout_s is not None:
         failed |= lat > timeout_s
-        lat = np.minimum(lat, timeout_s)
+        np.minimum(lat, timeout_s, out=lat)
     return lat, failed
 
 

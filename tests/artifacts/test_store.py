@@ -88,6 +88,23 @@ def test_run_ids_are_sequential_and_unique(tmp_path):
         )
 
 
+def test_rejected_duplicate_uses_up_no_sequence_number(tmp_path):
+    store = CatalogStore(tmp_path / "cat")
+    first = store.put_record(_record())
+    with pytest.raises(CatalogError):
+        store.put_record(
+            RunRecord(
+                run_id=first, kind="scenario", name="demo",
+                config_hash="x",
+            )
+        )
+    second = store.put_record(_record())
+    runs = store.manifest["runs"]
+    assert [runs[first]["seq"], runs[second]["seq"]] == [1, 2]
+    assert second.endswith("-0002")
+    assert store.manifest["sequence"] == 2
+
+
 def test_reopen_preserves_catalog(tmp_path):
     root = tmp_path / "cat"
     record = _record()

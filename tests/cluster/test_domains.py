@@ -230,6 +230,23 @@ def test_ancestor_fault_covers_descendants_is_down():
     }
 
 
+def test_is_down_rejects_unknown_domains_with_or_without_outages():
+    env, root, zone, rack, account, injector = _geo_world()
+    injector.schedule("zone-a", 5.0, 10.0)
+    probes = {}
+
+    def prober(env):
+        for label in ("idle", "outage"):
+            with pytest.raises(KeyError, match="no failure domain"):
+                injector.is_down("rack-zz")
+            probes[label] = injector.is_down("rack-a1")
+            yield env.timeout(7.0)
+
+    env.process(prober(env))
+    env.run()
+    assert probes == {"idle": False, "outage": True}
+
+
 def test_link_blackout_stalls_flows_and_repair_resumes():
     env = Environment()
     root, _, zone, rack = _tree()

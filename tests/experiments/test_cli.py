@@ -3,12 +3,15 @@
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.artifacts import CatalogStore, payload_digest
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 from repro.experiments.golden import GOLDEN_SEED, digest
 from repro.experiments.registry import (
     Runnable,
@@ -231,6 +234,25 @@ def test_campaign_rejects_a_bad_guard_band_with_exit_2(
 ):
     assert main(["campaign", "day", "--jobs", "1", *args]) == 2
     assert capsys.readouterr().err.startswith(f"repro: {message}")
+
+
+def test_closed_stdout_exits_quietly_without_a_traceback():
+    """``repro list | head -0``: the reader is gone before the first
+    write, so every write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
 
 
 def test_bench_verb_is_gone():
