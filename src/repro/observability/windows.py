@@ -21,8 +21,6 @@ tests/observability/test_windows.py.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
-
 import numpy as np
 
 __all__ = ["MinuteAvailability"]
@@ -92,12 +90,6 @@ class MinuteAvailability:
         self.total += other.total
 
     # -- summaries (over sampled minutes) ----------------------------------
-    def sampled(self) -> Iterator[Tuple[int, int]]:
-        """(ok, total) for every minute with at least one operation."""
-        for ok, total in zip(self.ok.tolist(), self.total.tolist()):
-            if total > 0:
-                yield ok, total
-
     @property
     def minutes(self) -> int:
         return int((self.total > 0).sum())
@@ -110,17 +102,21 @@ class MinuteAvailability:
     def zero_minutes(self) -> int:
         return int(((self.ok == 0) & (self.total > 0)).sum())
 
-    def availabilities(self) -> List[float]:
-        return [ok / total for ok, total in self.sampled()]
+    def availabilities(self) -> np.ndarray:
+        """ok / total for every minute with at least one operation."""
+        sampled = self.total > 0
+        return self.ok[sampled] / self.total[sampled]
 
     @property
     def worst_minute_availability(self) -> float:
         values = self.availabilities()
-        return min(values) if values else 1.0
+        return float(values.min()) if values.size else 1.0
 
     @property
     def mean_minute_availability(self) -> float:
-        values = self.availabilities()
+        # A sequential Python sum: numpy's pairwise sum can round
+        # differently, and the campaign records pin this one.
+        values = self.availabilities().tolist()
         return sum(values) / len(values) if values else 1.0
 
     def __repr__(self) -> str:

@@ -10,6 +10,12 @@ Placement follows the spillover model: most pairs land in one rack,
 background traffic on the oversubscribed uplinks; same-rack flows see
 only host-NIC neighbours, so the bandwidth histogram has a fast mode
 near GigE and a <=30 MB/s tail -- Fig. 5's two populations.
+
+The background sources never stop, so a run ends on an event: the
+sampling processes record every sample through one helper, which
+triggers it as the last one is recorded, and the simulation stops there
+-- nothing after the last sample writes to the result.  A run that has
+not finished by ``_HORIZON_S`` of simulated time raises instead.
 """
 
 from __future__ import annotations
@@ -116,17 +122,29 @@ def run_tcp_test(
 
     per_latency_pair = max(latency_samples // max(len(latency_pairs), 1), 1)
     per_bandwidth_pair = max(bandwidth_samples // max(len(bandwidth_pairs), 1), 1)
+    outstanding = (per_latency_pair * len(latency_pairs)
+                   + per_bandwidth_pair * len(bandwidth_pairs))
+    # Triggered as the last sample is recorded: nothing after it writes
+    # to the result, and the background sources would run forever.
+    measured = env.event()
+
+    def record(samples: List[float], value: float) -> None:
+        nonlocal outstanding
+        samples.append(value)
+        outstanding -= 1
+        if not outstanding:
+            measured.succeed()
 
     def latency_proc(env, pair: TcpEndpointPair):
         for _ in range(per_latency_pair):
             rtt = yield from pair.ping()
-            result.latency_s.append(rtt)
+            record(result.latency_s, rtt)
             yield env.timeout(0.05)  # pacing between probes
 
     def bandwidth_proc(env, pair: TcpEndpointPair, rng):
         for _ in range(per_bandwidth_pair):
             mbps = yield from pair.send(transfer_mb)
-            result.bandwidth_mbps.append(mbps)
+            record(result.bandwidth_mbps, mbps)
             yield env.timeout(float(rng.uniform(1.0, 5.0)))
 
     for vm_a, vm_b in latency_pairs:
@@ -136,21 +154,12 @@ def run_tcp_test(
         pair = TcpEndpointPair(network, datacenter, latency_model, vm_a, vm_b)
         env.process(bandwidth_proc(env, pair, streams.stream(f"tcp.pace{i}")))
 
-    # Background sources run forever; stop once the measurements finish,
-    # and fail rather than spin if they never do.
-    def watchdog(env):
-        target_lat = per_latency_pair * len(latency_pairs)
-        target_bw = per_bandwidth_pair * len(bandwidth_pairs)
-        while (
-            len(result.latency_s) < target_lat
-            or len(result.bandwidth_mbps) < target_bw
-        ):
-            if env.now > _HORIZON_S:
-                raise RuntimeError(
-                    f"TCP benchmark did not finish within {_HORIZON_S} s"
-                    " of simulated time"
-                )
-            yield env.timeout(30.0)
-
-    env.run(until=env.process(watchdog(env)))
+    if not outstanding:
+        measured.succeed()
+    env.run(until=measured, horizon=_HORIZON_S)
+    if not measured.processed:
+        raise RuntimeError(
+            f"TCP benchmark did not finish within {_HORIZON_S} s"
+            " of simulated time"
+        )
     return result

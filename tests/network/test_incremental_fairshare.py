@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import FairShareState, FlowNetwork, Link, max_min_fair
 from repro.network.fairshare import verify_allocation
@@ -80,6 +82,83 @@ def test_incremental_matches_batch_after_every_mutation(seed):
             specs[fid] = (fid, old[1], cap)
             state.set_cap(fid, cap)
         _check_exact(state, specs)
+
+
+# -- property test: the kept per-link counters -----------------------------
+
+_CAPS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 1e-13, 12.5, 40.0]),
+    st.floats(min_value=0.5, max_value=5000.0),
+)
+_CHURN = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(st.integers(0, 3), max_size=3),
+                  _CAPS),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("set_cap"), st.integers(0, 10**6), _CAPS),
+        st.tuples(st.just("empty"), st.integers(0, 3)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _recount(specs):
+    """The allocator's kept counters, recounted from the flow set: the
+    multi-link members of each link, each link's ``{cap: count}`` over
+    its single-link members with a finite cap, and the inert flows."""
+    multi, caps, inert = {}, {}, 0
+    for fid, links, cap in specs.values():
+        linkset = list(dict.fromkeys(links))
+        cap = math.inf if cap is None else cap
+        inert += cap <= 1e-12
+        if len(linkset) > 1:
+            for link in linkset:
+                multi.setdefault(link, set()).add(fid)
+        elif linkset and cap != math.inf:
+            counts = caps.setdefault(linkset[0], {})
+            counts[cap] = counts.get(cap, 0) + 1
+    return multi, caps, inert
+
+
+@given(_CHURN)
+@settings(max_examples=150, deadline=None)
+def test_kept_counters_match_a_recount_under_churn(churn):
+    """Random arrivals, removals and cap changes, with caps moving to and
+    from None, inert caps and links emptied and refilled: after every
+    step the kept counters equal a recount, and the rates equal the
+    batch oracle's bit for bit."""
+    links = [Link(f"l{i}", c) for i, c in enumerate((40.0, 100.0, 125.0, 5e3))]
+    state = FairShareState()
+    specs = {}
+    for step, op in enumerate(churn):
+        kind = op[0]
+        if kind == "add":
+            path = tuple(links[i] for i in op[1])
+            cap = op[2] if path or op[2] is not None else 5.0
+            specs[step] = (step, path, cap)
+            state.add_flow(step, path, cap)
+        elif kind == "empty":
+            for fid, path, _ in list(specs.values()):
+                if links[op[1]] in path:
+                    del specs[fid]
+                    state.remove_flow(fid)
+        elif specs:
+            fid = sorted(specs)[op[1] % len(specs)]
+            if kind == "remove":
+                del specs[fid]
+                state.remove_flow(fid)
+            else:
+                path = specs[fid][1]
+                cap = op[2] if path or op[2] is not None else 5.0
+                specs[fid] = (fid, path, cap)
+                state.set_cap(fid, cap)
+        multi, caps, inert = _recount(specs)
+        assert state._multi == multi
+        assert state._caps == caps
+        assert state.inert_count == inert
+        state.recompute()
+        assert state.rates == max_min_fair(specs.values())
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -279,13 +358,14 @@ def test_capped_group_keeps_rates_while_multi_link_flow_joins_and_leaves():
     assert alone == {"c10": 10.0, "c20": 20.0, "inert": 0.0, "c20b": 20.0}
 
     state.add_flow("ab", (a, b), None)
-    assert state._multi[a] == 1 and state._capped[a] == len(group)
+    assert state._multi[a] == {"ab"}
+    assert state._caps[a] == {10.0: 1, 20.0: 2, 0.0: 1}
     assert set(state.recompute()) == set(group) | {"ab"}
     assert {fid: state.rates[fid] for fid in group} == alone
     assert state.rates["ab"] == 4.0
 
     state.remove_flow("ab")
-    assert state._multi[a] == 0  # back on the traversal-free path
+    assert a not in state._multi  # back on the traversal-free path
     assert set(state.recompute()) == set(group)
     assert {fid: state.rates[fid] for fid in group} == alone
     specs = [(fid, (a,), cap) for fid, cap in group.items()]

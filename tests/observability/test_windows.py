@@ -166,3 +166,41 @@ def test_tally_batch_matches_scalar_tally():
     assert batch.count == scalar.count
     assert batch.percentile(50) == scalar.percentile(50)
     assert batch.percentile(99) == scalar.percentile(99)
+
+
+def _generator_summaries(acc):
+    """Worst and mean minute availability, one sampled minute at a time
+    over Python ints (the reference the numpy summaries must match)."""
+    values = [
+        ok / total
+        for ok, total in zip(acc.ok.tolist(), acc.total.tolist())
+        if total > 0
+    ]
+    if not values:
+        return 1.0, 1.0
+    return min(values), sum(values) / len(values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minute_summaries_match_the_per_minute_loop(seed):
+    """Worst and mean minute availability equal, bit for bit, the loop
+    over sampled minutes, on a series with empty minutes in it."""
+    rng = np.random.default_rng(seed)
+    n_minutes = 500
+    acc = MinuteAvailability(n_minutes)
+    # About a third of the minutes get no operation at all.
+    busy = np.flatnonzero(rng.random(n_minutes) < 0.65)
+    minutes = rng.choice(busy, size=4000)
+    acc.observe_batch(minutes, rng.random(minutes.size) < 0.93)
+    assert 0 < acc.minutes < n_minutes
+    worst, mean = _generator_summaries(acc)
+    assert type(acc.worst_minute_availability) is float
+    assert acc.worst_minute_availability == worst
+    assert acc.mean_minute_availability == mean
+
+
+def test_minute_summaries_without_operations():
+    acc = MinuteAvailability(30)
+    assert acc.worst_minute_availability == 1.0
+    assert acc.mean_minute_availability == 1.0
+    assert acc.availabilities().size == 0

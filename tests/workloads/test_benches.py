@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.network import FlowNetwork
 from repro.workloads import tcp_bench
 from repro.workloads import (
     build_platform,
@@ -133,6 +134,35 @@ def test_tcp_bench_raises_past_horizon(monkeypatch):
             latency_samples=4, bandwidth_samples=10, transfer_mb=2000.0,
             seed=3,
         )
+
+
+@pytest.mark.parametrize("seed", [3, 40002])
+def test_tcp_bench_stops_at_its_last_sample(monkeypatch, seed):
+    """The run ends at the instant the final bandwidth sample is taken:
+    the clock stops there and no flow starts after it (the background
+    sources would otherwise run on)."""
+    starts = []
+    measured = []
+    envs = []
+    transfer = FlowNetwork.transfer
+
+    def spy(self, links, size_mb, cap=None, label=""):
+        flow = transfer(self, links, size_mb, cap=cap, label=label)
+        envs.append(self.env)
+        starts.append(self.env.now)
+        if label == "tcp-endpoint":
+            flow.done.add_callback(lambda _: measured.append(self.env.now))
+        return flow
+
+    monkeypatch.setattr(FlowNetwork, "transfer", spy)
+    result = run_tcp_test(
+        latency_samples=4, bandwidth_samples=10, transfer_mb=200.0, seed=seed
+    )
+    assert len(result.bandwidth_mbps) == len(measured) == 10
+    assert len(set(envs)) == 1
+    last_sample = max(measured)
+    assert envs[0].now == last_sample
+    assert max(starts) <= last_sample
 
 
 def test_tcp_bench_stable_across_heap_layouts():
