@@ -11,7 +11,7 @@ prints the SLO verdict table, then compares hedged vs unhedged blob
 reads under a latency spike.
 
 The storm is an ordinary campaign preset of
-:mod:`repro.resilience.campaign` (``repro campaign storm`` runs the
+:mod:`repro.resilience.campaign` (``repro run campaign:storm`` runs the
 same thing); the spike is ``repro run drill:hedge --seed 7``.
 
 Run:  python examples/failure_drill.py

@@ -5,7 +5,7 @@ Every :class:`~repro.artifacts.records.RunRecord` is serialized to
 canonical JSON, content-addressed by its SHA-256 and written to
 ``root/objects/<digest>.json``; ``root/manifest.json`` indexes the runs
 by id.  Plain files make the catalog durable across CLI invocations
-(``repro scenario run --catalog`` then ``repro qc`` then ``repro dash``
+(``repro run scenario:… --catalog`` then ``repro qc`` then ``repro dash``
 are separate processes), and every read re-hashes its payload against
 its address.  The store touches no simulated platform, so cataloguing a
 run cannot perturb its RNG draws or event schedule (the goldens stay

@@ -1,31 +1,32 @@
-"""Command-line interface: list and run everything in the run registry.
+"""Command-line interface: list, describe and run everything in the run
+registry.
 
 Usage::
 
     python -m repro list
+    python -m repro describe scenario:block-storage
+    python -m repro describe --file my_pack.toml
     python -m repro run fig1 [--scale 0.3] [--seed 7] [--json out.json]
     python -m repro run all  [--scale 0.2]
     python -m repro run drill:hedge [--json out.json]
     python -m repro run campaign:day [--catalog DIR]
-    python -m repro run scenario:streaming [--scale 0.05]
+    python -m repro run campaign:month --modes none,automatic [--fast]
+    python -m repro run scenario:streaming [--clients 10000] [--mode batched]
+    python -m repro run --file my_pack.toml [--levels 2,8,32]
+    python -m repro run scenario:fig3-queue-add --levels 2,4 --seeds 3,4 --catalog
+    python -m repro run scenario:fig1-blob-download --trace chrome --out trace.json
+    python -m repro run scenario:streaming --availability 0.99 --latency-ms 500
     python -m repro calibration
-    python -m repro campaign month [--scale 0.5] [--json out.json]
-    python -m repro campaign day --modes none,automatic [--fast]
-    python -m repro campaign storm [--scale 0.2]
-    python -m repro trace --out trace.json [--fmt chrome|jsonl|waterfall]
-    python -m repro slo [--availability 0.99] [--latency-ms 500]
-    python -m repro scenario list
-    python -m repro scenario describe block-storage
-    python -m repro scenario run streaming [--clients 10000] [--json out.json]
-    python -m repro scenario run --file my_pack.toml [--levels 2,8,32]
-    python -m repro scenario run fig3-queue-add --levels 2,4 --seeds 3,4 --catalog
     python -m repro qc [RUN_ID] [--max-cv 0.5] [--freeze baseline]
     python -m repro dash [RUN_ID | --frozen baseline] [--availability 0.999]
     python -m repro catalog list [--kind scenario]
     python -m repro catalog show [RUN_ID]
 
-``run``, ``campaign`` and ``scenario run`` share ``--seed`` (default 3,
-the golden seed), ``--scale``, ``--jobs``, ``--json`` and ``--catalog``.
+``run`` is the one verb that runs anything; ``--seed`` defaults to 3,
+the golden seed.  Each runnable declares the knobs it accepts
+(:attr:`~repro.experiments.registry.Runnable.knobs`); a flag whose knob
+the run would not use exits 2 before the run, naming the ones it
+accepts.  ``--json`` writes ``{name: {title, passed, checks, data}}``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.experiments.registry import (
     Runnable,
     get_experiment,
     runnables,
-    scenario_result,
     scenario_runnable,
 )
 from repro.experiments.report import family
@@ -57,262 +57,41 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute(
-    runnable: Runnable, args: argparse.Namespace, **options: Any
-) -> Optional[Any]:
-    """Run ``runnable`` with the shared flags and print it; ``None``
-    (exit 2) when the run rejects its arguments."""
-    start = time.time()
-    try:
-        result = runnable.run(
-            seed=args.seed, scale=args.scale, jobs=args.jobs, **options
-        )
-    except ValueError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return None
-    print(result.render())
-    print(f"\n({runnable.name} finished in {time.time() - start:.1f}s)\n")
-    return result
-
-
-def _publish(
-    args: argparse.Namespace,
-    grids: List[Dict[int, Dict[Optional[int], Any]]],
-    document: Any,
-) -> None:
-    """Catalog each ``{seed: {level: result}}`` grid as one record under
-    ``--catalog`` and write ``document`` to ``--json``."""
-    if args.catalog:
-        from repro.artifacts import CatalogStore, ingest
-
-        store = CatalogStore(args.catalog)
-        for grid in grids:
-            run_id = ingest(store, grid)
-            print(f"catalogued as {run_id} in {args.catalog}/")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable results to {args.json}")
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.artifacts import canonical_data
-
-    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
-    results = []
-    for name in names:
-        result = _execute(get_experiment(name), args)
-        if result is None:
-            return 2
-        results.append(result)
-    _publish(
-        args,
-        [{args.seed: {r.level: r}} for r in results],
-        {
-            r.experiment_id: {
-                "title": r.title,
-                "passed": r.passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in r.checks.results
-                ],
-                "data": canonical_data(r.data),
-            }
-            for r in results
-        },
-    )
-    failures = sum(not r.passed for r in results)
-    if failures:
-        print(f"{failures} run(s) had failing checks")
-    return 1 if failures else 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    modes = (
-        [m.strip() for m in args.modes.split(",") if m.strip()]
-        if args.modes
-        else None
-    )
-    result = _execute(
-        get_experiment(f"campaign:{args.scenario}"), args,
-        modes=modes, fast=args.fast, guard_band_s=args.guard_band,
-    )
-    if result is None:
-        return 2
-    _publish(args, [{args.seed: {None: result}}], result.data)
-    return 0 if result.passed else 1
-
-
-def _run_traced_workload(args: argparse.Namespace, spans: bool):
-    """One fig1-style blob run on a fresh platform, tracer attached;
-    ``None`` (exit 2) when the run rejects its arguments."""
-    from repro.workloads.blob_bench import run_blob_test
-    from repro.workloads.harness import build_platform
-
-    try:
-        platform = build_platform(
-            seed=args.seed, n_clients=args.clients, spans=spans
-        )
-        run_blob_test(
-            args.direction,
-            n_clients=args.clients,
-            size_mb=args.size_mb,
-            seed=args.seed,
-            platform=platform,
-        )
-    except ValueError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return None
-    return platform
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability.export import (
-        waterfall,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
-    if args.limit < 1:
-        print(f"repro: --limit must be >= 1, got {args.limit}",
-              file=sys.stderr)
-        return 2
-    platform = _run_traced_workload(args, spans=True)
-    if platform is None:
-        return 2
-    assert platform.spans is not None
-    spans = platform.spans.spans()
-    print(
-        f"collected {len(spans)} spans over "
-        f"{len(platform.spans.traces())} traces "
-        f"({platform.spans.errors} error spans)"
-    )
-    if args.fmt == "chrome":
-        if not args.out:
-            print("--fmt chrome needs --out PATH", file=sys.stderr)
-            return 2
-        path = write_chrome_trace(args.out, spans)
-        print(f"wrote Chrome trace-event JSON to {path} "
-              "(load in Perfetto or chrome://tracing)")
-    elif args.fmt == "jsonl":
-        if not args.out:
-            print("--fmt jsonl needs --out PATH", file=sys.stderr)
-            return 2
-        path = write_jsonl(args.out, spans)
-        print(f"wrote {len(spans)} spans to {path}")
-    else:
-        shown = 0
-        for trace_id in sorted(platform.spans.traces()):
-            print(waterfall(spans, trace_id=trace_id))
-            print()
-            shown += 1
-            if shown >= args.limit:
-                remaining = len(platform.spans.traces()) - shown
-                if remaining > 0:
-                    print(f"(… {remaining} more traces; raise --limit, or "
-                          "export with --fmt chrome --out trace.json)")
-                break
-    return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.observability.histogram import merge_histograms
-    from repro.observability.slo import (
-        availability_slo,
-        evaluate_slos,
-        latency_slo,
-    )
-
-    # Bad objectives exit 2 before the run (exit 1 means an SLO failed).
-    try:
-        availability = availability_slo(args.availability)
-    except ValueError as exc:
-        print(f"repro: --availability: {exc}", file=sys.stderr)
-        return 2
-    try:
-        latency = latency_slo(args.latency_ms / 1000.0, args.latency_target)
-    except ValueError as exc:
-        print(f"repro: --latency-ms/--latency-target: {exc}",
-              file=sys.stderr)
-        return 2
-    platform = _run_traced_workload(args, spans=False)
-    if platform is None:
-        return 2
-    tracer = platform.tracer
-    assert tracer is not None
-    histograms = tracer.latency_histograms()
-    print(f"{tracer.total} requests, {tracer.errors} errors; per-op "
-          "latency percentiles (streaming histogram, ~2% relative error):")
-    for (service, op), hist in sorted(histograms.items()):
-        p50, p95, p99 = (hist.percentile(q) * 1000 for q in (50, 95, 99))
-        print(f"  {service}.{op}: n={hist.count} p50={p50:.1f}ms "
-              f"p95={p95:.1f}ms p99={p99:.1f}ms")
-    merged = (
-        merge_histograms(list(histograms.values()), name="all-ops")
-        if histograms
-        else None
-    )
-    report = evaluate_slos(
-        [availability, latency],
-        total=tracer.total,
-        errors=tracer.errors,
-        histogram=merged,
-        title=(
-            f"SLOs over {args.direction} x{args.clients} "
-            f"(seed {args.seed})"
-        ),
-    )
-    print()
-    print(report.render())
-    if args.json:
-        import json
-
-        exported = {
-            "total": tracer.total,
-            "errors": tracer.errors,
-            "objectives": {
-                r.slo.name: {
-                    "target": r.slo.target,
-                    "sli": r.sli,
-                    "error_budget": r.error_budget,
-                    "budget_consumed": r.budget_consumed,
-                    "budget_remaining": r.budget_remaining,
-                    "burn_rate": r.burn_rate,
-                    "passed": r.passed,
-                }
-                for r in report.results
-            },
-        }
-        with open(args.json, "w") as fh:
-            json.dump(exported, fh, indent=2, sort_keys=True)
-        print(f"wrote machine-readable SLO report to {args.json}")
-    return 0 if report.passed else 1
-
-
 def _scenario_spec(args: argparse.Namespace):
-    """Resolve the spec named/filed on the command line (or exit 2)."""
+    """The spec that NAME (``scenario:<name>``) or ``--file PATH``
+    names, or ``None`` (exit 2)."""
     from repro.scenarios import (
         ScenarioValidationError,
         get_scenario,
         load_scenario_file,
     )
 
+    if (args.name is None) == (args.file is None):
+        print(f"repro: {args.command} takes one of NAME and --file PATH",
+              file=sys.stderr)
+        return None
     try:
         if args.file:
-            spec, _ = load_scenario_file(args.file)
-        elif args.name:
-            spec = get_scenario(args.name)
+            spec = load_scenario_file(args.file)[0]
         else:
-            print(
-                "scenario run/describe needs a NAME or --file PATH",
-                file=sys.stderr,
-            )
-            return None
+            spec = get_scenario(args.name.split(":", 1)[1])
         spec.scaled(args.scale)  # a bad --scale fails here, before a run
     except (ScenarioValidationError, KeyError, OSError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return None
     return spec
+
+
+def _cmd_describe(args: argparse.Namespace) -> int:
+    from repro.scenarios import scenario_to_dict
+
+    spec = _scenario_spec(args)
+    if spec is None:
+        return 2
+    print(json.dumps(
+        scenario_to_dict(spec.scaled(args.scale)), indent=2, sort_keys=True
+    ))
+    return 0
 
 
 def _int_list(flag: str, text: str, minimum: int) -> List[int]:
@@ -333,93 +112,162 @@ def _int_list(flag: str, text: str, minimum: int) -> List[int]:
     return values
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        get_scenario,
-        list_scenarios,
-        scenario_source,
-        scenario_to_dict,
-        sweep_scenario,
+def _slos(args: argparse.Namespace) -> Optional[List[Any]]:
+    """The objectives the SLO flags set: availability with
+    ``--availability``, latency with ``--latency-ms`` or
+    ``--latency-target`` (500 ms and 0.95 when unset); ``None`` when no
+    SLO flag is given."""
+    from repro.observability.slo import availability_slo, latency_slo
+
+    slos = []
+    if args.availability is not None:
+        try:
+            slos.append(availability_slo(args.availability))
+        except ValueError as exc:
+            raise ValueError(f"--availability: {exc}") from None
+    if args.latency_ms is not None or args.latency_target is not None:
+        latency_ms = 500.0 if args.latency_ms is None else args.latency_ms
+        target = 0.95 if args.latency_target is None else args.latency_target
+        try:
+            slos.append(latency_slo(latency_ms / 1000.0, target))
+        except ValueError as exc:
+            raise ValueError(f"--latency-ms/--latency-target: {exc}") from None
+    return slos or None
+
+
+def _knobs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The knobs the flags set (an unset flag sets none), after the
+    checks only the command line can make; ``ValueError`` (exit 2)
+    otherwise."""
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    if args.trace in ("chrome", "jsonl") and not args.out:
+        raise ValueError(f"--trace {args.trace} needs --out PATH")
+    if args.out is not None and args.trace not in ("chrome", "jsonl"):
+        raise ValueError("--out applies only to --trace chrome|jsonl")
+    if args.limit is not None and args.trace != "waterfall":
+        raise ValueError("--limit applies only to --trace waterfall")
+    knobs = {
+        "n_clients": args.clients,
+        "mode": args.mode,
+        "levels": (
+            None if args.levels is None
+            else _int_list("--levels", args.levels, 1)
+        ),
+        "seeds": (
+            None if args.seeds is None
+            else _int_list("--seeds", args.seeds, 0)
+        ),
+        "trace": True if args.trace else None,
+        "slos": _slos(args),
+        "modes": (
+            None if args.modes is None
+            else [m.strip() for m in args.modes.split(",") if m.strip()]
+        ),
+        "fast": args.fast,
+        "guard_band_s": args.guard_band,
+    }
+    return {k: v for k, v in knobs.items() if v is not None}
+
+
+def _execute(
+    runnable: Runnable, args: argparse.Namespace, **knobs: Any
+) -> Optional[Any]:
+    """Run ``runnable`` with the shared flags and ``knobs`` and print
+    it; ``None`` (exit 2) when the run rejects its arguments."""
+    start = time.time()
+    try:
+        result = runnable.run(
+            seed=args.seed, scale=args.scale, jobs=args.jobs, **knobs
+        )
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return None
+    print(result.render())
+    print(f"\n({runnable.name} finished in {time.time() - start:.1f}s)\n")
+    return result
+
+
+def _export_trace(args: argparse.Namespace, tracer: Any) -> None:
+    """Print or write the spans a ``--trace`` run collected."""
+    from repro.observability.export import (
+        waterfall,
+        write_chrome_trace,
+        write_jsonl,
     )
 
-    if args.action == "list":
-        print(
-            f"{'name':22s}  {'source':20s}  {'arrival':8s}  "
-            f"{'clients':>8s}  title"
-        )
-        for name in list_scenarios():
-            spec = get_scenario(name)
-            source = scenario_source(name)
-            if source != "builtin":
-                from pathlib import Path
+    spans, traces = tracer.spans(), tracer.traces()
+    print(f"collected {len(spans)} spans over {len(traces)} traces "
+          f"({tracer.errors} error spans)")
+    if args.trace == "chrome":
+        path = write_chrome_trace(args.out, spans)
+        print(f"wrote Chrome trace-event JSON to {path} "
+              "(load in Perfetto or chrome://tracing)")
+    elif args.trace == "jsonl":
+        path = write_jsonl(args.out, spans)
+        print(f"wrote {len(spans)} spans to {path}")
+    else:
+        limit = args.limit or 3
+        for trace_id in sorted(traces)[:limit]:
+            print(waterfall(spans, trace_id=trace_id))
+            print()
+        if len(traces) > limit:
+            print(f"(… {len(traces) - limit} more traces; raise --limit, "
+                  "or export with --trace chrome --out trace.json)")
 
-                source = Path(source).name
-            print(
-                f"{name:22s}  {source:20s}  "
-                f"{spec.arrival.kind:8s}  {spec.n_clients:>8,d}  "
-                f"{spec.title or spec.description}"
-            )
-        return 0
 
-    spec = _scenario_spec(args)
-    if spec is None:
-        return 2
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.artifacts import canonical_data
 
-    if args.action == "describe":
-        print(json.dumps(
-            scenario_to_dict(spec.scaled(args.scale)), indent=2,
-            sort_keys=True,
-        ))
-        return 0
-
-    # run: one population through the registry, or a seed x level grid
-    if not (args.levels or args.seeds):
-        result = _execute(
-            scenario_runnable(spec), args,
-            n_clients=args.clients, mode=args.mode,
-        )
-        if result is None:
-            return 2
-        _publish(args, [{args.seed: {result.level: result}}], result.data)
-        return 0
     try:
-        levels = _int_list("--levels", args.levels, 1) if args.levels else None
-        seeds = _int_list("--seeds", args.seeds, 0) if args.seeds else [args.seed]
+        knobs = _knobs(args)
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    scaled = spec.scaled(args.scale)
-    start = time.time()
-    grid = {
-        seed: {
-            n: scenario_result(scaled, run)
-            for n, run in sweep_scenario(
-                scaled, levels=levels, seed=seed, mode=args.mode,
-                jobs=args.jobs,
-            ).items()
-        }
-        for seed in seeds
-    }
-    for runs in grid.values():
-        for result in runs.values():
-            print(result.body)
-            print()
-    print(f"  (finished in {time.time() - start:.2f}s wall-clock)")
-    if len(seeds) == 1:
-        exported = {
-            "scenario": spec.name,
-            "levels": {str(n): r.data for n, r in grid[seeds[0]].items()},
-        }
+    if args.name is None or args.file is not None:
+        spec = _scenario_spec(args)
+        if spec is None:
+            return 2
+        targets = [scenario_runnable(spec)]
+    elif args.name == "all":
+        targets = list(EXPERIMENTS.values())
     else:
-        exported = {
-            "scenario": spec.name,
-            "seeds": {
-                str(seed): {str(n): r.data for n, r in runs.items()}
-                for seed, runs in grid.items()
-            },
+        targets = [get_experiment(args.name)]
+    results = []
+    for runnable in targets:
+        result = _execute(runnable, args, **knobs)
+        if result is None:
+            return 2
+        results.append(result)
+    if args.trace:
+        _export_trace(args, results[0].spans)
+    if args.catalog:
+        from repro.artifacts import CatalogStore, ingest
+
+        store = CatalogStore(args.catalog)
+        for r in results:
+            run_id = ingest(store, r.cells or {args.seed: {r.level: r}})
+            print(f"catalogued as {run_id} in {args.catalog}/")
+    if args.json:
+        document = {
+            r.experiment_id: {
+                "title": r.title,
+                "passed": r.passed,
+                "checks": [
+                    {"name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in r.checks.results
+                ],
+                "data": canonical_data(r.data),
+            }
+            for r in results
         }
-    _publish(args, [grid], exported)
-    return 0
+        with open(args.json, "w") as fh:
+            json.dump(document, fh, indent=2, sort_keys=True)
+        print(f"wrote machine-readable results to {args.json}")
+    failures = sum(not r.passed for r in results)
+    if failures:
+        print(f"{failures} run(s) had failing checks")
+    return 1 if failures else 0
 
 
 def _open_catalog(args: argparse.Namespace):
@@ -571,14 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = sorted(runnables())
 
-    # The flags every registry run shares (run, campaign, scenario run).
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument(
-        "--seed", type=int, default=GOLDEN_SEED,
-        help=f"master seed (default {GOLDEN_SEED}, the golden seed)",
+    # What `run` and `describe` share: a spec file and the scale.
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument(
+        "--file", metavar="PATH", default=None,
+        help="a scenario from a TOML/JSON pack file instead of NAME",
     )
-    run_flags.add_argument(
+    spec_flags.add_argument(
         "--scale", type=float, default=1.0,
         help=(
             "workload scale > 0 (1.0 = as specified): sample counts for "
@@ -587,7 +436,41 @@ def build_parser() -> argparse.ArgumentParser:
             "is fixed); the drill has one size"
         ),
     )
-    run_flags.add_argument(
+
+    p_list = sub.add_parser("list", help="list every registered run")
+    p_list.set_defaults(func=_cmd_list)
+
+    p_describe = sub.add_parser(
+        "describe", parents=[spec_flags],
+        help="dump one scenario's spec (scaled) as JSON",
+    )
+    p_describe.add_argument(
+        "name", metavar="NAME", nargs="?", default=None,
+        choices=[n for n in names if n.startswith("scenario:")],
+        help="scenario:<name> (see 'list')",
+    )
+    p_describe.set_defaults(func=_cmd_describe)
+
+    p_run = sub.add_parser(
+        "run", parents=[spec_flags],
+        help=(
+            "run any registered run (see 'list'), a scenario file, or "
+            "'all' experiments"
+        ),
+    )
+    p_run.add_argument(
+        "name", metavar="NAME", nargs="?", default=None,
+        choices=names + ["all"],
+        help=(
+            "fig1..table2, scenario:<name>, campaign:<preset>, "
+            "drill:hedge, or all (every paper experiment)"
+        ),
+    )
+    p_run.add_argument(
+        "--seed", type=int, default=GOLDEN_SEED,
+        help=f"master seed (default {GOLDEN_SEED}, the golden seed)",
+    )
+    p_run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help=(
             "worker processes for independent trials, sweep levels or "
@@ -596,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
             "value)"
         ),
     )
-    run_flags.add_argument(
+    p_run.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write machine-readable results to this JSON file",
     )
-    run_flags.add_argument(
+    p_run.add_argument(
         "--catalog", metavar="DIR", nargs="?", const="catalog",
         default=None,
         help=(
@@ -609,50 +492,73 @@ def build_parser() -> argparse.ArgumentParser:
             "results are bit-identical with or without it"
         ),
     )
-
-    p_list = sub.add_parser("list", help="list every registered run")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_run = sub.add_parser(
-        "run", parents=[run_flags],
-        help="run any registered run (see 'list'), or 'all' experiments",
+    scenario = p_run.add_argument_group("scenario knobs")
+    scenario.add_argument(
+        "--clients", type=int, default=None, metavar="N",
+        help="override the spec's population size",
     )
-    p_run.add_argument(
-        "name", metavar="NAME", choices=sorted(runnables()) + ["all"],
+    scenario.add_argument(
+        "--mode", choices=["auto", "exact", "batched"], default=None,
         help=(
-            "fig1..table2, scenario:<name>, campaign:<preset>, "
-            "drill:hedge, or all (every paper experiment)"
+            "auto (default) = exact per-client simulation up to "
+            "256 clients, batched population dynamics beyond"
         ),
     )
-    p_run.set_defaults(func=_cmd_run)
-
-    p_campaign = sub.add_parser(
-        "campaign", parents=[run_flags],
+    scenario.add_argument(
+        "--levels", metavar="N1,N2", default=None,
         help=(
-            "replay a fault schedule (rack/zone/WAN outages or server "
-            "fault windows) against a (client policy x geo-failover "
-            "mode) grid and report user-side availability + SLO burn"
+            "sweep these comma-separated population sizes instead of a "
+            "single run (per-level trials fan across --jobs workers)"
         ),
     )
-    p_campaign.add_argument(
-        "scenario",
-        choices=["month", "day", "storm", "crash", "burst"],
+    scenario.add_argument(
+        "--seeds", metavar="S1,S2", default=None,
         help=(
-            "month = 30 simulated days with rack, zone, WAN and region "
-            "outages; day = the 24-hour smoke schedule CI runs; "
-            "storm = 503 storm, crash = server crash/restart, burst = "
-            "HTTP-500 burst, each against the retry-policy matrix"
+            "run the sweep once per comma-separated seed (a seed x "
+            "level grid — what the QC variance gate judges)"
         ),
     )
-    p_campaign.add_argument(
+    scenario.add_argument(
+        "--trace", default=None, choices=["waterfall", "chrome", "jsonl"],
+        help=(
+            "capture every span of an exact run: waterfall = ASCII "
+            "per-trace view; chrome = trace-event JSON for "
+            "Perfetto/chrome://tracing; jsonl = one span per line"
+        ),
+    )
+    scenario.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="--trace chrome|jsonl output file",
+    )
+    scenario.add_argument(
+        "--limit", type=int, default=None,
+        help="--trace waterfall: traces printed (default 3, at least 1)",
+    )
+    scenario.add_argument(
+        "--availability", type=float, default=None, metavar="T",
+        help="check an availability SLO in (0, 1) on the client calls",
+    )
+    scenario.add_argument(
+        "--latency-ms", type=float, default=None, metavar="MS",
+        help="check a latency SLO with this threshold (default 500)",
+    )
+    scenario.add_argument(
+        "--latency-target", type=float, default=None, metavar="T",
+        help=(
+            "latency SLO: required fraction of calls under the threshold "
+            "(default 0.95)"
+        ),
+    )
+    campaign = p_run.add_argument_group("campaign knobs")
+    campaign.add_argument(
         "--modes", metavar="M1,M2", default=None,
         help=(
             "comma-separated failover modes to replay (default: the "
             "preset's modes)"
         ),
     )
-    p_campaign.add_argument(
-        "--fast", action="store_true",
+    campaign.add_argument(
+        "--fast", action="store_true", default=None,
         help=(
             "piecewise-stationary fast-forward: solve the stationary "
             "windows between fault/failover transitions analytically "
@@ -661,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
             "event-level replay; latency tails are statistical)"
         ),
     )
-    p_campaign.add_argument(
+    campaign.add_argument(
         "--guard-band", type=float, default=None, metavar="S",
         help=(
             "--fast only: event-level radius in seconds around each "
@@ -669,122 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
             "at least 65s)"
         ),
     )
-    p_campaign.set_defaults(func=_cmd_campaign)
-
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--direction", choices=["download", "upload"],
-            default="download", help="blob workload direction",
-        )
-        p.add_argument(
-            "--clients", type=int, default=4,
-            help="concurrent clients in the traced run",
-        )
-        p.add_argument(
-            "--size-mb", type=float, default=1.0, help="blob size in MB"
-        )
-        p.add_argument("--seed", type=int, default=3)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help=(
-            "run a small fig1-style workload with span tracing and "
-            "export the causal trees"
-        ),
-    )
-    add_workload_args(p_trace)
-    p_trace.add_argument(
-        "--fmt", choices=["waterfall", "chrome", "jsonl"],
-        default="waterfall",
-        help=(
-            "waterfall = ASCII per-trace view; chrome = trace-event JSON "
-            "for Perfetto/chrome://tracing; jsonl = one span per line"
-        ),
-    )
-    p_trace.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="output file (required for chrome/jsonl)",
-    )
-    p_trace.add_argument(
-        "--limit", type=int, default=3,
-        help="max traces printed in waterfall mode (at least 1)",
-    )
-    p_trace.set_defaults(func=_cmd_trace)
-
-    p_slo = sub.add_parser(
-        "slo",
-        help=(
-            "run a workload and judge it against availability/latency "
-            "SLOs (error budget + burn rate)"
-        ),
-    )
-    add_workload_args(p_slo)
-    p_slo.add_argument(
-        "--availability", type=float, default=0.99,
-        help="availability target in (0, 1)",
-    )
-    p_slo.add_argument(
-        "--latency-ms", type=float, default=500.0,
-        help="latency threshold in milliseconds",
-    )
-    p_slo.add_argument(
-        "--latency-target", type=float, default=0.95,
-        help="required fraction of requests under the threshold",
-    )
-    p_slo.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the machine-readable SLO report to this file",
-    )
-    p_slo.set_defaults(func=_cmd_slo)
-
-    p_scenario = sub.add_parser(
-        "scenario", parents=[run_flags],
-        help=(
-            "list/describe/run declarative ScenarioSpec workloads "
-            "(registered figure scenarios + trace-shaped packs)"
-        ),
-    )
-    p_scenario.add_argument(
-        "action", choices=["list", "describe", "run"],
-        help=(
-            "list = registered scenarios; describe = dump one spec as "
-            "JSON; run = execute one through the unified driver"
-        ),
-    )
-    p_scenario.add_argument(
-        "name", nargs="?", default=None,
-        help="registered scenario name (see 'scenario list')",
-    )
-    p_scenario.add_argument(
-        "--file", metavar="PATH", default=None,
-        help="load the spec from a TOML/JSON pack file instead of the registry",
-    )
-    p_scenario.add_argument(
-        "--clients", type=int, default=None, metavar="N",
-        help="override the spec's population size",
-    )
-    p_scenario.add_argument(
-        "--mode", choices=["auto", "exact", "batched"], default="auto",
-        help=(
-            "auto = exact per-client simulation up to "
-            "256 clients, batched population dynamics beyond"
-        ),
-    )
-    p_scenario.add_argument(
-        "--levels", metavar="N1,N2", default=None,
-        help=(
-            "sweep these comma-separated population sizes instead of a "
-            "single run (per-level trials fan across --jobs workers)"
-        ),
-    )
-    p_scenario.add_argument(
-        "--seeds", metavar="S1,S2", default=None,
-        help=(
-            "run the sweep once per comma-separated seed (a seed x "
-            "level grid — what the QC variance gate judges)"
-        ),
-    )
-    p_scenario.set_defaults(func=_cmd_scenario)
+    p_run.set_defaults(func=_cmd_run)
 
     def add_catalog_selector(p: argparse.ArgumentParser) -> None:
         p.add_argument(

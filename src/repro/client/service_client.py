@@ -47,8 +47,8 @@ three more behaviours:
   raced against a healthy one.
 
 Attempt and call spans carry a ``replica`` attribute on replica-aware
-clients, on success and on failure, so ``repro trace`` renders
-cross-region failover waterfalls.  Clients without a secondary take
+clients, on success and on failure, so a ``--trace`` waterfall renders
+cross-region failover.  Clients without a secondary take
 exactly the seed code path: no extra events, no extra span attributes,
 bit-identical golden outputs.
 """

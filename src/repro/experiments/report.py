@@ -19,10 +19,13 @@ class ExperimentReport:
     """Rendered output plus machine-readable results for one run.
 
     ``data`` is what the golden digest and the catalog digests cover.
-    ``config``, ``level`` and ``snapshots`` are catalog sidecars, never
-    part of ``data``: the configuration document the catalog hashes,
-    the population a scenario run simulated (``None`` for runs without
-    one), and serialized observability state.
+    ``config``, ``level``, ``snapshots`` and ``cells`` are catalog
+    sidecars, never part of ``data``: the configuration document the
+    catalog hashes, the population a scenario run simulated (``None``
+    for runs without one), serialized observability state, and a
+    scenario grid's per-cell reports (``{seed: {level: report}}``).
+    ``spans`` is a traced scenario run's span collector; nothing
+    catalogs it.
     """
 
     experiment_id: str
@@ -33,6 +36,8 @@ class ExperimentReport:
     config: Dict[str, Any] = field(default_factory=dict)
     level: Optional[int] = None
     snapshots: Dict[str, Any] = field(default_factory=dict)
+    cells: Optional[Dict[int, Dict[int, "ExperimentReport"]]] = None
+    spans: Any = None
 
     @property
     def family(self) -> str:

@@ -19,8 +19,9 @@ The outputs follow SRE convention:
   For a complete, fixed-window evaluation (a drill, a bench run)
   burn rate equals ``budget_consumed`` over the whole window.
 
-The chaos drills evaluate their verdicts through this engine, and the
-``repro slo`` CLI renders a report over any workload the harness runs.
+The chaos drills evaluate their verdicts through this engine, and
+``repro run scenario:… --availability T --latency-ms MS`` judges a
+scenario run's client calls with it.
 """
 
 from __future__ import annotations

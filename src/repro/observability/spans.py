@@ -111,7 +111,7 @@ class SpanTracer:
     ``capacity`` bounds how many spans are retained (newest win; the
     ``started``/``finished``/``dropped`` counters stay exact).  Pass
     ``capacity=None`` to retain everything — the right setting for a
-    ``repro trace`` export run.
+    ``repro run scenario:… --trace`` export.
     """
 
     def __init__(

@@ -15,6 +15,7 @@ from repro.scenarios.driver import (
     LinkDropError,
     ScenarioRunResult,
     run_scenario,
+    scenario_engine,
     sweep_scenario,
 )
 from repro.scenarios.loader import (
@@ -31,7 +32,6 @@ from repro.scenarios.registry import (
     list_scenarios,
     pack_files,
     register_scenario,
-    scenario_source,
 )
 from repro.scenarios.skew import ZipfRouter
 from repro.scenarios.spec import (
@@ -77,8 +77,8 @@ __all__ = [
     "pack_files",
     "register_scenario",
     "run_scenario",
+    "scenario_engine",
     "scenario_from_dict",
-    "scenario_source",
     "scenario_to_dict",
     "sweep_scenario",
 ]

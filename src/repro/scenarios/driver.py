@@ -1085,6 +1085,19 @@ def _run_open_batched(
 # -- entry points ----------------------------------------------------------
 
 
+def scenario_engine(n_clients: int, mode: str = "auto") -> str:
+    """The engine ``mode`` runs ``n_clients`` clients on: ``"auto"``
+    simulates exactly up to :data:`EXACT_MAX_SCENARIO_CLIENTS` clients
+    and goes ``"batched"`` beyond; ``"exact"``/``"batched"`` force one."""
+    if mode not in ("auto", "exact", "batched"):
+        raise ValueError(f"unknown scenario mode {mode!r}")
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
+    if mode == "auto":
+        return "exact" if n_clients <= EXACT_MAX_SCENARIO_CLIENTS else "batched"
+    return mode
+
+
 def run_scenario(
     spec: ScenarioSpec,
     n_clients: Optional[int] = None,
@@ -1092,23 +1105,16 @@ def run_scenario(
     mode: str = "auto",
     platform: Optional[Platform] = None,
 ) -> ScenarioRunResult:
-    """Run one scenario at one population size.
+    """Run one scenario at one population size on the engine
+    :func:`scenario_engine` picks.
 
-    ``mode="auto"`` simulates exactly up to
-    :data:`EXACT_MAX_SCENARIO_CLIENTS` clients and switches to the
-    batched engines beyond; ``"exact"``/``"batched"`` force an engine.
     ``platform`` feeds the exact engine (built fresh when omitted) —
-    the bench compatibility wrappers pass theirs through.
+    the bench compatibility wrappers and traced registry runs pass
+    theirs through.
     """
-    if mode not in ("auto", "exact", "batched"):
-        raise ValueError(f"unknown scenario mode {mode!r}")
     n = n_clients if n_clients is not None else spec.n_clients
-    if n < 1:
-        raise ValueError("n_clients must be >= 1")
     s = spec.default_seed if seed is None else seed
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_MAX_SCENARIO_CLIENTS else "batched"
-    if mode == "exact":
+    if scenario_engine(n, mode) == "exact":
         return _run_scenario_exact(spec, n, s, platform=platform)
     if spec.arrival.is_open:
         return _run_open_batched(spec, n, s)

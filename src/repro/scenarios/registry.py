@@ -56,12 +56,6 @@ def list_scenarios() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def scenario_source(name: str) -> str:
-    """Where a scenario came from: ``"builtin"`` or its config path."""
-    get_scenario(name)
-    return _SOURCES[name]
-
-
 def pack_files() -> List[Path]:
     """Every shipped scenario config file, in deterministic order."""
     if not PACK_DIR.is_dir():

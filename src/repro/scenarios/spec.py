@@ -349,7 +349,7 @@ class ScenarioSpec:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     skew: Optional[SkewSpec] = None
     link: Optional[LinkSpec] = None
-    #: Default population for ``repro scenario run``.
+    #: Default population for ``repro run scenario:<name>``.
     n_clients: int = 4
     #: Concurrency levels for fig-shaped sweeps (empty = no sweep).
     levels: Tuple[int, ...] = ()

@@ -76,7 +76,7 @@ def build_platform(
     partition/network) — span capture is pure measurement, so results
     stay bit-identical with it on or off.  ``span_capacity`` bounds
     retention (``None`` keeps every span, the right setting for a
-    ``repro trace`` export).
+    ``repro run scenario:… --trace`` export).
     """
     if n_clients > racks * hosts_per_rack:
         raise ValueError(

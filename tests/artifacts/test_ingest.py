@@ -13,22 +13,19 @@ from repro.artifacts import (
     run_record,
 )
 from repro.experiments.golden import run_digest
-from repro.experiments.registry import campaign_result, scenario_result
+from repro.experiments.registry import (
+    campaign_result,
+    scenario_result,
+    scenario_runnable,
+)
 from repro.scenarios import get_scenario, run_scenario, sweep_scenario
 
 
 def run_scenario_sweep(spec, levels, seeds, mode):
-    """The seed x level grid record ``repro scenario run --seeds
+    """The seed x level grid record ``repro run scenario:… --seeds
     --catalog`` builds."""
-    return run_record({
-        seed: {
-            n: scenario_result(spec, run)
-            for n, run in sweep_scenario(
-                spec, levels=levels, seed=seed, mode=mode
-            ).items()
-        }
-        for seed in seeds
-    })
+    report = scenario_runnable(spec).run(levels=levels, seeds=seeds, mode=mode)
+    return run_record(report.cells)
 
 
 def campaign_record(spec, report):

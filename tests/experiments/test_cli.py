@@ -4,6 +4,8 @@ import importlib.util
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,15 @@ from repro.artifacts import CatalogStore, payload_digest
 from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 from repro.experiments.golden import GOLDEN_SEED, digest
 from repro.experiments.registry import (
+    CAMPAIGN_KNOBS,
+    EXPERIMENTS,
+    SCENARIO_KNOBS,
     Runnable,
     get_experiment,
     run_experiment,
     runnables,
 )
+from repro.observability.slo import availability_slo, latency_slo
 from repro.resilience.hedging import run_hedge_drill
 
 
@@ -89,8 +95,9 @@ def test_every_verb_and_registry_run_defaults_to_the_golden_seed():
     for argv in (
         ["run", "fig1"],
         ["run", "drill:hedge"],
-        ["campaign", "day"],
-        ["scenario", "run", "streaming"],
+        ["run", "campaign:day"],
+        ["run", "scenario:streaming"],
+        ["run", "--file", "my_pack.toml"],
     ):
         assert parser.parse_args(argv).seed == GOLDEN_SEED == 3
     for fn in (run_experiment, run_hedge_drill, Runnable.run):
@@ -153,23 +160,40 @@ def test_run_rejects_a_non_positive_scale_with_exit_2(capsys):
 def test_scenario_grid_rejects_bad_levels_and_seeds_with_exit_2(
     capsys, flag, value, message
 ):
-    assert main(["scenario", "run", "fig3-queue-add", flag, value]) == 2
+    assert main(["run", "scenario:fig3-queue-add", flag, value]) == 2
     err = capsys.readouterr().err
     assert err == f"repro: {message}\n"
 
 
-@pytest.mark.parametrize("verb", ["trace", "slo"])
+#: A traced run and an SLO-judged run of the fig1 download scenario.
+_TRACED = pytest.mark.parametrize("verb", [
+    pytest.param(["--trace", "waterfall"], id="trace"),
+    pytest.param(["--availability", "0.99"], id="slo"),
+])
+
+
+@_TRACED
 @pytest.mark.parametrize("args,message", [
     (["--clients", "0"], "n_clients must be >= 1"),
-    (["--clients", "300"], "300 clients need more hosts"),
-    (["--size-mb", "-1"], "size_mb must be > 0, got -1.0"),
+    (["--clients", "300", "--mode", "exact"], "300 clients need more hosts"),
 ])
 def test_traced_workload_rejects_bad_arguments_with_exit_2(
     capsys, verb, args, message
 ):
-    assert main([verb, *args]) == 2
+    assert main(["run", "scenario:fig1-blob-download", *verb, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro: {message}")
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if the command line starts a run."""
+    import repro.cli as cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the workload ran")
+
+    monkeypatch.setattr(cli, "_execute", refuse)
 
 
 @pytest.mark.parametrize("args,message", [
@@ -182,24 +206,70 @@ def test_traced_workload_rejects_bad_arguments_with_exit_2(
      " threshold_s"),
 ])
 def test_slo_rejects_bad_objectives_with_exit_2_before_the_run(
-    capsys, monkeypatch, args, message
+    capsys, no_run, args, message
 ):
-    import repro.cli as cli
-
-    def no_run(*_args, **_kwargs):
-        raise AssertionError("the workload ran")
-
-    monkeypatch.setattr(cli, "_run_traced_workload", no_run)
-    assert main(["slo", *args]) == 2
+    assert main(["run", "scenario:fig1-blob-download", *args]) == 2
     assert capsys.readouterr().err == f"repro: {message}\n"
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_trace_rejects_a_limit_below_1_with_exit_2(capsys, limit):
-    assert main(["trace", "--limit", limit]) == 2
+    assert main([
+        "run", "scenario:fig1-blob-download", "--trace", "waterfall",
+        "--limit", limit,
+    ]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"repro: --limit must be >= 1, got {limit}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
+def test_trace_export_without_out_exits_2_before_the_run(
+    capsys, no_run, fmt
+):
+    assert main(["run", "scenario:fig1-blob-download", "--trace", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: --trace {fmt} needs --out PATH\n"
+    assert captured.out == ""
+
+
+def test_trace_writes_a_chrome_export_that_passes_the_schema_check(
+    tmp_path, capsys
+):
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", "scenario:fig1-blob-download", "--trace", "chrome",
+        "--out", str(out),
+    ]) == 0
+    assert "collected 28 spans over 4 traces" in capsys.readouterr().out
+    assert _load_tool("check_trace_schema").main([str(out)]) == 0
+
+
+def test_traced_scenario_run_keeps_the_untraced_data_digest():
+    runnable = get_experiment("scenario:fig1-blob-download")
+    plain, traced = runnable.run(), runnable.run(trace=True)
+    assert digest(traced.data) == digest(plain.data)
+    assert plain.spans is None
+    assert len(traced.spans.spans()) == 28
+    assert len(traced.spans.traces()) == 4
+
+
+@pytest.mark.parametrize("name,scale", [
+    ("scenario:fig2-table", 0.05),  # exact engine
+    ("scenario:streaming", 0.05),  # batched: no server-side requests
+])
+def test_slos_judge_client_calls_in_both_engines(name, scale):
+    runnable = get_experiment(name)
+    plain = runnable.run(scale=scale)
+    judged = runnable.run(
+        scale=scale, slos=[availability_slo(0.5), latency_slo(3600.0, 0.5)]
+    )
+    assert digest(judged.data) == digest(plain.data)
+    assert [c.name for c in judged.checks.results] == [
+        "SLO availability", "SLO latency<3.6e+06ms",
+    ]
+    assert judged.passed
+    assert "client calls" in judged.body
 
 
 @pytest.mark.parametrize("verb,existing,code", [
@@ -232,8 +302,108 @@ def test_read_only_catalog_verbs_create_no_directory(
 def test_campaign_rejects_a_bad_guard_band_with_exit_2(
     capsys, args, message
 ):
-    assert main(["campaign", "day", "--jobs", "1", *args]) == 2
+    assert main(["run", "campaign:day", "--jobs", "1", *args]) == 2
     assert capsys.readouterr().err.startswith(f"repro: {message}")
+
+
+@pytest.mark.parametrize("modes", [",", ""])
+def test_campaign_rejects_an_empty_mode_list_with_exit_2(capsys, modes):
+    assert main(["run", "campaign:day", "--modes", modes]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "repro: campaign:day: no failover modes given; choose from"
+    )
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="no failover modes given"):
+        get_experiment("campaign:day").run(modes=[])
+
+
+_SCENARIO = "n_clients, mode, levels, seeds, trace, slos"
+_GRID = "a levels/seeds grid accepts mode, levels, seeds"
+
+
+@pytest.mark.parametrize("name,args,message", [
+    ("scenario:fig3-queue-add", ["--levels", "2", "--clients", "50"],
+     f"{_GRID}; got n_clients"),
+    ("scenario:fig3-queue-add", ["--seeds", "3", "--trace", "waterfall"],
+     f"{_GRID}; got trace"),
+    ("scenario:fig3-queue-add", ["--levels", "2", "--latency-ms", "50"],
+     f"{_GRID}; got slos"),
+    ("scenario:streaming", ["--trace", "waterfall"],
+     "a batched run (10,000 clients) accepts n_clients, mode, slos; "
+     "got trace"),
+    ("scenario:fig2-table", ["--clients", "300", "--trace", "jsonl",
+                             "--out", "spans.jsonl"],
+     "a batched run (300 clients) accepts n_clients, mode, slos; "
+     "got trace"),
+    ("campaign:day", ["--guard-band", "100"],
+     "without fast accepts modes, fast; got guard_band_s"),
+    ("campaign:day", ["--clients", "8"],
+     "campaign:day accepts modes, fast, guard_band_s; got n_clients"),
+    ("scenario:fig2-table", ["--fast"], f"accepts {_SCENARIO}; got fast"),
+    ("scenario:fig2-table", ["--out", "trace.json"],
+     "--out applies only to --trace chrome|jsonl"),
+    ("scenario:fig2-table", ["--trace", "chrome", "--out", "t.json",
+                             "--limit", "2"],
+     "--limit applies only to --trace waterfall"),
+    *[
+        (name, args, f"{name} accepts no knobs; got {knob}")
+        for name in (*EXPERIMENTS, "drill:hedge")
+        for args, knob in ((["--clients", "3"], "n_clients"),
+                           (["--modes", "none"], "modes"),
+                           (["--trace", "waterfall"], "trace"),
+                           (["--availability", "0.9"], "slos"))
+    ],
+])
+def test_a_knob_the_run_would_not_use_exits_2_before_the_run(
+    capsys, monkeypatch, name, args, message
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the workload ran")
+
+    for module, attr in (("repro.scenarios", "run_scenario"),
+                         ("repro.scenarios", "sweep_scenario"),
+                         ("repro.resilience.campaign", "run_campaign")):
+        monkeypatch.setattr(f"{module}.{attr}", refuse)
+    assert main(["run", name, "--jobs", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_runnable_rejects_an_undeclared_knob_with_value_error():
+    with pytest.raises(ValueError, match="fig1 accepts no knobs; got n_clients"):
+        get_experiment("fig1").run(n_clients=3)
+    with pytest.raises(ValueError, match="got fast, level"):
+        get_experiment("scenario:fig2-table").run(level=3, fast=True)
+    assert get_experiment("scenario:fig2-table").knobs == SCENARIO_KNOBS
+    assert get_experiment("campaign:day").knobs == CAMPAIGN_KNOBS
+    assert get_experiment("drill:hedge").knobs == ()
+
+
+def _documented_commands():
+    """Every ``python -m repro …`` command in the docs and in CI, with
+    ``\\`` continuations joined, up to the end of its code span, a
+    comment or a shell operator; a shell variable stands for a number."""
+    for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md",
+                ".github/workflows/ci.yml"):
+        text = (_ROOT / doc).read_text().replace("\\\n", " ")
+        for match in re.finditer(r"python -m repro\b([^`#|&;>\n]*)", text):
+            yield doc, re.sub(r"\$\{?\w+\}?", "1", match.group(1))
+
+
+def test_every_documented_command_parses():
+    parser = build_parser()
+    commands = list(_documented_commands())
+    assert len(commands) > 50
+    unparsed = []
+    for doc, command in commands:
+        try:
+            parser.parse_args(shlex.split(command))
+        except SystemExit:
+            unparsed.append(f"{doc}: python -m repro{command}")
+    assert unparsed == []
 
 
 def test_closed_stdout_exits_quietly_without_a_traceback():
@@ -256,8 +426,14 @@ def test_closed_stdout_exits_quietly_without_a_traceback():
 
 
 def test_bench_verb_is_gone():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench"])
+    """``bench``, and the verbs ``run`` absorbed: ``campaign``,
+    ``scenario``, ``trace`` and ``slo``."""
+    assert set(build_parser()._subparsers._group_actions[0].choices) == {
+        "list", "run", "describe", "qc", "dash", "catalog", "calibration",
+    }
+    for verb in ("bench", "campaign", "scenario", "trace", "slo"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb])
 
 
 @pytest.mark.parametrize("name,scale", [

@@ -277,10 +277,10 @@ def test_campaign_spec_adopts_scenario_mix():
 
 
 def test_cli_scenario_list_and_describe(capsys):
-    assert cli_main(["scenario", "list"]) == 0
+    assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "block-storage" in out and "fig2-table" in out
-    assert cli_main(["scenario", "describe", "streaming"]) == 0
+    assert "scenario:block-storage" in out and "scenario:fig2-table" in out
+    assert cli_main(["describe", "scenario:streaming"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == scenario_to_dict(get_scenario("streaming"))
 
@@ -289,11 +289,11 @@ def test_cli_scenario_run_writes_valid_summary(tmp_path, capsys):
     checker = _load_schema_checker()
     out = tmp_path / "summary.json"
     code = cli_main([
-        "scenario", "run", "block-storage",
+        "run", "scenario:block-storage",
         "--scale", "0.01", "--json", str(out),
     ])
     assert code == 0
-    doc = json.loads(out.read_text())
+    doc = checker.unwrap(json.loads(out.read_text()))
     checker.check_summary(doc)
     assert doc["scenario"] == "block-storage"
 
@@ -303,18 +303,22 @@ def test_cli_scenario_run_from_file_and_bad_name(tmp_path, capsys):
     spec_file.write_text(json.dumps(scenario_to_dict(_mixed_closed())))
     # The file's spec records seed 0, the seed this run used before
     # every verb defaulted to the golden seed.
-    assert cli_main([
-        "scenario", "run", "--file", str(spec_file), "--seed", "0",
-    ]) == 0
-    assert cli_main(["scenario", "run", "no-such-scenario"]) == 2
+    assert cli_main(["run", "--file", str(spec_file), "--seed", "0"]) == 0
+    assert cli_main(["describe", "--file", str(spec_file)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", "--file", str(tmp_path / "missing.toml")]) == 2
+    assert capsys.readouterr().err.startswith("bad scenario: ")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "scenario:no-such-scenario"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_cli_closed_batched_runs_through_scenario_run(capsys):
-    # Large closed-loop populations run through `scenario run`; the old
-    # `run cohort` trial is gone.
+    # Large closed-loop populations run through `run scenario:…`; the
+    # old `run cohort` trial is gone.
     assert cli_main([
-        "scenario", "run", "fig3-queue-add", "--clients", "10000",
+        "run", "scenario:fig3-queue-add", "--clients", "10000",
         "--mode", "batched", "--seed", "3", "--scale", "0.05",
     ]) == 0
     assert "batched driver" in capsys.readouterr().out

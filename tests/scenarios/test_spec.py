@@ -22,7 +22,6 @@ from repro.scenarios import (
     pack_files,
     register_scenario,
     scenario_from_dict,
-    scenario_source,
     scenario_to_dict,
 )
 from repro.scenarios.loader import parse_toml, parse_toml_minimal
@@ -263,8 +262,6 @@ def test_registry_contents():
         "block-storage", "streaming",
     ):
         assert expected in names
-    assert scenario_source("fig2-table") == "builtin"
-    assert scenario_source("streaming").endswith("streaming.toml")
 
 
 def test_registry_rejects_duplicates_and_unknown_names():

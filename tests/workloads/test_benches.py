@@ -33,6 +33,8 @@ def test_blob_bench_validation():
         run_blob_test("sideways", 1)
     with pytest.raises(ValueError):
         run_blob_test("download", 0)
+    with pytest.raises(ValueError, match="size_mb must be > 0, got -1.0"):
+        run_blob_test("download", 1, size_mb=-1.0)
 
 
 def test_blob_download_shape_small():

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Validate a ``repro campaign --json`` report's schema and ordering.
+"""Validate a campaign run's ``repro run --json`` report: schema and ordering.
 
-CI runs ``repro campaign day`` (one simulated day of correlated
-rack/zone/WAN outages, replayed per failover mode) and ``repro campaign
-storm`` (a 503 storm replayed per client policy), each followed by this
-checker, which asserts:
+CI runs ``repro run campaign:day`` (one simulated day of correlated
+rack/zone/WAN outages, replayed per failover mode) and ``repro run
+campaign:storm`` (a 503 storm replayed per client policy), each
+followed by this checker.  It unwraps the one ``campaign:<preset>``
+entry of the run document (``{name: {title, passed, checks, data}}``)
+and asserts, of its ``data``:
 
 1. **Schema** — the document carries the scenario header
    (``scenario``/``duration_s``/``seed``/``slo``), a ``faults``
@@ -43,10 +45,27 @@ MODE_FIELDS = (
 
 FAULT_KINDS = ("blackout", "crash_restart")
 
+#: The fields of each entry of a ``repro run --json`` document.
+RUN_FIELDS = {"title", "passed", "checks", "data"}
+
 
 def fail(message: str) -> NoReturn:
     print(f"campaign schema check FAILED: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def unwrap(document: object) -> dict:
+    """The ``data`` of a run document's one campaign run."""
+    if not isinstance(document, dict) or len(document) != 1:
+        fail("document must be a JSON object holding exactly one run")
+    ((name, run),) = document.items()
+    if not name.startswith("campaign:"):
+        fail(f"run {name!r} is not a campaign run")
+    if not isinstance(run, dict) or set(run) != RUN_FIELDS:
+        fail(f"{name}: a run entry holds exactly {sorted(RUN_FIELDS)}")
+    if not isinstance(run["data"], dict):
+        fail(f"{name}: 'data' must be a JSON object")
+    return run["data"]
 
 
 def check_header(document: dict) -> None:
@@ -149,12 +168,12 @@ def check_ordering(document: dict, faults: list) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("path", help="repro campaign --json report file")
+    parser.add_argument(
+        "path", help="repro run campaign:<preset> --json document"
+    )
     args = parser.parse_args(argv)
     with open(args.path) as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict):
-        fail("document must be a JSON object")
+        document = unwrap(json.load(fh))
     check_header(document)
     faults = check_faults(document)
     modes = document.get("modes")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Validate a run catalog directory's structural integrity.
 
-CI catalogs a scenario sweep (``repro scenario run --catalog``) and a
+CI catalogs a scenario sweep (``repro run scenario:… --catalog``) and a
 bench snapshot, then runs this checker over the catalog directory,
 which asserts:
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Validate a ``repro scenario run --json`` summary's schema and sanity.
+"""Validate a scenario run's ``repro run --json`` summary: schema and sanity.
 
 CI runs both shipped scenario packs (block-storage, streaming) at their
 full 10^4-client populations through the batched driver and then this
-checker, which asserts:
+checker.  It unwraps the one ``scenario:<name>`` entry of the run
+document (``{name: {title, passed, checks, data}}``) and asserts, of
+its ``data``:
 
 1. **Schema** — the document carries the run header (``scenario``/
    ``mode``/``n_clients``/``seed``), the scalar outcome fields
@@ -22,7 +24,7 @@ through ``scenario_to_dict``/``scenario_from_dict`` unchanged, and the
 registry's builtin figure scenarios are present.
 
 Usage:
-    PYTHONPATH=src python tools/check_scenario_schema.py summary.json
+    PYTHONPATH=src python tools/check_scenario_schema.py run.json
     PYTHONPATH=src python tools/check_scenario_schema.py --configs
 """
 
@@ -46,6 +48,9 @@ PER_OP_FIELDS = (
 )
 
 MODES = ("exact", "batched")
+
+#: The fields of each entry of a ``repro run --json`` document.
+RUN_FIELDS = {"title", "passed", "checks", "data"}
 
 
 def fail(message: str) -> NoReturn:
@@ -143,6 +148,23 @@ def check_summary(document: dict, where: str = "summary") -> None:
             )
 
 
+def unwrap(document: object) -> dict:
+    """The ``data`` of a run document's one scenario run."""
+    if not isinstance(document, dict) or len(document) != 1:
+        fail("document must be a JSON object holding exactly one run")
+    ((name, run),) = document.items()
+    if not name.startswith("scenario:"):
+        fail(f"run {name!r} is not a scenario run")
+    if not isinstance(run, dict) or set(run) != RUN_FIELDS:
+        fail(f"{name}: a run entry holds exactly {sorted(RUN_FIELDS)}")
+    document = run["data"]
+    if not isinstance(document, dict):
+        fail(f"{name}: 'data' must be a JSON object")
+    if document.get("scenario") != name.split(":", 1)[1]:
+        fail(f"{name}: data names scenario {document.get('scenario')!r}")
+    return document
+
+
 def check_configs() -> int:
     """Validate the shipped pack files and the registry contents."""
     from repro.scenarios import (
@@ -184,7 +206,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "path", nargs="?", default=None,
-        help="repro scenario run --json summary file",
+        help="repro run scenario:<name> --json document",
     )
     parser.add_argument(
         "--configs", action="store_true",
@@ -199,9 +221,7 @@ def main(argv=None) -> int:
     if args.path is None:
         fail("need a summary file path (or --configs)")
     with open(args.path) as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict):
-        fail("document must be a JSON object")
+        document = unwrap(json.load(fh))
     if "seeds" in document:
         seeds = document["seeds"]
         if not isinstance(seeds, dict) or not seeds:

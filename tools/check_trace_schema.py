@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Validate a Chrome trace-event JSON export's schema and span nesting.
 
-CI runs ``repro trace --fmt chrome`` over a small fig1-style workload
-and then this checker, which asserts:
+CI runs ``repro run scenario:fig1-blob-download --trace chrome`` and
+then this checker, which asserts:
 
 1. **Schema** — the document has a ``traceEvents`` list of ``"X"``
    (complete) events, each with numeric ``ts``/``dur`` (microseconds),
