@@ -210,12 +210,6 @@ class ServiceClient:
         return inner
 
     # -- the one call path -------------------------------------------------
-    def _span_tracer(self) -> Optional[SpanTracer]:
-        spans = getattr(self.tracer, "spans", None)
-        if spans is None or not spans.enabled:
-            return None
-        return spans
-
     def _spanned(
         self,
         kind: str,
@@ -256,7 +250,9 @@ class ServiceClient:
     ) -> Generator:
         """Run one client call: the result, or the final error raised
         after every retry (and, with a secondary, the failover pass)."""
-        spans = self._span_tracer()
+        spans: Optional[SpanTracer] = getattr(self.tracer, "spans", None)
+        if spans is not None and not spans.enabled:
+            spans = None
         call_span = None
         counter = [0]
         if spans is not None:
@@ -274,20 +270,19 @@ class ServiceClient:
             retries[0] += 1
             self.retries += 1
 
-        def leg(replica: Optional[str]) -> Callable[[], Generator]:
-            return self._leg(kind, make, hedgeable, spans, call_span,
-                             counter, replica)
-
         first: Optional[str] = None
         second: Optional[str] = None
         if self.secondary is not None:
             first = self._default_replica()
             second = "secondary" if first == "primary" else "primary"
-        factory = leg(first)
+        factory = self._leg(kind, make, hedgeable, spans, call_span, counter,
+                            first)
         if hedgeable and self.hedge is not None:
             factory = partial(
                 hedged_call, self.env, factory, self.hedge, kind,
-                make_backup=None if second is None else leg(second),
+                make_backup=None if second is None else self._leg(
+                    kind, make, hedgeable, spans, call_span, counter, second
+                ),
             )
         used = first
         try:
@@ -304,7 +299,10 @@ class ServiceClient:
                 # level: one more full retry pass, other replica.
                 used = second
                 result = yield from with_retries(
-                    self.env, leg(second), self.retry, self.timeout_s,
+                    self.env,
+                    self._leg(kind, make, hedgeable, spans, call_span,
+                              counter, second),
+                    self.retry, self.timeout_s,
                     kind, on_retry=count_retry,
                     budget=self.budget, breaker=self.breaker,
                 )
@@ -333,8 +331,13 @@ class ServiceClient:
         span names the replica that answered (or failed) exactly when
         the client has a secondary."""
         if self.tracer is not None:
+            # ``self.service`` re-resolves routing; without a secondary
+            # it is always the primary.
+            service = (
+                self._primary if self.secondary is None else self.service
+            )
             self.tracer.observe_call(
-                getattr(self.service, "name", "service"), kind,
+                getattr(service, "name", "service"), kind,
                 self.env.now - started_at, error is None, retries,
             )
         if spans is None or call_span is None:

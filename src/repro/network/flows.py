@@ -271,7 +271,7 @@ class FlowNetwork:
     # -- internals -----------------------------------------------------------
     def _advance_progress(self) -> None:
         """Drain bytes for time elapsed since the last recomputation."""
-        now = self.env._now  # the clock, without a property call
+        now = self.env.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._slots:
             # ``rem -= rate * elapsed`` per flow: two separately rounded

@@ -56,6 +56,7 @@ from repro.scenarios.spec import (
 )
 from repro.service.tracing import RequestTracer
 from repro.simcore import Distribution, Environment, RandomStreams
+from repro.storage.table import make_entity
 from repro.workloads.harness import (
     ClientRun,
     Platform,
@@ -319,7 +320,6 @@ def _setup_services(
     the same calls, in the same order, as the benches (no events, no
     RNG draws, so setup never perturbs the measured run)."""
     from repro.storage.queue import QueueMessage
-    from repro.storage.table import make_entity
 
     parts = router.n_partitions if router is not None else None
     all_ops = spec.all_ops
@@ -524,13 +524,13 @@ def _execute_op(
     op_i: int,
 ) -> Generator:
     """One service operation, with partition routing, size draws and
-    the optional last-mile link wrapped around the service call."""
-    from repro.storage.table import make_entity
-
+    the optional last-mile link wrapped around the service call.  An op
+    of the mix's mean size leaves ``payload_mb`` unset: only a link's
+    bandwidth stage reads it."""
     env = ctx.env
     client = clients[op.service]
     part = ctx.choose_partition()
-    payload_mb = 0.0
+    payload_mb: Optional[float] = None
 
     if op.service == "blob":
         if op.op == "download":
@@ -541,7 +541,6 @@ def _execute_op(
                 payload_mb = v
             else:
                 name = names[part]
-                payload_mb = op.mean_size_mb
             inner = client.download("bench", name)
         else:
             size_mb = ctx.draw_mb(op)
@@ -563,7 +562,6 @@ def _execute_op(
                 "bench", make_entity(pk, rk, size_kb=size_kb)
             )
         elif op.op == "query":
-            payload_mb = op.mean_size_kb / 1024.0
             inner = client.query("bench", pk, "shared-row")
         elif op.op == "update":
             size_kb = ctx.draw_kb(op)
@@ -572,7 +570,6 @@ def _execute_op(
                 "bench", make_entity(pk, "shared-row", size_kb=size_kb)
             )
         else:  # delete
-            payload_mb = op.mean_size_kb / 1024.0
             if ctx.track_inserts:
                 stack = ctx.inserted.get(idx)
                 if stack:
@@ -595,10 +592,8 @@ def _execute_op(
             payload_mb = size_kb / 1024.0
             inner = client.add(qname, f"m-{idx}-{op_i}", size_kb)
         elif op.op == "peek":
-            payload_mb = op.mean_size_kb / 1024.0
             inner = client.peek(qname)
         else:
-            payload_mb = op.mean_size_kb / 1024.0
             if op.visibility_timeout_s is not None:
                 inner = client.receive(
                     qname, visibility_timeout_s=op.visibility_timeout_s
@@ -623,8 +618,11 @@ def _execute_op(
                 )
             yield env.timeout(link.retransmit_penalty_ms / 1000.0)
     yield from inner
-    if link.bandwidth_mbps is not None and payload_mb > 0:
-        yield env.timeout(payload_mb / link.bandwidth_mbps)
+    if link.bandwidth_mbps is not None:
+        if payload_mb is None:
+            payload_mb = op.mean_payload_mb
+        if payload_mb > 0:
+            yield env.timeout(payload_mb / link.bandwidth_mbps)
 
 
 def _run_scenario_exact(
@@ -775,13 +773,10 @@ def _client_loop(
 def _link_overhead_s(link: LinkSpec, op: OpSpec) -> float:
     """Mean per-request link delay (closed batched folds this into the
     think time; open batched draws the stochastic parts per request)."""
-    payload_mb = (
-        op.mean_size_mb if op.service == "blob" else op.mean_size_kb / 1024.0
-    )
     extra = link.extra_latency_ms / 1000.0
     extra += link.mean_retransmits * link.retransmit_penalty_ms / 1000.0
     if link.bandwidth_mbps is not None:
-        extra += payload_mb / link.bandwidth_mbps
+        extra += op.mean_payload_mb / link.bandwidth_mbps
     return extra
 
 

@@ -182,6 +182,14 @@ class OpSpec:
         return _mean_or(self.size_mb, 1.0)
 
     @property
+    def mean_payload_mb(self) -> float:
+        """MB one op of mean size moves: the blob size, else the
+        entity or message size."""
+        if self.service == "blob":
+            return self.mean_size_mb
+        return self.mean_size_kb / 1024.0
+
+    @property
     def is_read(self) -> bool:
         return (self.service, self.op) in READ_OPS
 

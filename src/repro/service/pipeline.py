@@ -52,10 +52,21 @@ class LatencyProfile:
     fixed_frac: float = 0.85
     jitter_frac: float = 0.15
 
-    def draw(self, rng: np.random.Generator, base_s: float) -> float:
-        return base_s * self.fixed_frac + float(
-            rng.exponential(base_s * self.jitter_frac)
-        )
+    def __post_init__(self) -> None:
+        if not (self.fixed_frac >= 0 and self.jitter_frac >= 0):
+            raise ValueError(
+                "latency fractions must be >= 0, got "
+                f"{self.fixed_frac}, {self.jitter_frac}"
+            )
+
+    def draw(
+        self, std_exp: Callable[[], float], base_s: float
+    ) -> float:
+        """One latency over ``base_s > 0``; ``std_exp`` is a generator's
+        bound ``standard_exponential``.  ``mean * std_exp()`` is bit for
+        bit ``exponential(mean)`` from the same stream position, and a
+        zero ``jitter_frac`` still takes its draw."""
+        return base_s * self.fixed_frac + base_s * self.jitter_frac * std_exp()
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,7 @@ class RequestPipeline:
     ) -> None:
         self.env = env
         self.rng = rng
+        self._std_exp = rng.standard_exponential
         self.service = service
         self.latency = latency
         self.network = network
@@ -175,7 +187,11 @@ class RequestPipeline:
         env = self.env
         started_at = env.now
         size_mb = queue_wait_s = transfer_s = 0.0
-        spans = self._span_tracer()
+        # The attached span collector, if any and enabled (read per
+        # request: a collector can be switched off mid-run).
+        spans: Optional[SpanTracer] = getattr(self.tracer, "spans", None)
+        if spans is not None and not spans.enabled:
+            spans = None
         server_span = None
         if spans is not None:
             server_span = spans.start(
@@ -209,7 +225,7 @@ class RequestPipeline:
                         stage_span("admission", entered)
 
             if base_latency_s > 0:
-                delay = self.latency.draw(self.rng, base_latency_s)
+                delay = self.latency.draw(self._std_exp, base_latency_s)
                 entered = env.now
                 yield env.timeout(delay)
                 if spans is not None:
@@ -339,13 +355,6 @@ class RequestPipeline:
         if spans is not None and server_span is not None:
             spans.finish(server_span, env.now)
         return result
-
-    def _span_tracer(self) -> Optional[SpanTracer]:
-        """The attached span collector, if any and enabled."""
-        spans = getattr(self.tracer, "spans", None)
-        if spans is None or not spans.enabled:
-            return None
-        return spans
 
 
 __all__ = ["LatencyProfile", "RequestPipeline", "TransferSpec"]

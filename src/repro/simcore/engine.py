@@ -55,7 +55,10 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time.  A plain attribute, written only by
+        #: the kernel (``run``, ``step``): it is read on every event,
+        #: and a property costs one Python frame per read.
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -68,11 +71,6 @@ class Environment:
 
     # -- clock -----------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -81,7 +79,7 @@ class Environment:
     def _enqueue(self, delay: float, event: Event) -> None:
         """Schedule ``event`` to be processed ``delay`` from now."""
         self._seq = seq = self._seq + 1
-        _heappush(self._queue, (self._now + delay, seq, event))
+        _heappush(self._queue, (self.now + delay, seq, event))
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
@@ -133,7 +131,7 @@ class Environment:
             if not queue:
                 raise RuntimeError("no scheduled events")
             time, _, event = _heappop(queue)
-            self._now = time
+            self.now = time
             if event._cancelled:
                 continue
             event._process()
@@ -172,9 +170,9 @@ class Environment:
             stop_event.add_callback(self._stop_callback)
             if horizon is not None:
                 limit = float(horizon)
-                if limit < self._now:
+                if limit < self.now:
                     raise ValueError(
-                        f"horizon={limit} is in the past (now={self._now})"
+                        f"horizon={limit} is in the past (now={self.now})"
                     )
         else:
             if horizon is not None:
@@ -183,9 +181,9 @@ class Environment:
                     "(two time bounds for the same run are ambiguous)"
                 )
             limit = float(until)
-            if limit < self._now:
+            if limit < self.now:
                 raise ValueError(
-                    f"until={limit} is in the past (now={self._now})"
+                    f"until={limit} is in the past (now={self.now})"
                 )
 
         queue = self._queue
@@ -200,7 +198,7 @@ class Environment:
                 # Unbounded variant: no per-event limit comparison.
                 while queue:
                     time, _, event = _heappop(queue)
-                    self._now = time
+                    self.now = time
                     if event._cancelled:
                         continue
                     event._processed = True
@@ -217,10 +215,10 @@ class Environment:
                 while queue:
                     head = queue[0]
                     if head[0] > limit:
-                        self._now = limit
+                        self.now = limit
                         break
                     time, _, event = _heappop(queue)
-                    self._now = time
+                    self.now = time
                     if event._cancelled:
                         continue
                     event._processed = True
@@ -254,12 +252,12 @@ class Environment:
                 # cannot abort a future run() call if it fires later.
                 stop_event.remove_callback(self._stop_callback)
                 if not queue:
-                    self._now = limit
+                    self.now = limit
                 return None
             if limit != _INF and not queue:
                 # Exhausted queue before the time limit: clock still
                 # advances to the requested horizon.
-                self._now = limit
+                self.now = limit
         finally:
             # A traceback can keep this frame: an undefused failure
             # raised here, or a process failure caught in a resume frame
@@ -273,4 +271,4 @@ class Environment:
         raise StopSimulation(event)
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"

@@ -89,7 +89,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, seq, self))
+        _heappush(env._queue, (env.now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,7 +107,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, seq, self))
+        _heappush(env._queue, (env.now, seq, self))
         return self
 
     def defuse(self) -> None:
@@ -218,7 +218,7 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now + delay, seq, self))
+        _heappush(env._queue, (env.now + delay, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -293,7 +293,7 @@ class Race(Event):
             self._value = contender._value
             env = self.env
             env._seq = seq = env._seq + 1
-            _heappush(env._queue, (env._now, seq, self))
+            _heappush(env._queue, (env.now, seq, self))
         else:
             contender._defused = True
             self.fail(contender._value)

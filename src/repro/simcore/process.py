@@ -68,7 +68,7 @@ class Process(Event):
     of ``env.run()``).
     """
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_resume_cb", "name")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_resume_cb", "_name")
 
     def __init__(
         self,
@@ -98,7 +98,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Bind the resume method exactly once; every wait re-uses it.
         self._resume_cb = resume = self._resume
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name
         # Kick off at the current time via an initialisation event.
         start = Event.__new__(Event)
         start.env = env
@@ -110,7 +110,14 @@ class Process(Event):
         start._processed = False
         start._cancelled = False
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, seq, start))
+        _heappush(env._queue, (env.now, seq, start))
+
+    @property
+    def name(self) -> str:
+        """The name given at creation, else the generator's ``__name__``
+        (derived when read: only error messages and ``repr`` read it,
+        while the benches create one process per operation)."""
+        return self._name or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:
@@ -146,14 +153,14 @@ class Process(Event):
                     self._value = stop.value
                     self._resume_cb = None
                     env._seq = seq = env._seq + 1
-                    _heappush(env._queue, (env._now, seq, self))
+                    _heappush(env._queue, (env.now, seq, self))
                     return
                 except BaseException as exc:
                     self._ok = False
                     self._value = exc
                     self._resume_cb = None
                     env._seq = seq = env._seq + 1
-                    _heappush(env._queue, (env._now, seq, self))
+                    _heappush(env._queue, (env.now, seq, self))
                     # The traceback keeps this frame: drop the locals
                     # that lead back to the exception (asyncio's idiom).
                     self = event = target = send = resume_cb = None

@@ -97,10 +97,21 @@ class Resource:
             self.users.remove(request)
         except ValueError:
             raise RuntimeError(f"{request!r} does not hold {self!r}") from None
-        self._grant_waiters()
+        if self.queue:
+            self._grant_waiters()
 
     # -- internals ---------------------------------------------------------
     def _queue_request(self, request: Request) -> None:
+        users = self.users
+        if not self.queue and len(users) < self.capacity:
+            # A free slot and no waiter: grant at once, exactly as
+            # queueing the request and granting the head would.
+            users.append(request)
+            request._value = None
+            env = self.env
+            env._seq = seq = env._seq + 1
+            _heappush(env._queue, (env.now, seq, request))
+            return
         self.queue.append(request)
         self._grant_waiters()
 
@@ -123,7 +134,7 @@ class Resource:
             # untriggered, so the guard in succeed() cannot fire.
             request._value = None
             env._seq = seq = env._seq + 1
-            _heappush(heap, (env._now, seq, request))
+            _heappush(heap, (env.now, seq, request))
 
     def _pop_next(self) -> Request:
         return self.queue.pop(0)

@@ -84,6 +84,12 @@ class PartitionServer:
             raise ValueError("front-end curve parameters must be >= 0")
         self.env = env
         self.rng = rng
+        # Stage times are exponential around their mean, for M/M/c-like
+        # response variance, drawn as ``mean * standard_exponential()``:
+        # bit for bit ``rng.exponential(mean)`` from the same stream
+        # position, for a bound method call instead of an
+        # argument-parsing one.  Every stage runs only with a mean > 0.
+        self._std_exp = rng.standard_exponential
         self.name = name
         self.frontend_c_s = frontend_c_s
         self.frontend_gamma = frontend_gamma
@@ -169,7 +175,10 @@ class PartitionServer:
                     * op.frontend_scale
                     * (self._active ** self.frontend_gamma)
                 )
-                spent = self._jitter(penalty, op)
+                spent = (
+                    penalty if op.deterministic
+                    else penalty * self._std_exp()
+                )
                 yield env.timeout(spent)
                 if observer is not None:
                     observer("frontend", spent)
@@ -183,7 +192,10 @@ class PartitionServer:
                     waited += wait
                     if observer is not None:
                         observer("cpu_wait", wait)
-                    work = self._jitter(op.cpu_s, op)
+                    work = (
+                        op.cpu_s if op.deterministic
+                        else op.cpu_s * self._std_exp()
+                    )
                     yield env.timeout(work)
                     if observer is not None:
                         observer("cpu_work", work)
@@ -201,7 +213,10 @@ class PartitionServer:
                     waited += wait
                     if observer is not None:
                         observer("latch_wait", wait)
-                    held = self._jitter(op.exclusive_s, op)
+                    held = (
+                        op.exclusive_s if op.deterministic
+                        else op.exclusive_s * self._std_exp()
+                    )
                     yield env.timeout(held)
                     if observer is not None:
                         observer("latch_work", held)
@@ -211,12 +226,6 @@ class PartitionServer:
             self._active -= 1
             self._inflight_payload_mb -= op.payload_mb
         return waited
-
-    def _jitter(self, mean: float, op: OpSpec) -> float:
-        if op.deterministic or mean <= 0:
-            return max(mean, 0.0)
-        # Exponential service times give M/M/c-like response variance.
-        return float(self.rng.exponential(mean))
 
     def __repr__(self) -> str:
         return (

@@ -164,3 +164,43 @@ def test_env_race_factory():
     p = env.process(waiter(env))
     env.run()
     assert p.value == 42
+
+
+def test_run_ends_on_the_last_cancelled_race_deadline():
+    # Pinned on purpose: exact-mode phase ends move when the clock stops
+    # at the last live event instead (a deliberate re-golden).
+    env = Environment()
+
+    def work(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    def client(env):
+        proc = env.process(work(env))
+        result = yield Race(env, proc, 30.0)
+        assert result == "done" and env.now == 1.0
+
+    env.process(client(env))
+    env.run()
+    # The contender won at t=1; the cancelled deadline is the heap's
+    # last entry and the clock still lands on its time.
+    assert env.now == 30.0
+    assert env.peek() == float("inf")
+
+
+def test_step_advances_the_clock_through_a_cancelled_entry():
+    env = Environment()
+    dead = env.timeout(2.0)
+    live = env.timeout(3.0)
+    dead.cancel()
+    env.step()
+    assert live.processed and env.now == 3.0
+
+
+def test_now_is_a_plain_attribute():
+    env = Environment(initial_time=4.0)
+    assert "now" in vars(env) and env.now == 4.0
+    assert not hasattr(type(env), "now")
+    env.timeout(1.5)
+    env.run()
+    assert vars(env)["now"] == 5.5

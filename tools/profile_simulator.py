@@ -18,14 +18,20 @@ frame of a ``repro`` module on the interrupted stack, so numpy and the
 standard library count towards the ``repro`` line that called them.
 Its cost is one handler call per tick.
 
-By default the workload is a representative slice of the heaviest
-experiment (the table benchmark at high concurrency).  Pass
-``--experiment`` to profile a registered experiment instead -- always
-run in-process (jobs=1) so the profile sees the simulation, not the
-process pool.
+By default the workload is one of the benchmark's (``--workload``,
+``fig2-table`` unless named): the tool loads ``perfbench/workloads.py``
+read-only, runs the workload's set-up outside the profile and profiles
+only its timed call, so a profile covers exactly what ``run_s``
+measures.  With ``--sampled`` it also prints each ``repro`` package's
+share of the ticks (``storage``, ``simcore``, ``service``, ...), the
+sampled counterpart of the benchmark's traced layer split, without the
+wrappers' overhead.  Pass ``--experiment`` to profile a registered
+experiment instead -- always run in-process (jobs=1) so the profile
+sees the simulation, not the process pool.
 
 Usage:
     python tools/profile_simulator.py [--top 20]
+    python tools/profile_simulator.py --workload campaign-month --sampled
     python tools/profile_simulator.py --experiment fig2 --scale 0.25
     python tools/profile_simulator.py --experiment fig1 --dump fig1.pstats
     python tools/profile_simulator.py --experiment fig5 --sampled
@@ -42,27 +48,33 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib.util
 import pstats
 import signal
 from collections import Counter
-from typing import Callable, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Tuple
 
 #: CPU seconds between SIGPROF ticks (the kernel may round it up to its
 #: own tick).
 SAMPLE_INTERVAL_S = 0.001
+#: The benchmark's workload table, loaded from its file (not imported
+#: as a package, and never written).
+WORKLOADS_PY = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+)
+DEFAULT_WORKLOAD = "fig2-table"
 
 
-def table_slice_workload() -> None:
-    """The default: the table bench at high concurrency (hottest path)."""
-    from repro.workloads.table_bench import run_table_test
-
-    run_table_test(
-        64,
-        entity_kb=4.0,
-        ops_per_client={"insert": 50, "query": 50, "update": 20,
-                        "delete": 50},
-        seed=1,
+def benchmark_workloads() -> Dict[str, Callable]:
+    """``perfbench/workloads.py``'s ``WORKLOADS``: name -> ``prepare(seed,
+    scale)`` returning the timed call."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", WORKLOADS_PY
     )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def experiment_workload(experiment_id: str, scale: float, seed: int):
@@ -112,11 +124,24 @@ def sampled_profile(
     return sum(by_func.values()), by_func, by_line
 
 
+def package_shares(by_func: Counter) -> Counter:
+    """Ticks by ``repro`` package (``repro.storage.table`` counts as
+    ``storage``; ticks outside ``repro`` as ``-``)."""
+    by_package: Counter = Counter()
+    for (module, _name), n in by_func.items():
+        parts = module.split(".")
+        by_package[parts[1] if len(parts) > 1 else parts[0]] += n
+    return by_package
+
+
 def print_sampled(ticks: int, by_func: Counter, by_line: Counter,
                   top: int) -> None:
     print(f"{ticks} ticks")
     if not ticks:
         return
+    print(f"\n{'share':>7}  {'ticks':>6}  package")
+    for package, n in package_shares(by_func).most_common():
+        print(f"{n / ticks:7.1%}  {n:6d}  {package}")
     print(f"\n{'share':>7}  {'ticks':>6}  function")
     for (module, name), n in by_func.most_common(top):
         print(f"{n / ticks:7.1%}  {n:6d}  {module}.{name}")
@@ -135,14 +160,24 @@ def main() -> int:
     )
     parser.add_argument("--top", type=int, default=20,
                         help="rows of the profile to print")
-    parser.add_argument(
-        "--experiment", choices=sorted(EXPERIMENTS), default=None,
-        help="profile a registered experiment instead of the default "
-             "table-bench slice",
+    workloads = benchmark_workloads()
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument(
+        "--workload", choices=sorted(workloads), default=DEFAULT_WORKLOAD,
+        help="profile this benchmark workload's timed call, after its "
+             "set-up (default: %(default)s)",
     )
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="experiment scale (with --experiment)")
-    parser.add_argument("--seed", type=int, default=1)
+    target.add_argument(
+        "--experiment", choices=sorted(EXPERIMENTS), default=None,
+        help="profile a registered experiment instead of a benchmark "
+             "workload",
+    )
+    parser.add_argument(
+        "--scale", type=float, default=None,
+        help="experiment scale (default 0.1), or the workload's size "
+             "factor (default 1.0, the benchmark's own size)",
+    )
+    parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
         "--dump", metavar="FILE", default=None,
         help="also write raw pstats data for snakeviz/pstats browsing",
@@ -157,10 +192,11 @@ def main() -> int:
         parser.error("--dump writes cProfile data; drop --sampled")
 
     if args.experiment:
-        workload = experiment_workload(args.experiment, args.scale,
-                                       args.seed)
+        scale = 0.1 if args.scale is None else args.scale
+        workload = experiment_workload(args.experiment, scale, args.seed)
     else:
-        workload = table_slice_workload
+        scale = 1.0 if args.scale is None else args.scale
+        workload = workloads[args.workload](args.seed, scale)
 
     if args.sampled:
         print_sampled(*sampled_profile(workload), args.top)
