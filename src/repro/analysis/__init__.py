@@ -1,14 +1,11 @@
 """Result analysis and reporting helpers shared by all experiments."""
 
-from repro.analysis.stats import summarize, Summary
 from repro.analysis.tables import ascii_table, format_series
 from repro.analysis.compare import ShapeCheck, CheckResult
 
 __all__ = [
     "CheckResult",
     "ShapeCheck",
-    "Summary",
     "ascii_table",
     "format_series",
-    "summarize",
 ]

@@ -7,14 +7,14 @@ become common as scale increases."
 :class:`MetricsRegistry` provides counters, gauges and latency tallies
 with hierarchical names; :class:`Sampler` snapshots gauge callbacks onto
 time series at a fixed cadence; :func:`render_dashboard` prints the
-operator's view.
+operator's view and :func:`request_summary` a request tracer's
+per-``(service, op)`` rollup.
 
-Latency tallies are backed by
-:class:`repro.observability.histogram.HistogramTally` — log-bucketed
-streaming histograms with exact count/sum and bounded-error
-(~2% relative) percentiles — rather than raw-sample retention, so a
-full-scale run can keep every tally hot in O(buckets) memory and the
-registry snapshot can report p50/p95/p99 without holding observations.
+A latency tally is a :class:`repro.observability.histogram.Histogram` —
+log-bucketed, with exact count/sum and bounded-error (~2% relative)
+percentiles — rather than raw-sample retention, so a full-scale run
+can keep every tally hot in O(buckets) memory and the registry snapshot
+can report p50/p95/p99 without holding observations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis import ascii_table
-from repro.observability.histogram import HistogramTally
+from repro.observability.histogram import Histogram
 from repro.simcore import Environment, TimeSeries
 
 
@@ -40,33 +40,13 @@ class Counter:
         self.value += by
 
 
-@dataclass
-class _FrozenGauge:
-    """A gauge snapshot: the constant a live gauge froze at when its
-    registry crossed a process boundary (live callbacks close over the
-    simulation world and cannot be pickled)."""
-
-    value: float
-
-    def __call__(self) -> float:
-        return self.value
-
-
 class MetricsRegistry:
     """Namespaced counters, gauges and latency tallies."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Callable[[], float]] = {}
-        self._tallies: Dict[str, HistogramTally] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        state["_gauges"] = {
-            name: _FrozenGauge(self.read_gauge(name))
-            for name in self._gauges
-        }
-        return state
+        self._tallies: Dict[str, Histogram] = {}
 
     # -- counters ----------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -93,11 +73,11 @@ class MetricsRegistry:
         return sorted(self._gauges)
 
     # -- latency tallies ------------------------------------------------------
-    def tally(self, name: str) -> HistogramTally:
-        """A histogram-backed latency tally (created on first use)."""
+    def tally(self, name: str) -> Histogram:
+        """A latency histogram (created on first use)."""
         tally = self._tallies.get(name)
         if tally is None:
-            tally = HistogramTally(name)
+            tally = Histogram(name)
             self._tallies[name] = tally
         return tally
 
@@ -107,9 +87,9 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """All current values, flat.
 
-        Tally percentiles (p50/p95/p99) come from the backing streaming
+        Tally percentiles (p50/p95/p99) come from the streaming
         histogram, so they are within ~2% relative error of the raw
-        quantiles; counts and per-tally error totals are exact.
+        quantiles; counts are exact.
         """
         out: Dict[str, float] = {}
         for name, counter in self._counters.items():
@@ -122,8 +102,6 @@ class MetricsRegistry:
                 out[f"latency_p95:{name}"] = tally.percentile(95)
                 out[f"latency_p99:{name}"] = tally.percentile(99)
                 out[f"latency_count:{name}"] = float(tally.count)
-            if tally.errors:
-                out[f"latency_errors:{name}"] = float(tally.errors)
         return out
 
     def to_dict(self) -> Dict[str, object]:
@@ -156,9 +134,9 @@ class MetricsRegistry:
         for name, value in payload.get("counters", {}).items():  # type: ignore[union-attr]
             registry.counter(str(name)).value = float(value)
         for name, value in payload.get("gauges", {}).items():  # type: ignore[union-attr]
-            registry.register_gauge(str(name), _FrozenGauge(float(value)))
+            registry.register_gauge(str(name), lambda v=float(value): v)
         for name, doc in payload.get("tallies", {}).items():  # type: ignore[union-attr]
-            registry._tallies[str(name)] = HistogramTally.from_dict(doc)
+            registry._tallies[str(name)] = Histogram.from_dict(doc)
         return registry
 
 
@@ -200,77 +178,6 @@ class Sampler:
         if series is None or len(series) == 0:
             raise KeyError(f"no samples for gauge {name!r}")
         return float(series.values.max())
-
-
-#: Numeric encoding of breaker states for gauges/time series.
-BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
-
-
-def attach_circuit_breaker(
-    registry: MetricsRegistry,
-    breaker,
-    prefix: str = "breaker",
-) -> None:
-    """Register a circuit breaker's state and counters.
-
-    Exposes the state (0 = closed, 1 = half-open, 2 = open), rolling
-    error rate, fast-failure and trip counts as gauges, and increments a
-    ``<prefix>.transitions.<state>`` counter on every state change
-    (chaining any transition callback already installed).
-    """
-    registry.register_gauge(
-        f"{prefix}.state",
-        lambda b=breaker: BREAKER_STATE_CODES[b.state],
-    )
-    registry.register_gauge(
-        f"{prefix}.error_rate", lambda b=breaker: b.error_rate
-    )
-    registry.register_gauge(
-        f"{prefix}.fast_failures", lambda b=breaker: b.fast_failures
-    )
-    registry.register_gauge(f"{prefix}.opens", lambda b=breaker: b.opens)
-
-    previous = breaker.on_transition
-
-    def record(now: float, old: str, new: str) -> None:
-        registry.counter(f"{prefix}.transitions.{new}").increment()
-        if previous is not None:
-            previous(now, old, new)
-
-    breaker.on_transition = record
-
-
-def attach_retry_budget(
-    registry: MetricsRegistry,
-    budget,
-    prefix: str = "retry_budget",
-) -> None:
-    """Register a retry budget's live balance and shed-retry counters."""
-    registry.register_gauge(f"{prefix}.tokens", lambda b=budget: b.tokens)
-    registry.register_gauge(f"{prefix}.granted", lambda b=budget: b.granted)
-    registry.register_gauge(f"{prefix}.shed", lambda b=budget: b.shed)
-
-
-def attach_request_tracer(
-    registry: MetricsRegistry,
-    tracer,
-    prefix: str = "requests",
-) -> None:
-    """Register a :class:`repro.service.tracing.RequestTracer` as gauges.
-
-    Exposes the service-side request totals (count, errors) and the
-    client-observed call totals (count, errors, retries across all
-    attempts) under ``prefix``.
-    """
-    registry.register_gauge(f"{prefix}.total", lambda t=tracer: t.total)
-    registry.register_gauge(f"{prefix}.errors", lambda t=tracer: t.errors)
-    registry.register_gauge(
-        f"{prefix}.client_total", lambda t=tracer: t.client_total
-    )
-    registry.register_gauge(
-        f"{prefix}.client_errors", lambda t=tracer: t.client_errors
-    )
-    registry.register_gauge(f"{prefix}.retries", lambda t=tracer: t.retries)
 
 
 def request_summary(tracer, title: str = "request summary") -> str:

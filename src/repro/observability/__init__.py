@@ -35,7 +35,7 @@ from repro.observability.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.observability.histogram import Histogram, HistogramTally
+from repro.observability.histogram import Histogram
 from repro.observability.slo import (
     SLO,
     SLOReport,
@@ -56,7 +56,6 @@ from repro.observability.windows import MinuteAvailability
 __all__ = [
     "ABANDONED",
     "Histogram",
-    "HistogramTally",
     "MinuteAvailability",
     "SLO",
     "SLOReport",

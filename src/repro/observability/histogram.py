@@ -312,99 +312,6 @@ class Histogram:
         )
 
 
-class HistogramTally:
-    """A latency tally backed by a :class:`Histogram` instead of samples.
-
-    Drop-in for the :class:`repro.simcore.Tally` surface the monitoring
-    registry hands out (``observe`` / ``count`` / ``mean`` /
-    ``percentile`` / ``fraction_below`` / ``len``), minus raw-sample
-    retention: memory is O(buckets), not O(observations), so a
-    full-scale run can keep every tally hot.  An ``error`` counter rides
-    along so dashboards can show failures next to the latency they
-    shaped.
-    """
-
-    def __init__(
-        self,
-        name: str = "",
-        min_value: float = 1e-6,
-        growth: float = 1.04,
-    ) -> None:
-        self.name = name
-        self.histogram = Histogram(name, min_value=min_value, growth=growth)
-        self.errors = 0
-
-    def observe(self, value: float) -> None:
-        self.histogram.observe(value)
-
-    def observe_error(self) -> None:
-        """Count a failure associated with this tally's operation."""
-        self.errors += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.histogram.extend(values)
-
-    def observe_batch(self, values: Sequence[float]) -> None:
-        self.histogram.observe_batch(values)
-
-    def merge(self, other: "HistogramTally") -> None:
-        self.histogram.merge(other.histogram)
-        self.errors += other.errors
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    @property
-    def mean(self) -> float:
-        return self.histogram.mean
-
-    @property
-    def total(self) -> float:
-        return self.histogram.total
-
-    @property
-    def minimum(self) -> float:
-        return self.histogram.minimum
-
-    @property
-    def maximum(self) -> float:
-        return self.histogram.maximum
-
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
-
-    def fraction_below(self, threshold: float) -> float:
-        return self.histogram.fraction_below(threshold)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-able form (histogram buckets + error counter);
-        :meth:`from_dict` restores it exactly."""
-        return {
-            "histogram": self.histogram.to_dict(),
-            "errors": self.errors,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HistogramTally":
-        hist = Histogram.from_dict(payload["histogram"])  # type: ignore[arg-type]
-        tally = cls(hist.name, min_value=hist.min_value, growth=hist.growth)
-        tally.histogram = hist
-        tally.errors = int(payload.get("errors", 0))  # type: ignore[arg-type]
-        return tally
-
-    def __len__(self) -> int:
-        return self.histogram.count
-
-    def __repr__(self) -> str:
-        if len(self) == 0:
-            return f"<HistogramTally {self.name!r} empty>"
-        return (
-            f"<HistogramTally {self.name!r} n={self.count}"
-            f" mean={self.mean:.4g} errors={self.errors}>"
-        )
-
-
 def merge_histograms(
     histograms: Sequence[Histogram], name: Optional[str] = None
 ) -> Histogram:
@@ -422,4 +329,4 @@ def merge_histograms(
     return out
 
 
-__all__ = ["Histogram", "HistogramTally", "merge_histograms"]
+__all__ = ["Histogram", "merge_histograms"]

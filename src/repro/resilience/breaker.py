@@ -20,7 +20,7 @@ service *is* answering and count as successes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.simcore import Environment
 from repro.storage.errors import StorageError, is_transport_failure
@@ -52,9 +52,8 @@ class CircuitBreaker:
         Max concurrent half-open probe calls.
     probe_successes:
         Consecutive probe successes required to close.
-    on_transition:
-        Optional callback ``(now, old_state, new_state)`` — used by
-        :func:`repro.monitoring.attach_circuit_breaker`.
+
+    Every state change is recorded in :attr:`transitions`.
     """
 
     def __init__(
@@ -67,7 +66,6 @@ class CircuitBreaker:
         probe_quota: int = 2,
         probe_successes: int = 2,
         name: str = "breaker",
-        on_transition: Optional[Callable[[float, str, str], None]] = None,
     ) -> None:
         if not 0 < error_threshold <= 1:
             raise ValueError("error_threshold must be in (0, 1]")
@@ -81,7 +79,6 @@ class CircuitBreaker:
         self.open_for_s = open_for_s
         self.probe_quota = probe_quota
         self.probe_successes = probe_successes
-        self.on_transition = on_transition
 
         self.state = CLOSED
         self.opened_at = float("-inf")
@@ -115,8 +112,6 @@ class CircuitBreaker:
     def _transition(self, new_state: str) -> None:
         old, self.state = self.state, new_state
         self.transitions.append((self.env.now, old, new_state))
-        if self.on_transition is not None:
-            self.on_transition(self.env.now, old, new_state)
 
     def _trip(self) -> None:
         self.opens += 1

@@ -43,11 +43,7 @@ import numpy as np
 from repro.analysis import ascii_table
 from repro.cluster.domains import FailureDomain, register_account
 from repro.faults import DomainFaultInjector, FaultInjector, FaultWindow
-from repro.monitoring import (
-    MetricsRegistry,
-    attach_circuit_breaker,
-    attach_retry_budget,
-)
+from repro.observability.histogram import Histogram
 from repro.observability.slo import (
     SLOReport,
     availability_slo,
@@ -259,7 +255,8 @@ class ModeResult:
     policy: str
     mode: str
     spec: CampaignSpec
-    registry: MetricsRegistry
+    #: Latency of the *successful* operations.
+    latency: Histogram
     ops: int = 0
     ok: int = 0
     failed: int = 0
@@ -272,7 +269,7 @@ class ModeResult:
     window_attempts: int = 0
     fast_failures: int = 0
     #: Latency percentiles are over *successful* operations (a failed
-    #: operation's "latency" is its time-to-give-up, tallied separately).
+    #: operation's time-to-give-up is not a latency sample).
     p50_ms: float = 0.0
     p99_ms: float = 0.0
     breaker_states: List[str] = field(default_factory=list)
@@ -313,10 +310,8 @@ class ModeResult:
     def slo_report(self) -> SLOReport:
         """The cell's objectives through the SLO engine: availability
         over every operation, the p99 over *successful* ones (matching
-        the percentile columns) via the latency tally's histogram."""
+        the percentile columns) via the latency histogram."""
         spec = self.spec
-        tally = self.registry.tally("drill.latency")
-        histogram = tally.histogram if tally.count else None
         return SLOReport(
             title=f"campaign '{spec.name}' — {self.policy}/{self.mode}",
             results=[
@@ -333,7 +328,7 @@ class ModeResult:
                     ),
                     total=self.ok,
                     errors=0,
-                    histogram=histogram,
+                    histogram=self.latency if self.latency.count else None,
                 ),
             ],
         )
@@ -497,8 +492,7 @@ class CampaignWorld:
     injector: DomainFaultInjector
     budget: Any
     breaker: Any
-    registry: MetricsRegistry
-    latency: Any
+    latency: Histogram
     tracer: RequestTracer
     primary: StorageAccount
     geo: Optional[GeoReplicatedAccount]
@@ -513,11 +507,16 @@ class CampaignWorld:
     #: window absorbed (sampled at its boundaries).
     window_ops: int = 0
     window_attempts: List[int] = field(default_factory=list)
+    #: Client operations that succeeded / failed through the whole
+    #: retry path, and retries the fast path priced analytically.
+    ok: int = 0
+    failed: int = 0
+    retries: int = 0
 
     def one_op(self, idx: int, k: int) -> Generator:
         """One measured client operation: the shared op body both
         drivers run for really-simulated ops."""
-        env, spec, registry = self.env, self.spec, self.registry
+        env, spec = self.env, self.spec
         start = env.now
         minute = self.avail.minute_of(start)
         try:
@@ -529,11 +528,11 @@ class CampaignWorld:
                 )
                 yield from self.client.insert("t", entity)
         except Exception:  # noqa: BLE001 - a failed op is a data point
-            registry.counter("drill.failed").increment()
+            self.failed += 1
             self.avail.observe(minute, False)
         else:
             self.latency.observe(env.now - start)
-            registry.counter("drill.ok").increment()
+            self.ok += 1
             self.avail.observe(minute, True)
 
     def server_attempts(self) -> int:
@@ -575,12 +574,6 @@ def build_campaign_world(
     )
 
     retry, budget, breaker = pspec.build(env, streams.stream("policy"))
-    registry = MetricsRegistry()
-    if budget is not None:
-        attach_retry_budget(registry, budget)
-    if breaker is not None:
-        attach_circuit_breaker(registry, breaker)
-    latency = registry.tally("drill.latency")
 
     if tracer is None:
         # Month-horizon runs issue tens of thousands of ops; per-request
@@ -646,7 +639,7 @@ def build_campaign_world(
     world = CampaignWorld(
         spec=spec, policy_spec=pspec, mode=mode, env=env,
         streams=streams, root=root, injector=injector, budget=budget,
-        breaker=breaker, registry=registry, latency=latency, tracer=tracer,
+        breaker=breaker, latency=Histogram("drill.latency"), tracer=tracer,
         primary=primary, geo=geo, client=client, mix=mix,
         avail=MinuteAvailability(n_minutes), accounts=accounts,
     )
@@ -681,22 +674,19 @@ def _attach_windows(world: CampaignWorld) -> None:
 def collect_mode_result(world: CampaignWorld) -> ModeResult:
     """Assemble the shared verdict record from a finished world — both
     drivers end here, so fast-mode results are byte-compatible."""
-    registry, latency, avail = world.registry, world.latency, world.avail
+    latency, avail = world.latency, world.avail
     budget, breaker = world.budget, world.breaker
-    # Retries of the really-simulated ops, counted by the client itself,
-    # join the fast path's analytic retries.
-    registry.counter("drill.retries").increment(world.client.retries)
-    ok = int(registry.counter("drill.ok").value)
-    failed = int(registry.counter("drill.failed").value)
     cell = ModeResult(
         policy=world.policy_spec.name,
         mode=world.mode,
         spec=world.spec,
-        registry=registry,
-        ops=ok + failed,
-        ok=ok,
-        failed=failed,
-        retries=int(registry.counter("drill.retries").value),
+        latency=latency,
+        ops=world.ok + world.failed,
+        ok=world.ok,
+        failed=world.failed,
+        # Retries of the really-simulated ops, counted by the client
+        # itself, join the fast path's analytic retries.
+        retries=world.retries + world.client.retries,
         shed_retries=budget.shed if budget is not None else 0,
         server_attempts=world.server_attempts(),
         window_ops=world.window_ops,

@@ -478,17 +478,13 @@ def _fold_analytic(
     client_failovers = int((~f_fo).sum())
 
     # -- batched ingestion into the event path's sinks -----------------
-    registry, avail = world.registry, world.avail
     ana_ok = ok_flags[analytic]
-    avail.observe_batch(minutes[analytic], ana_ok)
+    world.avail.observe_batch(minutes[analytic], ana_ok)
 
     ok_count = int(ana_ok.sum())
-    fail_count = int(analytic.sum()) - ok_count
-    registry.counter("drill.ok").increment(ok_count)
-    registry.counter("drill.failed").increment(fail_count)
-    registry.counter("drill.retries").increment(
-        int(r1[analytic].sum() + r2[analytic].sum())
-    )
+    world.ok += ok_count
+    world.failed += int(analytic.sum()) - ok_count
+    world.retries += int(r1[analytic].sum() + r2[analytic].sum())
     success = np.concatenate(success_lats)
     if success.size:
         world.latency.observe_batch(success)

@@ -9,7 +9,7 @@ One engine runs any :class:`~repro.scenarios.spec.ScenarioSpec`:
 * **batched mode** (10^4+ clients) — both arrival kinds price requests
   with the fluid model of :mod:`repro.workloads.cohort`.  Closed-loop
   specs split the population across the mix and drive each op's share
-  from one kernel process over numpy arrays (streams ``cohort.latency``,
+  on a plain float clock over numpy arrays (streams ``cohort.latency``,
   ``cohort.think``, ``cohort.arrival``); open-arrival specs run a
   windowed stationary solver without a kernel: per window, the realized
   MMPP/diurnal rate integral sets a Poisson op count, the fixed point
@@ -330,24 +330,13 @@ def _setup_services(
         for op in all_ops:
             if op.op != "download":
                 continue
-            if op.size_mb is not None and op.size_mb.kind == "empirical":
-                values = op.size_mb.params["values"]
-                if parts is None:
-                    for j, v in enumerate(values):
-                        blobs.seed_blob("bench", f"seg-{j}", float(v))
-                else:
-                    for part in range(parts):
-                        for j, v in enumerate(values):
-                            blobs.seed_blob(
-                                "bench", f"seg-p{part}-{j}", float(v)
-                            )
-            elif parts is None:
-                blobs.seed_blob("bench", "shared-1gb", op.mean_size_mb)
-            else:
-                for part in range(parts):
-                    blobs.seed_blob(
-                        "bench", f"obj-p{part}", op.mean_size_mb
-                    )
+            empirical = op.size_mb is not None and op.size_mb.kind == "empirical"
+            for key, name in _download_names(op, parts).items():
+                size = op.mean_size_mb
+                if empirical:
+                    # The key is the size value, or (partition, value).
+                    size = float(key if parts is None else key[1])
+                blobs.seed_blob("bench", name, size)
     if "table" in services:
         tables = p.account.tables
         tables.create_table("bench")
@@ -810,19 +799,22 @@ def _drive_closed_op(
     seed: int,
     tracer: RequestTracer,
 ) -> Tuple[int, int, float]:
-    """``n`` closed-loop clients issuing ``op`` through one kernel
-    process: every client's next-wake time and remaining-op count live
-    in numpy arrays, the process wakes once per batch window, draws the
-    window's latencies and think times vectorized and folds completions
-    into ``tracer``.  A client aborts at its first failure (overload
-    shed or timeout).  Returns ``(ops, errors, makespan_s)``."""
+    """``n`` closed-loop clients issuing ``op`` on one plain float
+    clock: every client's next-wake time and remaining-op count live in
+    numpy arrays, the loop steps the clock once per batch window, draws
+    the window's latencies and think times vectorized and folds
+    completions into ``tracer``.  A client aborts at its first failure
+    (overload shed or timeout).  Returns ``(ops, errors, makespan_s)``.
+
+    The clock advances as ``now + (t - now)``, the kernel's timeout
+    arithmetic, so makespans match a kernel-driven loop bit for bit."""
     from repro.workloads.cohort import (
         draw_stationary_latencies,
         solve_stationary,
         stationary_op_model,
     )
 
-    env = Environment()
+    now = 0.0
     model = stationary_op_model(
         op.service, op.op, op.mean_size_kb, op.mean_size_mb
     )
@@ -834,64 +826,61 @@ def _drive_closed_op(
     think_rng = streams.batched("cohort.think")
     arrival_rng = streams.batched("cohort.arrival")
 
-    next_wake = np.full(n, env.now, dtype=float)
+    next_wake = np.full(n, now, dtype=float)
     if spec.ramp_s > 0:
         next_wake += arrival_rng.uniform_batch(0.0, spec.ramp_s, n)
     ops_left = np.full(n, ops_per_client, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    totals = {"ops": 0, "errors": 0, "finish": env.now}
+    ops = errors = 0
+    finish = now
 
-    def driver(env: Environment) -> Generator:
-        state = solve_stationary(model, float(n), think_mean)
-        solved_for = n
-        while True:
-            live_idx = np.flatnonzero(alive)
-            if live_idx.size == 0:
-                break
-            wakes = next_wake[live_idx]
-            t_next = float(wakes.min())
-            if t_next > env.now:
-                yield env.timeout(t_next - env.now)
-            due = live_idx[wakes <= env.now + _BATCH_WINDOW_S]
-            k = int(due.size)
-            if k == 0:  # numeric corner: re-loop and resync the clock
-                continue
-            remaining = int(alive.sum())
-            if abs(remaining - solved_for) > max(1, solved_for // 20):
-                state = solve_stationary(model, float(remaining), think_mean)
-                solved_for = remaining
+    state = solve_stationary(model, float(n), think_mean)
+    solved_for = n
+    while True:
+        live_idx = np.flatnonzero(alive)
+        if live_idx.size == 0:
+            break
+        wakes = next_wake[live_idx]
+        t_next = float(wakes.min())
+        if t_next > now:
+            now = now + (t_next - now)
+        due = live_idx[wakes <= now + _BATCH_WINDOW_S]
+        k = int(due.size)
+        if k == 0:  # numeric corner: re-loop and resync the clock
+            continue
+        remaining = int(alive.sum())
+        if abs(remaining - solved_for) > max(1, solved_for // 20):
+            state = solve_stationary(model, float(remaining), think_mean)
+            solved_for = remaining
 
-            lat, failed = draw_stationary_latencies(
-                model, state, lat_rng, k, timeout_s=timeout_s
-            )
-            ok = ~failed
-            n_ok = int(ok.sum())
-            tracer.observe_batch(
-                f"account.{op.service}s", op.key, lat[ok],
-                errors=k - n_ok, client=True,
-            )
-            totals["ops"] += n_ok
-            totals["errors"] += k - n_ok
+        lat, failed = draw_stationary_latencies(
+            model, state, lat_rng, k, timeout_s=timeout_s
+        )
+        ok = ~failed
+        n_ok = int(ok.sum())
+        tracer.observe_batch(
+            f"account.{op.service}s", op.key, lat[ok],
+            errors=k - n_ok, client=True,
+        )
+        ops += n_ok
+        errors += k - n_ok
 
-            done_at = next_wake[due] + lat
-            totals["finish"] = max(totals["finish"], float(done_at.max()))
-            ops_left[due] -= 1
-            dead = failed | (ops_left[due] <= 0)
-            alive[due[dead]] = False
-            cont = due[~dead]
-            if cont.size:
-                wake_next = done_at[~dead]
-                if think is not None:
-                    wake_next = wake_next + think_rng.draw_batch(
-                        think, int(cont.size)
-                    )
-                next_wake[cont] = wake_next
-        if totals["finish"] > env.now:
-            yield env.timeout(totals["finish"] - env.now)
-
-    env.process(driver(env))
-    env.run()
-    return totals["ops"], totals["errors"], env.now
+        done_at = next_wake[due] + lat
+        finish = max(finish, float(done_at.max()))
+        ops_left[due] -= 1
+        dead = failed | (ops_left[due] <= 0)
+        alive[due[dead]] = False
+        cont = due[~dead]
+        if cont.size:
+            wake_next = done_at[~dead]
+            if think is not None:
+                wake_next = wake_next + think_rng.draw_batch(
+                    think, int(cont.size)
+                )
+            next_wake[cont] = wake_next
+    if finish > now:
+        now = now + (finish - now)
+    return ops, errors, now
 
 
 def _run_closed_batched(

@@ -11,9 +11,10 @@ streaming latency histograms
 full-scale experiment can keep tracing on at a fixed cost per request.
 It keeps no per-request record.
 
-The tracer is read back through :mod:`repro.monitoring`
-(:func:`~repro.monitoring.attach_request_tracer`,
-:func:`~repro.monitoring.request_summary`).  The per-request record is
+The tracer is read back through its own counters (``total``,
+``errors``, ``client_total``, ``client_errors``, ``retries``) and
+aggregates, or as an operator table through
+:func:`repro.monitoring.request_summary`.  The per-request record is
 the span tree: attach a :class:`repro.observability.spans.SpanTracer`
 as :attr:`RequestTracer.spans` and the client/pipeline/partition layers
 emit one causal span tree per request, stage timings included (see

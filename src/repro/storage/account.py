@@ -171,9 +171,6 @@ class GeoReplicatedAccount:
         #: fast-forward kernel replays this timeline to know which
         #: replica served reads/writes inside each stationary window.
         self.state_log: List[Tuple[float, str]] = [(env.now, self.state)]
-        #: Optional observer called as ``(t, new_state)`` on every
-        #: transition (after ``state_log`` is appended).
-        self.on_transition: Optional[Callable[[float, str], None]] = None
 
     def __repr__(self) -> str:
         return f"<GeoReplicatedAccount {self.name} state={self.state}>"
@@ -219,8 +216,6 @@ class GeoReplicatedAccount:
     def _set_state(self, state: str) -> None:
         self.state = state
         self.state_log.append((self.env.now, state))
-        if self.on_transition is not None:
-            self.on_transition(self.env.now, state)
 
     # -- replication-lag ledger --------------------------------------------
     def note_write(self, now: float) -> None:

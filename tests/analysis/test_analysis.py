@@ -1,25 +1,8 @@
-"""Unit tests for stats, tables and shape-check helpers."""
+"""Unit tests for tables and shape-check helpers."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import ShapeCheck, ascii_table, format_series, summarize
-
-
-def test_summarize_matches_numpy():
-    xs = [3.0, 1.0, 4.0, 1.0, 5.0]
-    s = summarize(xs)
-    assert s.count == 5
-    assert s.mean == pytest.approx(np.mean(xs))
-    assert s.std == pytest.approx(np.std(xs))
-    assert s.minimum == 1.0 and s.maximum == 5.0
-    assert s.p50 == pytest.approx(np.percentile(xs, 50))
-    assert "mean" in str(s)
-
-
-def test_summarize_empty_raises():
-    with pytest.raises(ValueError):
-        summarize([])
+from repro.analysis import ShapeCheck, ascii_table, format_series
 
 
 def test_ascii_table_alignment_and_na():

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.observability.histogram import (
-    Histogram,
-    HistogramTally,
-    merge_histograms,
-)
+from repro.monitoring import MetricsRegistry
+from repro.observability.histogram import Histogram, merge_histograms
 
 
 def test_exact_aggregates():
@@ -112,21 +109,19 @@ def test_validation():
 
 
 def test_histogram_tally_surface():
-    tally = HistogramTally("lat")
+    """A registry latency tally is a plain histogram."""
+    tally = MetricsRegistry().tally("lat")
+    assert isinstance(tally, Histogram) and tally.name == "lat"
     tally.extend([0.1, 0.2, 0.3])
     assert tally.count == 3 and len(tally) == 3
     assert tally.mean == pytest.approx(0.2)
     assert tally.percentile(50) == pytest.approx(0.2, rel=0.03)
     assert tally.minimum == pytest.approx(0.1)
     assert tally.maximum == pytest.approx(0.3)
-    assert tally.errors == 0
-    tally.observe_error()
-    assert tally.errors == 1
-    other = HistogramTally("lat")
+    other = Histogram("lat")
     other.observe(0.4)
-    other.observe_error()
     tally.merge(other)
-    assert tally.count == 4 and tally.errors == 2
+    assert tally.count == 4 and tally.maximum == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

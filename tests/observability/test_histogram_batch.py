@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.observability.histogram import Histogram, HistogramTally
+from repro.observability.histogram import Histogram
 from repro.service.tracing import RequestTracer
 
 
@@ -70,12 +70,6 @@ def test_empty_and_reshaped_batches():
     assert hist.count == 0
     hist.observe_batch(np.array([[0.01, 0.02], [0.03, 0.04]]))
     assert hist.count == 4
-
-
-def test_tally_batch_delegates():
-    tally = HistogramTally("t")
-    tally.observe_batch([0.1, 0.2, 0.3])
-    assert tally.count == 3
 
 
 # -- RequestTracer.observe_batch -------------------------------------------

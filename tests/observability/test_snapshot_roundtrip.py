@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.monitoring import MetricsRegistry, request_summary
-from repro.observability.histogram import Histogram, HistogramTally
+from repro.observability.histogram import Histogram
 from repro.service.tracing import RequestTracer
 
 
@@ -106,16 +106,13 @@ def test_tracer_snapshot_omits_raw_records(tracer):
 
 
 def test_histogram_tally_round_trip():
-    tally = HistogramTally("lat")
+    tally = Histogram("lat")
     rng = np.random.default_rng(5)
     tally.observe_batch(rng.lognormal(-3.0, 1.0, size=1000))
     tally.observe(0.0)  # zero bucket
-    for _ in range(4):
-        tally.observe_error()
-    restored = HistogramTally.from_dict(_json_round_trip(tally.to_dict()))
-    assert restored.errors == 4
+    restored = Histogram.from_dict(_json_round_trip(tally.to_dict()))
     assert restored.count == tally.count
-    assert restored.histogram.to_dict() == tally.histogram.to_dict()
+    assert restored.to_dict() == tally.to_dict()
     assert restored.percentile(99) == tally.percentile(99)
 
 
@@ -132,13 +129,12 @@ def test_registry_round_trip():
     registry.register_gauge("queue.depth", lambda: 17.0)
     tally = registry.tally("job.latency_s")
     tally.observe_batch(np.linspace(0.01, 0.5, 100))
-    tally.observe_error()
     doc = _json_round_trip(registry.to_dict())
     restored = MetricsRegistry.from_dict(doc)
     assert restored.counter("jobs.done").value == 42
     # Gauges freeze to the value they held at to_dict() time.
     assert restored.read_gauge("queue.depth") == 17.0
-    assert restored.tally("job.latency_s").errors == 1
+    assert restored.tally("job.latency_s").to_dict() == tally.to_dict()
     assert restored.snapshot() == registry.snapshot()
     # The flat values block mirrors snapshot() for catalog consumers.
     assert doc["values"] == _json_round_trip(registry.snapshot())

@@ -11,7 +11,7 @@ property of ``Histogram.observe_batch``) over randomized splits.
 import numpy as np
 import pytest
 
-from repro.observability.histogram import Histogram, HistogramTally
+from repro.observability.histogram import Histogram
 from repro.observability.slo import availability_slo, evaluate_slo
 from repro.observability.windows import MinuteAvailability
 
@@ -158,9 +158,9 @@ def test_histogram_batch_fold_is_window_invariant(seed):
 def test_tally_batch_matches_scalar_tally():
     rng = np.random.default_rng(3)
     values = rng.exponential(0.05, size=400)
-    batch = HistogramTally("t")
+    batch = Histogram("t")
     batch.observe_batch(values)
-    scalar = HistogramTally("t")
+    scalar = Histogram("t")
     for v in values.tolist():
         scalar.observe(v)
     assert batch.count == scalar.count

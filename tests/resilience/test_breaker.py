@@ -113,14 +113,15 @@ def test_half_open_probe_quota_limits_concurrency():
 
 
 def test_transition_callback_fires():
+    """Every state change lands in ``transitions``, timestamped."""
     env = Environment()
-    seen = []
-    breaker = _breaker(
-        env, on_transition=lambda t, old, new: seen.append((t, old, new))
-    )
+    breaker = _breaker(env, open_for_s=1.0)
     for _ in range(4):
         breaker.on_failure(ServerBusyError("busy"))
-    assert seen == [(0.0, "closed", "open")]
+    assert breaker.transitions == [(0.0, "closed", "open")]
+    env.run(until=1.0)
+    breaker.guard()
+    assert breaker.transitions[-1] == (1.0, "open", "half_open")
 
 
 def test_validation():

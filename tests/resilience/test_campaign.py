@@ -13,6 +13,7 @@ from repro.resilience.campaign import (
     day_campaign_spec,
     month_campaign_spec,
     run_campaign,
+    storm_drill_spec,
 )
 
 
@@ -147,12 +148,21 @@ def test_different_seed_changes_the_world():
 
 def test_mode_grid_fans_out_bit_identical(day_report):
     """One cell = one (scenario, mode) world: pooled execution must be
-    byte-for-byte the serial report (including the pickled registries
-    the SLO engine reads back in the parent)."""
+    byte-for-byte the serial report (including the pickled latency
+    histograms the SLO engine reads back in the parent)."""
     pooled = run_campaign(
         day_campaign_spec(seed=3, scale=0.25), jobs=2
     )
     assert pooled.to_dict() == day_report.to_dict()
+
+
+def test_storm_drill_grid_fans_out_bit_identical():
+    """The server-window cells carry a retry budget, a breaker and
+    window counters: pooled cells must still report byte-for-byte what
+    the serial run does."""
+    spec = storm_drill_spec(scale=0.25)
+    pooled = run_campaign(spec, jobs=2)
+    assert pooled.to_dict() == run_campaign(spec).to_dict()
 
 
 def test_single_mode_grid_skips_the_pool():

@@ -46,9 +46,6 @@ def test_tally_percentiles_in_snapshot():
     assert "latency_p95:lat" in snap
     assert snap["latency_p99:lat"] == pytest.approx(0.3, rel=0.03)
     assert snap["latency_count:lat"] == 3
-    assert "latency_errors:lat" not in snap
-    reg.tally("lat").observe_error()
-    assert reg.snapshot()["latency_errors:lat"] == 1
 
 
 def test_sampler_records_series():
@@ -87,6 +84,7 @@ def test_render_dashboard():
     reg = MetricsRegistry()
     reg.counter("requests").increment(42)
     reg.register_gauge("active", lambda: 7)
+    reg.tally("lat").observe(0.1)
     sampler = Sampler(env, reg, interval_s=1.0)
     sampler.start()
     env.run(until=3.0)
@@ -95,6 +93,7 @@ def test_render_dashboard():
     assert "counter:requests" in out and "42" in out
     assert "gauge:active" in out
     assert "peak:active" in out
+    assert "latency_count:lat" in out and "latency_p99:lat" in out
 
 
 def test_render_dashboard_empty():
@@ -136,73 +135,6 @@ def test_monitoring_a_live_platform():
     assert svc.queue_length("work") == 0
 
 
-def test_attach_circuit_breaker_gauges_and_transition_counters():
-    from repro.monitoring import attach_circuit_breaker
-    from repro.resilience.breaker import CircuitBreaker
-    from repro.storage.errors import ServerBusyError
-
-    env = Environment()
-    chained = []
-    breaker = CircuitBreaker(
-        env,
-        window=4,
-        error_threshold=0.5,
-        min_volume=2,
-        on_transition=lambda now, old, new: chained.append((old, new)),
-    )
-    reg = MetricsRegistry()
-    attach_circuit_breaker(reg, breaker, prefix="b")
-    assert reg.read_gauge("b.state") == 0.0  # closed
-    assert reg.read_gauge("b.error_rate") == 0.0
-    breaker.on_failure(ServerBusyError("busy"))
-    breaker.on_failure(ServerBusyError("busy"))
-    assert reg.read_gauge("b.state") == 2.0  # open
-    assert reg.read_gauge("b.opens") == 1.0
-    assert reg.counter("b.transitions.open").value == 1.0
-    # The pre-existing callback still fires (chained, not replaced).
-    assert chained == [("closed", "open")]
-    with pytest.raises(Exception):
-        breaker.guard()
-    assert reg.read_gauge("b.fast_failures") == 1.0
-
-
-def test_attach_retry_budget_gauges():
-    from repro.monitoring import attach_retry_budget
-    from repro.resilience.budget import RetryBudget
-
-    budget = RetryBudget(ratio=0.5, initial_tokens=1.0, max_tokens=10.0)
-    reg = MetricsRegistry()
-    attach_retry_budget(reg, budget, prefix="rb")
-    assert reg.read_gauge("rb.tokens") == pytest.approx(1.0)
-    assert budget.try_spend()
-    assert not budget.try_spend()
-    budget.record_call()
-    assert reg.read_gauge("rb.tokens") == pytest.approx(0.5)
-    assert reg.read_gauge("rb.granted") == 1.0
-    assert reg.read_gauge("rb.shed") == 1.0
-
-
-def test_attach_request_tracer_gauges():
-    from repro.monitoring import attach_request_tracer
-    from repro.service.tracing import RequestTracer
-
-    tracer = RequestTracer()
-    reg = MetricsRegistry()
-    attach_request_tracer(reg, tracer)
-    tracer.observe("svc", "get", 1.0)
-    tracer.observe_call("svc", "get", 2.0, False, 2)
-    assert reg.read_gauge("requests.total") == 1.0
-    assert reg.read_gauge("requests.errors") == 0.0
-    assert reg.read_gauge("requests.client_total") == 1.0
-    assert reg.read_gauge("requests.client_errors") == 1.0
-    assert reg.read_gauge("requests.retries") == 2.0
-    assert sorted(reg.snapshot()) == [
-        f"gauge:requests.{name}" for name in (
-            "client_errors", "client_total", "errors", "retries", "total",
-        )
-    ]
-
-
 def test_request_summary_breaks_out_services():
     from repro.monitoring import request_summary
     from repro.service.tracing import RequestTracer
@@ -216,16 +148,6 @@ def test_request_summary_breaks_out_services():
     assert any("blob" in line for line in lines)
     assert any("table" in line for line in lines)
     assert "(no requests)" in request_summary(RequestTracer())
-
-
-def test_render_dashboard_shows_tally_error_counts():
-    reg = MetricsRegistry()
-    reg.tally("lat").observe(0.1)
-    reg.tally("lat").observe_error()
-    out = render_dashboard(reg)
-    assert "latency_count:lat" in out
-    assert "latency_errors:lat" in out
-    assert "latency_p99:lat" in out
 
 
 def test_ops_dashboard_example_catalogues_the_live_tracer(
