@@ -52,21 +52,10 @@ TCP_LATENCY_TAIL_MS: Tuple[Tuple[float, float], ...] = (
     (10.0, 0.015),
 )
 
-#: Fraction of VM pairs whose traffic crosses an oversubscribed uplink.
-#: Fig. 5: "for the lower end of the sample - 15% - the performance drops to
-#: 30 MB/s or worse."
-CROSS_RACK_PAIR_FRACTION = 0.15
-
 #: Placement spillover: probability that capacity fragmentation pushes an
 #: instance out of its deployment's preferred rack.  Two independent
 #: spills of ~8% make ~15% of pairs cross-rack (matching the Fig. 5 tail).
 VM_PLACEMENT_SPILL_RATE = 0.08
-
-#: Cross-rack effective bandwidth range (MB/s) under background load; the
-#: same-rack population sits near the NIC limit (median >= 90 MB/s, Fig. 5).
-CROSS_RACK_BW_RANGE_MBPS = (5.0, 30.0)
-SAME_RACK_BW_RANGE_MBPS = (60.0, 118.0)
-SAME_RACK_BW_MODE_MBPS = 95.0
 
 # ---------------------------------------------------------------------------
 # Blob service (Section 3.1, Fig. 1; recommendations in 6.1)
@@ -309,11 +298,6 @@ VM_CAMPAIGN_RUNS = 431
 #: Deployment scale (Section 5.1: "up to 200 instances concurrently").
 MODIS_WORKER_COUNT = 200
 
-#: Catalog scale (Section 5.1): ~4 TB over 585k source files for 10 years
-#: of the continental US.
-MODIS_SOURCE_FILES = 585_000
-MODIS_DATASET_TB = 4.0
-
 #: Task execution mix (Table 2), used to calibrate the request generator.
 MODIS_TASK_MIX: Dict[str, float] = {
     "source_download": 0.0457,
@@ -321,9 +305,6 @@ MODIS_TASK_MIX: Dict[str, float] = {
     "reprojection": 0.5579,
     "reduction": 0.3936,
 }
-
-#: Total task executions in the paper's Feb-Sep 2010 window.
-MODIS_TOTAL_EXECUTIONS = 3_054_430
 
 #: Per-cause failure rates out of all task executions (Table 2).  "Success"
 #: in Table 2 is 65.50%; the remainder beyond the enumerated causes is
@@ -408,7 +389,6 @@ class CalibrationSummary:
         "blob_per_client_cap_mbps": BLOB_PER_CLIENT_CAP_MBPS,
         "gige_mbps": GIGE_MBPS,
         "replication_factor": REPLICATION_FACTOR,
-        "cross_rack_pair_fraction": CROSS_RACK_PAIR_FRACTION,
     })
     blob: Dict[str, object] = field(default_factory=lambda: {
         "download_server_mbps": BLOB_DOWNLOAD_SERVER_MBPS,
@@ -422,5 +402,4 @@ class CalibrationSummary:
     modis: Dict[str, object] = field(default_factory=lambda: {
         "workers": MODIS_WORKER_COUNT,
         "timeout_multiplier": MODIS_TIMEOUT_MULTIPLIER,
-        "total_executions": MODIS_TOTAL_EXECUTIONS,
     })

@@ -12,7 +12,7 @@ The package reproduces Table 2 (task/failure breakdown) and Fig. 7
 ``repro.modis.app``.
 """
 
-from repro.modis.catalog import ModisCatalog, SourceGranule
+from repro.modis.catalog import ModisCatalog
 from repro.modis.tasks import Task, TaskKind, TaskOutcome
 from repro.modis.failures import FailureModel
 from repro.modis.generator import RequestGenerator, UserRequest
@@ -28,7 +28,6 @@ __all__ = [
     "ModisConfig",
     "ModisRunResult",
     "RequestGenerator",
-    "SourceGranule",
     "Task",
     "TaskKind",
     "TaskMonitor",

@@ -6,16 +6,12 @@ input source files", fetched over FTP, with a typical task consuming
 3-4 source files of several-to-tens of MB each.
 
 The synthetic catalog covers the continental US with a grid of
-sinusoidal tiles; each (tile, day, band-group) triple names one granule
-with a deterministic pseudo-size.  Granule names are stable, so blob
-caching ("has this already been downloaded?") works exactly as in the
-real system.
+sinusoidal tiles; each (tile, day, band-group) triple is one source
+file.  The request generator draws tiles and days from it.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Tuple
 
 #: Continental-US tile grid (MODIS sinusoidal h08-h13 x v04-v06 is ~16
@@ -31,23 +27,8 @@ BAND_GROUPS = 10
 CATALOG_DAYS = 3650
 
 
-@dataclass(frozen=True)
-class SourceGranule:
-    """One FTP-hosted source file."""
-
-    tile: Tuple[int, int]
-    day: int
-    band_group: int
-    size_mb: float
-
-    @property
-    def name(self) -> str:
-        h, v = self.tile
-        return f"MOD09.h{h:02d}v{v:02d}.d{self.day:04d}.b{self.band_group}"
-
-
 class ModisCatalog:
-    """Deterministic synthetic granule catalog."""
+    """The synthetic source-file catalog: its tiles, days and size."""
 
     def __init__(
         self,
@@ -65,31 +46,8 @@ class ModisCatalog:
     def total_files(self) -> int:
         return len(self.tiles) * self.days * self.band_groups
 
-    def granule(self, tile: Tuple[int, int], day: int, band_group: int) -> SourceGranule:
-        if tile not in self.tiles:
-            raise ValueError(f"tile {tile} not in catalog")
-        if not 0 <= day < self.days:
-            raise ValueError(f"day {day} outside catalog range")
-        if not 0 <= band_group < self.band_groups:
-            raise ValueError(f"band group {band_group} out of range")
-        return SourceGranule(
-            tile=tile, day=day, band_group=band_group,
-            size_mb=self._size_mb(tile, day, band_group),
-        )
-
     @property
     def total_size_tb(self) -> float:
-        # Mean granule size x count; sizes are deterministic uniforms in
-        # [2, 12.3] MB, mean ~7.15 MB -> ~4 TB at 585k files scale.
+        # Mean file size x count: files of 2-12.3 MB ("several to tens
+        # of MB"), mean ~7.15 MB -> ~4 TB at 585k files scale.
         return self.total_files * 7.15 / 1e6
-
-    # -- deterministic pseudo-randomness ------------------------------------
-    @staticmethod
-    def _digest(key: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(key.encode()).digest()[:8], "little"
-        )
-
-    def _size_mb(self, tile, day, band_group) -> float:
-        u = self._digest(f"{tile}/{day}/{band_group}") / 2**64
-        return 2.0 + u * 10.3  # several MB to tens of MB (Section 5.1)

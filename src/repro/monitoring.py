@@ -125,20 +125,6 @@ class MetricsRegistry:
             "values": self.snapshot(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_dict` output.  Counters and
-        tallies restore exactly; gauges come back as frozen constants
-        (live callbacks cannot cross a serialization boundary)."""
-        registry = cls()
-        for name, value in payload.get("counters", {}).items():  # type: ignore[union-attr]
-            registry.counter(str(name)).value = float(value)
-        for name, value in payload.get("gauges", {}).items():  # type: ignore[union-attr]
-            registry.register_gauge(str(name), lambda v=float(value): v)
-        for name, doc in payload.get("tallies", {}).items():  # type: ignore[union-attr]
-            registry._tallies[str(name)] = Histogram.from_dict(doc)
-        return registry
-
 
 class Sampler:
     """Periodically samples every gauge onto a TimeSeries."""

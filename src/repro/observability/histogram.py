@@ -19,7 +19,7 @@ fitting in memory.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class Histogram:
         )
         counts = self._counts
         counts[idx] = counts.get(idx, 0) + 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
 
     def observe_batch(self, values: Sequence[float]) -> None:
         """Vectorized :meth:`observe` over a whole array of samples.
@@ -221,14 +217,10 @@ class Histogram:
             raise ValueError(f"histogram {self.name!r} is empty")
         return self._max
 
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative error of any reported percentile."""
-        return math.sqrt(self.growth) - 1.0
-
     # -- quantiles ---------------------------------------------------------
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile, within :attr:`relative_error`.
+        """The ``q``-th percentile, within ``sqrt(growth) - 1`` relative
+        error.
 
         Exact at the extremes: results clamp to the observed min/max.
         """
@@ -246,9 +238,6 @@ class Histogram:
                 value = self._representative(idx)
                 return min(max(value, self._min), self._max)
         return self._max  # pragma: no cover - defensive
-
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        return [self.percentile(q) for q in qs]
 
     def fraction_below(self, threshold: float) -> float:
         """P(X <= threshold): exact at bucket edges, within one bucket

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -208,20 +208,6 @@ class CampaignSpec:
     @property
     def ops_per_client(self) -> int:
         return int(self.duration_s / self.op_interval_s)
-
-    def with_scenario_mix(self, scenario: Any) -> "CampaignSpec":
-        """A copy whose op mix is derived from a
-        :class:`~repro.scenarios.spec.ScenarioSpec` (duck-typed):
-        ``read_fraction`` becomes the scenario's weight-share of read
-        ops and ``entity_kb`` its weight-averaged table/queue payload —
-        so a trace-shaped scenario pack can drive a month-scale
-        availability campaign without re-stating its mix.
-        """
-        return replace(
-            self,
-            read_fraction=float(scenario.read_fraction()),
-            entity_kb=float(scenario.mean_entity_kb()),
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The full JSON-able spec document (schedule and grid

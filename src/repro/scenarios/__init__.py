@@ -36,7 +36,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.skew import ZipfRouter
 from repro.scenarios.spec import (
     ARRIVAL_KINDS,
-    READ_OPS,
     SCENARIO_OPS,
     ArrivalSpec,
     LinkSpec,
@@ -53,7 +52,6 @@ __all__ = [
     "ARRIVAL_KINDS",
     "EXACT_MAX_SCENARIO_CLIENTS",
     "PACK_DIR",
-    "READ_OPS",
     "SCENARIO_OPS",
     "ArrivalProcess",
     "ArrivalSpec",

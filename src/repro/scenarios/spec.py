@@ -38,14 +38,6 @@ SCENARIO_OPS = (
     ("queue", "receive"),
 )
 
-#: Operations that read service state (used to derive a campaign
-#: read/write mix from a scenario's op weights).
-READ_OPS = {
-    ("blob", "download"),
-    ("table", "query"),
-    ("queue", "peek"),
-}
-
 ARRIVAL_KINDS = ("closed", "poisson", "mmpp")
 
 
@@ -188,10 +180,6 @@ class OpSpec:
         if self.service == "blob":
             return self.mean_size_mb
         return self.mean_size_kb / 1024.0
-
-    @property
-    def is_read(self) -> bool:
-        return (self.service, self.op) in READ_OPS
 
 
 @dataclass(frozen=True)
@@ -416,26 +404,6 @@ class ScenarioSpec:
         """Services used, in fixed (blob, table, queue) order."""
         used = {op.service for op in self.all_ops}
         return tuple(s for s in ("blob", "table", "queue") if s in used)
-
-    def read_fraction(self) -> float:
-        """Weight-share of read ops — the campaign mix derived from this
-        scenario (see ``CampaignSpec.with_scenario_mix``)."""
-        total = reads = 0.0
-        for phase in self.phases:
-            for op in phase.ops:
-                total += op.weight
-                if op.is_read:
-                    reads += op.weight
-        return reads / total if total else 0.0
-
-    def mean_entity_kb(self) -> float:
-        """Weight-averaged table/queue payload size (campaign sizing)."""
-        total = acc = 0.0
-        for op in self.all_ops:
-            if op.service in ("table", "queue"):
-                total += op.weight
-                acc += op.weight * op.mean_size_kb
-        return acc / total if total else 1.0
 
     def scaled(self, scale: float) -> "ScenarioSpec":
         """A cheaper copy for goldens/CI: ``scale`` multiplies the open

@@ -25,30 +25,21 @@ from repro.simcore.events import (
     AnyOf,
     Event,
     Interrupt,
-    InterruptedError_,
     Race,
     Timeout,
 )
 from repro.simcore.process import Process
-from repro.simcore.resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.simcore.resources import Resource, Store
 from repro.simcore.rng import Distribution, RandomStreams, StreamRNG
 from repro.simcore.tracing import Tally, TimeSeries
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Distribution",
     "Environment",
     "Event",
     "Interrupt",
-    "InterruptedError_",
-    "PriorityResource",
     "Process",
     "Race",
     "RandomStreams",

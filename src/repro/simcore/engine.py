@@ -108,17 +108,17 @@ class Environment:
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
 
-        Cancelled entries at the head are dropped here: they will never
-        fire, so reporting their time would be misleading.
+        Cancelled entries are skipped, not removed: the heap is left as
+        it was, so a ``peek`` never changes where ``run`` or ``step``
+        moves the clock.
         """
         queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[2]._cancelled:
-                _heappop(queue)
-                continue
-            return head[0]
-        return _INF
+        if queue and not queue[0][2]._cancelled:
+            return queue[0][0]
+        return min(
+            (time for time, _, event in queue if not event._cancelled),
+            default=_INF,
+        )
 
     def step(self) -> None:
         """Process exactly one event; advance the clock to its time.

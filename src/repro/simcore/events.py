@@ -315,11 +315,6 @@ class Interrupt(Exception):
         return self.args[0] if self.args else None
 
 
-#: Alias kept separate from builtins.InterruptedError for clarity at
-#: call-sites that catch kernel interrupts.
-InterruptedError_ = Interrupt
-
-
 class Condition(Event):
     """Composite event over a set of child events.
 

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: counted resources, stores and containers.
+"""Shared-resource primitives: a counted FIFO resource and a FIFO store.
 
 These follow the request/release protocol: ``resource.request()`` returns
 an event that fires once a slot is granted; the holder later calls
@@ -12,10 +12,9 @@ process code can write::
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, List
 
 from repro.simcore.events import PENDING, Event
 
@@ -26,9 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         # Inlined Event.__init__: one Request per resource operation on
         # the kernel's resource-churn hot path.
         self.env = resource.env
@@ -40,8 +39,6 @@ class Request(Event):
         self._processed = False
         self._cancelled = False
         self.resource = resource
-        self.priority = priority
-        self._key = (priority, next(resource._ticket))
         resource._queue_request(self)
 
     def cancel(self) -> None:
@@ -71,8 +68,6 @@ class Resource:
         Number of simultaneous holders.
     """
 
-    request_cls = Request
-
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -80,16 +75,15 @@ class Resource:
         self.capacity = capacity
         self.users: List[Request] = []
         self.queue: List[Request] = []
-        self._ticket = itertools.count()
 
     @property
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event fires when granted."""
-        return self.request_cls(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return a previously granted slot."""
@@ -128,16 +122,13 @@ class Resource:
         env = self.env
         heap = env._queue
         while queue and len(users) < capacity:
-            request = self._pop_next()
+            request = queue.pop(0)
             users.append(request)
             # Inlined request.succeed(None): queued requests are always
             # untriggered, so the guard in succeed() cannot fire.
             request._value = None
             env._seq = seq = env._seq + 1
             _heappush(heap, (env.now, seq, request))
-
-    def _pop_next(self) -> Request:
-        return self.queue.pop(0)
 
     def __repr__(self) -> str:
         return (
@@ -146,32 +137,18 @@ class Resource:
         )
 
 
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-``priority`` first.
-
-    Ties break FIFO via a monotonically increasing ticket number.
-    """
-
-    def _pop_next(self) -> Request:
-        best = min(range(len(self.queue)), key=lambda i: self.queue[i]._key)
-        return self.queue.pop(best)
-
-
 class StoreGet(Event):
     """Pending retrieval from a :class:`Store`."""
 
-    __slots__ = ("store", "filter")
+    __slots__ = ("store",)
 
-    def __init__(
-        self,
-        store: "Store",
-        item_filter: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         self.store = store
-        self.filter = item_filter
-        store._getters.append(self)
-        store._dispatch()
+        if store.items:
+            self.succeed(store.items.popleft())
+        else:
+            store._getters.append(self)
 
     def cancel(self) -> None:
         if not self.triggered:
@@ -181,137 +158,32 @@ class StoreGet(Event):
                 pass
 
 
-class StorePut(Event):
-    """Pending insertion into a bounded :class:`Store`."""
-
-    __slots__ = ("store", "item")
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.store = store
-        self.item = item
-        store._putters.append(self)
-        store._dispatch()
-
-
 class Store:
-    """An unordered-capacity FIFO buffer of Python objects.
+    """An unbounded FIFO buffer of Python objects.
 
-    ``put(item)`` and ``get()`` both return events; ``get`` optionally
-    takes a filter predicate (items are matched in FIFO order).
+    ``put(item)`` returns an event that succeeds at once; the item goes
+    to the longest-waiting getter, if any, else to the back of
+    :attr:`items`.  ``get()`` returns an event that fires with the
+    oldest item, as soon as there is one.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: List[StoreGet] = []
-        self._putters: List[StorePut] = []
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
+    def put(self, item: Any) -> Event:
+        # The put's own event is scheduled before the getter it wakes,
+        # so at one instant the producer resumes first.
+        done = Event(self.env).succeed()
+        if self._getters:
+            self._getters.pop(0).succeed(item)
+        else:
+            self.items.append(item)
+        return done
 
-    def get(self, item_filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        return StoreGet(self, item_filter)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Admit queued puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                putter = self._putters.pop(0)
-                self.items.append(putter.item)
-                putter.succeed()
-                progress = True
-            # Satisfy getters, honouring filters in FIFO item order.
-            i = 0
-            while i < len(self._getters):
-                getter = self._getters[i]
-                matched = None
-                for idx, item in enumerate(self.items):
-                    if getter.filter is None or getter.filter(item):
-                        matched = idx
-                        break
-                if matched is None:
-                    i += 1
-                    continue
-                item = self.items[matched]
-                del self.items[matched]
-                self._getters.pop(i)
-                getter.succeed(item)
-                progress = True
-
-
-class ContainerGet(Event):
-    __slots__ = ("container", "amount")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.container = container
-        self.amount = amount
-        container._getters.append(self)
-        container._dispatch()
-
-
-class ContainerPut(Event):
-    __slots__ = ("container", "amount")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.container = container
-        self.amount = amount
-        container._putters.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A continuous-quantity reservoir (e.g. bytes of disk, tokens)."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self.level = init
-        self._getters: List[ContainerGet] = []
-        self._putters: List[ContainerPut] = []
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and (
-                self.level + self._putters[0].amount <= self.capacity
-            ):
-                putter = self._putters.pop(0)
-                self.level += putter.amount
-                putter.succeed()
-                progress = True
-            while self._getters and self._getters[0].amount <= self.level:
-                getter = self._getters.pop(0)
-                self.level -= getter.amount
-                getter.succeed()
-                progress = True
+    def get(self) -> StoreGet:
+        return StoreGet(self)

@@ -330,16 +330,3 @@ class GeoReplicatedAccount:
             on_commit=self.on_commit,
             **kwargs,
         )
-
-    def blob_client(self, endpoint: Any, **kwargs: Any) -> Any:
-        from repro.client import BlobClient
-
-        return BlobClient(
-            self.primary.blobs,
-            endpoint,
-            secondary=self.secondary.blobs,
-            route_hint=self.read_replica,
-            write_guard=self.write_guard,
-            on_commit=self.on_commit,
-            **kwargs,
-        )

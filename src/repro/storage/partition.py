@@ -206,20 +206,27 @@ class PartitionServer:
                     raise ValueError(
                         f"op {op.name!r} has exclusive_s but no latch_key"
                     )
-                with self.latch(op.latch_key).request() as grant:
-                    queued_at = env.now
-                    yield grant
-                    wait = env.now - queued_at
-                    waited += wait
-                    if observer is not None:
-                        observer("latch_wait", wait)
-                    held = (
-                        op.exclusive_s if op.deterministic
-                        else op.exclusive_s * self._std_exp()
-                    )
-                    yield env.timeout(held)
-                    if observer is not None:
-                        observer("latch_work", held)
+                latch = self.latch(op.latch_key)
+                try:
+                    with latch.request() as grant:
+                        queued_at = env.now
+                        yield grant
+                        wait = env.now - queued_at
+                        waited += wait
+                        if observer is not None:
+                            observer("latch_wait", wait)
+                        held = (
+                            op.exclusive_s if op.deterministic
+                            else op.exclusive_s * self._std_exp()
+                        )
+                        yield env.timeout(held)
+                        if observer is not None:
+                            observer("latch_work", held)
+                finally:
+                    # An idle latch holds no state, so drop it: per-entity
+                    # keys would otherwise pile up for the server's life.
+                    if not latch.users and not latch.queue:
+                        del self._latches[op.latch_key]
 
             stats.completed += 1
         finally:

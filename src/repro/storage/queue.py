@@ -29,6 +29,7 @@ re-indexing, receipt validation).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -46,6 +47,28 @@ from repro.storage.partition import PartitionServer
 
 _msg_ids = itertools.count(1)
 _receipts = itertools.count(1)
+
+
+#: Each kind's latch: adds serialize on the replica commit, receives on
+#: the queue head; a peek takes none.
+_LATCHES = {"add": "replica-commit", "receive": "head", "peek": None}
+
+
+@functools.lru_cache(maxsize=1024)
+def _op(kind: str, size_kb: float) -> OpSpec:
+    """The spec of one ``kind`` request on a ``size_kb`` message,
+    interned: a spec is frozen, so one per (kind, size) serves every
+    request (the same bounded memo as the table service's)."""
+    return OpSpec(
+        name=f"queue.{kind}",
+        cpu_s=cal.QUEUE_CPU_S[kind] + cal.QUEUE_CPU_PER_KB_S * size_kb,
+        exclusive_s=cal.QUEUE_EXCLUSIVE_S[kind],
+        latch_key=_LATCHES[kind],
+        payload_mb=size_kb / 1024.0,
+        frontend_scale=(
+            cal.QUEUE_FRONTEND_C_S[kind] / cal.QUEUE_FRONTEND_C_S["add"]
+        ),
+    )
 
 
 @dataclass
@@ -166,23 +189,6 @@ class QueueService:
             )
         return state
 
-    def _op(self, queue: str, kind: str, size_kb: float) -> OpSpec:
-        latch_key = {
-            "add": "replica-commit",
-            "receive": "head",
-            "peek": None,
-        }[kind]
-        return OpSpec(
-            name=f"queue.{kind}",
-            cpu_s=cal.QUEUE_CPU_S[kind] + cal.QUEUE_CPU_PER_KB_S * size_kb,
-            exclusive_s=cal.QUEUE_EXCLUSIVE_S[kind],
-            latch_key=latch_key,
-            payload_mb=size_kb / 1024.0,
-            frontend_scale=(
-                cal.QUEUE_FRONTEND_C_S[kind] / cal.QUEUE_FRONTEND_C_S["add"]
-            ),
-        )
-
     def _validated_visibility(self, visibility_timeout_s: Optional[float]) -> float:
         vt = (
             self.DEFAULT_VISIBILITY_TIMEOUT_S
@@ -219,7 +225,7 @@ class QueueService:
 
         result = yield from self.pipeline.execute(
             "queue.add",
-            self._op(queue, "add", size_kb),
+            _op("add", size_kb),
             base_latency_s=cal.QUEUE_BASE_LATENCY_S["add"],
             route=queue,
             commit=commit,
@@ -245,7 +251,7 @@ class QueueService:
 
         result = yield from self.pipeline.execute(
             "queue.peek",
-            self._op(queue, "peek", 0.1),
+            _op("peek", 0.1),
             base_latency_s=cal.QUEUE_BASE_LATENCY_S["peek"],
             route=queue,
             commit=commit,
@@ -275,7 +281,7 @@ class QueueService:
 
         result = yield from self.pipeline.execute(
             "queue.receive",
-            self._op(queue, "receive", 0.5),
+            _op("receive", 0.5),
             base_latency_s=cal.QUEUE_BASE_LATENCY_S["receive"],
             route=queue,
             commit=commit,
@@ -303,7 +309,7 @@ class QueueService:
         state = self._state(queue)
         # The batch holds the head latch once; marshalling cost grows
         # with the batch size.
-        op = self._op(queue, "receive", 0.5)
+        op = _op("receive", 0.5)
 
         def commit() -> List[QueueMessage]:
             batch: List[QueueMessage] = []
@@ -358,7 +364,7 @@ class QueueService:
         # Delete shares the receive cost model (head-index touch).
         yield from self.pipeline.execute(
             "queue.delete",
-            self._op(queue, "receive", 0.1),
+            _op("receive", 0.1),
             base_latency_s=cal.QUEUE_BASE_LATENCY_S["receive"],
             route=queue,
             commit=commit,

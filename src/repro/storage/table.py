@@ -20,6 +20,7 @@ latency, exactly where the pre-pipeline code did.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import (
@@ -83,11 +84,24 @@ _OPS: Dict[str, Callable[[Any, Any], Any]] = {
 
 _NUMBERS = (int, float, np.integer, np.floating)
 
-#: Interned op specs a table service keeps (see
-#: :meth:`TableService._shared_op`); the paper's workloads use a few
-#: sizes, so the bound binds only under a continuous size distribution.
-_SPECS_KEPT = 1024
 
+def _op(kind: str, size_kb: float, latch_key: Any) -> OpSpec:
+    """The spec of one ``kind`` request on a ``size_kb`` entity."""
+    return OpSpec(
+        name=f"table.{kind}",
+        cpu_s=cal.TABLE_CPU_S[kind] + cal.TABLE_CPU_PER_KB_S * size_kb,
+        exclusive_s=cal.TABLE_EXCLUSIVE_S[kind],
+        latch_key=latch_key,
+        payload_mb=size_kb / 1024.0,
+    )
+
+
+#: :func:`_op` for a latch key every request of ``kind`` shares
+#: (``"index"`` or ``None``), interned: a spec is frozen, so one per
+#: (kind, size, latch key) serves every request.  The paper's workloads
+#: use a few sizes, so the bound binds only under a continuous size
+#: distribution.  An update latches its own entity and builds afresh.
+_interned_op = functools.lru_cache(maxsize=1024)(_op)
 
 def _kind(value: Any) -> Optional[str]:
     """``"n"`` for a number, ``"s"`` for a string, else ``None``.  A
@@ -391,7 +405,6 @@ class TableService:
         self._servers: Dict[Tuple[str, str], PartitionServer] = {}
         self._tables: Dict[str, Dict[str, _Partition]] = {}
         self._next_etag = 1
-        self._specs: Dict[Tuple[str, float, Optional[str]], OpSpec] = {}
         self.pipeline = RequestPipeline(
             env,
             rng,
@@ -557,32 +570,6 @@ class TableService:
             self.server_for(table, partition_key)
         return rows
 
-    def _op(self, kind: str, size_kb: float, latch_key: Any) -> OpSpec:
-        """The spec of one ``kind`` request on a ``size_kb`` entity."""
-        return OpSpec(
-            name=f"table.{kind}",
-            cpu_s=cal.TABLE_CPU_S[kind] + cal.TABLE_CPU_PER_KB_S * size_kb,
-            exclusive_s=cal.TABLE_EXCLUSIVE_S[kind],
-            latch_key=latch_key,
-            payload_mb=size_kb / 1024.0,
-        )
-
-    def _shared_op(
-        self, kind: str, size_kb: float, latch_key: Optional[str]
-    ) -> OpSpec:
-        """:meth:`_op` for a latch key every request of ``kind`` shares
-        (``"index"`` or ``None``), interned: a spec is frozen, so one
-        per (kind, size, latch key) serves every request.  The table is
-        emptied when it reaches :data:`_SPECS_KEPT` entries, which bounds
-        it under a continuous size distribution."""
-        key = (kind, size_kb, latch_key)
-        spec = self._specs.get(key)
-        if spec is None:
-            if len(self._specs) >= _SPECS_KEPT:
-                self._specs.clear()
-            spec = self._specs[key] = self._op(kind, size_kb, latch_key)
-        return spec
-
     # -- data plane ------------------------------------------------------------
     def insert(self, table: str, entity: Entity) -> Generator:
         """Insert a new entity; fails if the key already exists."""
@@ -604,7 +591,7 @@ class TableService:
 
         result = yield from self.pipeline.execute(
             "table.insert",
-            self._shared_op("insert", entity.size_kb, "index"),
+            _interned_op("insert", entity.size_kb, "index"),
             base_latency_s=cal.TABLE_BASE_LATENCY_S["insert"],
             route=(table, entity.partition_key),
             commit=commit,
@@ -621,7 +608,7 @@ class TableService:
             # (you pay for the bytes the lookup touches).
             rows = partitions.get(partition_key)
             found[0] = hit = None if rows is None else rows.get(row_key)
-            return self._shared_op(
+            return _interned_op(
                 "query", hit.size_kb if hit else 0.5, None
             )
 
@@ -679,9 +666,7 @@ class TableService:
 
         result = yield from self.pipeline.execute(
             "table.update",
-            self._op(
-                "update", entity.size_kb, latch_key=("entity", entity.key)
-            ),
+            _op("update", entity.size_kb, ("entity", entity.key)),
             base_latency_s=cal.TABLE_BASE_LATENCY_S["update"],
             route=(table, entity.partition_key),
             commit=commit,
@@ -696,7 +681,7 @@ class TableService:
         def op() -> OpSpec:
             rows = partitions.get(partition_key)
             found[0] = hit = None if rows is None else rows.get(row_key)
-            return self._shared_op(
+            return _interned_op(
                 "delete", hit.size_kb if hit else 0.5, "index"
             )
 
@@ -719,65 +704,6 @@ class TableService:
             route=(table, partition_key),
             commit=commit,
         )
-
-    def insert_batch(self, table: str, entities: List[Entity]) -> Generator:
-        """Entity Group Transaction: insert up to 100 entities of ONE
-        partition atomically (added to Azure tables in late 2009).
-
-        The batch pays one request round trip and holds the index latch
-        once, so it is far cheaper than N singleton inserts -- but if any
-        key exists, the whole batch fails and nothing is written.
-        """
-        if not entities:
-            raise ValueError("batch must not be empty")
-        if len(entities) > 100:
-            raise ValueError("Entity Group Transactions cap at 100 entities")
-        partition_keys = {e.partition_key for e in entities}
-        if len(partition_keys) != 1:
-            raise ValueError(
-                "all batch entities must share one PartitionKey"
-            )
-        keys = [e.key for e in entities]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate keys within batch")
-        partitions = self._partitions(table)
-        partition_key = next(iter(partition_keys))
-        total_kb = sum(e.size_kb for e in entities)
-
-        def commit() -> List[Entity]:
-            rows = self._partition(table, partitions, partition_key)
-            conflicts = [key for key in keys if key[1] in rows]
-            if conflicts:
-                raise EntityAlreadyExistsError(
-                    f"batch aborted: {conflicts[0]} already exists",
-                    service=self.name,
-                    op="table.insert_batch",
-                )
-            first = self._etags(len(entities))
-            for k, entity in enumerate(entities):
-                entity.etag = first + k
-                entity.timestamp = self.env.now
-                rows.add(entity)
-            rows.bump()
-            return entities
-
-        result = yield from self.pipeline.execute(
-            "table.insert_batch",
-            OpSpec(
-                name="table.insert_batch",
-                cpu_s=(
-                    cal.TABLE_CPU_S["insert"]
-                    + cal.TABLE_CPU_PER_KB_S * total_kb
-                ),
-                exclusive_s=cal.TABLE_EXCLUSIVE_S["insert"],
-                latch_key="index",
-                payload_mb=total_kb / 1024.0,
-            ),
-            base_latency_s=cal.TABLE_BASE_LATENCY_S["insert"],
-            route=(table, partition_key),
-            commit=commit,
-        )
-        return result
 
     def query_by_property(
         self,

@@ -39,6 +39,9 @@ def test_calibration_command(capsys):
     assert main(["calibration"]) == 0
     out = capsys.readouterr().out
     assert "[network]" in out and "replication_factor" in out
+    # Only constants the model reads are printed.
+    assert "cross_rack_pair_fraction" not in out
+    assert "total_executions" not in out
 
 
 def test_run_command_executes_experiment(capsys):

@@ -16,25 +16,13 @@ def test_catalog_scale_matches_paper():
     assert catalog.total_size_tb == pytest.approx(4.0, rel=0.1)
 
 
-def test_granule_names_are_stable():
-    catalog = ModisCatalog()
-    a = catalog.granule((8, 4), 100, 3)
-    b = catalog.granule((8, 4), 100, 3)
-    assert a.name == b.name
-    assert a.size_mb == b.size_mb
-    assert 2.0 <= a.size_mb <= 12.5
-
-
 def test_catalog_validation():
-    catalog = ModisCatalog()
-    with pytest.raises(ValueError):
-        catalog.granule((99, 99), 0, 0)
-    with pytest.raises(ValueError):
-        catalog.granule((8, 4), -1, 0)
-    with pytest.raises(ValueError):
-        catalog.granule((8, 4), 0, 99)
     with pytest.raises(ValueError):
         ModisCatalog(tiles=())
+    with pytest.raises(ValueError):
+        ModisCatalog(days=0)
+    with pytest.raises(ValueError):
+        ModisCatalog(band_groups=0)
 
 
 def _model(seed=0):

@@ -23,8 +23,8 @@ def test_percentiles_within_relative_error():
     rng = np.random.default_rng(7)
     values = rng.lognormal(mean=-2.0, sigma=1.0, size=5000)
     hist = Histogram("lat")
-    hist.extend(values)
-    err = hist.relative_error
+    hist.observe_batch(values)
+    err = np.sqrt(hist.growth) - 1.0
     for q in (50, 90, 95, 99):
         exact = float(np.percentile(values, q))
         approx = hist.percentile(q)
@@ -33,7 +33,7 @@ def test_percentiles_within_relative_error():
 
 def test_percentile_extremes_clamp_to_observed():
     hist = Histogram()
-    hist.extend([0.25, 0.5, 1.0])
+    hist.observe_batch([0.25, 0.5, 1.0])
     assert hist.percentile(0) == pytest.approx(0.25)
     assert hist.percentile(100) == pytest.approx(1.0)
 
@@ -54,11 +54,11 @@ def test_merge_matches_union():
     a_vals = rng.exponential(0.1, size=400)
     b_vals = rng.exponential(0.5, size=600)
     a, b = Histogram("a"), Histogram("b")
-    a.extend(a_vals)
-    b.extend(b_vals)
+    a.observe_batch(a_vals)
+    b.observe_batch(b_vals)
     merged = merge_histograms([a, b], name="union")
     union = Histogram("direct")
-    union.extend(np.concatenate([a_vals, b_vals]))
+    union.observe_batch(np.concatenate([a_vals, b_vals]))
     assert merged.count == 1000
     assert merged.total == pytest.approx(union.total)
     for q in (50, 95, 99):
@@ -74,14 +74,14 @@ def test_merge_rejects_mismatched_shapes():
 
 def test_fraction_below():
     hist = Histogram()
-    hist.extend([0.1] * 90 + [10.0] * 10)
+    hist.observe_batch([0.1] * 90 + [10.0] * 10)
     assert hist.fraction_below(1.0) == pytest.approx(0.9)
     assert hist.fraction_below(100.0) == pytest.approx(1.0)
 
 
 def test_dict_round_trip():
     hist = Histogram("rt")
-    hist.extend([0.01, 0.2, 3.0, 0.0])
+    hist.observe_batch([0.01, 0.2, 3.0, 0.0])
     clone = Histogram.from_dict(hist.to_dict())
     assert clone.count == hist.count
     assert clone.total == pytest.approx(hist.total)
@@ -112,7 +112,7 @@ def test_histogram_tally_surface():
     """A registry latency tally is a plain histogram."""
     tally = MetricsRegistry().tally("lat")
     assert isinstance(tally, Histogram) and tally.name == "lat"
-    tally.extend([0.1, 0.2, 0.3])
+    tally.observe_batch([0.1, 0.2, 0.3])
     assert tally.count == 3 and len(tally) == 3
     assert tally.mean == pytest.approx(0.2)
     assert tally.percentile(50) == pytest.approx(0.2, rel=0.03)

@@ -51,7 +51,7 @@ def test_empty_window_is_vacuously_good():
 
 def test_latency_slo_counts_failures_as_bad():
     hist = Histogram()
-    hist.extend([0.1] * 90)  # successes, all fast
+    hist.observe_batch([0.1] * 90)  # successes, all fast
     slo = latency_slo(0.2, target=0.9)
     result = evaluate_slo(slo, total=100, errors=10, histogram=hist)
     # 90 fast successes of 100 total: exactly at target.
@@ -64,7 +64,7 @@ def test_latency_slo_counts_failures_as_bad():
 
 def test_latency_slo_fraction_from_histogram():
     hist = Histogram()
-    hist.extend([0.05] * 950 + [2.0] * 50)
+    hist.observe_batch([0.05] * 950 + [2.0] * 50)
     result = evaluate_slo(
         latency_slo(0.5, target=0.99), total=1000, errors=0, histogram=hist
     )
@@ -81,7 +81,7 @@ def test_latency_slo_without_histogram_is_all_bad():
 
 def test_report_render_and_lookup():
     hist = Histogram()
-    hist.extend([0.01] * 100)
+    hist.observe_batch([0.01] * 100)
     report = evaluate_slos(
         [availability_slo(0.99), latency_slo(0.1, 0.95)],
         total=100,

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.resilience.campaign import CAMPAIGN_SCENARIOS
 from repro.scenarios import (
     EXACT_MAX_SCENARIO_CLIENTS,
     ArrivalSpec,
@@ -262,15 +261,6 @@ def test_closed_batched_folds_link_into_think():
     assert think.mean == pytest.approx(0.1875)
     # No link: the spec's own think time, untouched.
     assert _closed_think(_blob_spec(), spec.all_ops[0]) is None
-
-
-def test_campaign_spec_adopts_scenario_mix():
-    campaign = CAMPAIGN_SCENARIOS["day"](seed=3, scale=1.0)
-    block = get_scenario("block-storage")
-    derived = campaign.with_scenario_mix(block)
-    assert derived.read_fraction == pytest.approx(block.read_fraction())
-    assert derived.entity_kb == pytest.approx(block.mean_entity_kb())
-    assert derived.duration_s == campaign.duration_s
 
 
 # -- CLI -------------------------------------------------------------------

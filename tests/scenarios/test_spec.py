@@ -131,12 +131,12 @@ def test_scenario_validation_errors():
 # -- derived quantities ----------------------------------------------------
 
 
-def test_read_fraction_and_entity_size():
+def test_entity_sizes_and_services():
     spec = _mixed_spec()
-    # insert w=2 (write), query w=1 (read), add w=1 (write).
-    assert spec.read_fraction() == pytest.approx(0.25)
-    # insert 4 kB (w=2), query default 1 kB (w=1), add mean 1.25 kB (w=1).
-    assert spec.mean_entity_kb() == pytest.approx((2 * 4.0 + 1.0 + 1.25) / 4)
+    # insert 4 kB, query default 1 kB, add mean 1.25 kB.
+    assert [op.mean_size_kb for op in spec.all_ops] == pytest.approx(
+        [4.0, 1.0, 1.25]
+    )
     assert spec.services == ("table", "queue")
 
 

@@ -71,6 +71,16 @@ def test_peek_skips_cancelled_head():
     assert env.peek() == 2.0
 
 
+def test_peek_leaves_the_heap_and_the_run_end_alone():
+    env = Environment()
+    env.timeout(5.0).cancel()
+    assert env.peek() == float("inf")
+    assert len(env._queue) == 1
+    env.run()
+    # The same end as a run without the peek.
+    assert env.now == 5.0
+
+
 def test_step_skips_cancelled_entries():
     env = Environment()
     first = env.timeout(1.0)

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Store and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.simcore import Container, Environment, PriorityResource, Resource, Store
+from repro.simcore import Environment, Resource, Store
 
 
 def test_resource_serializes_holders():
@@ -60,25 +60,6 @@ def test_resource_fifo_order():
     env.process(user(env, "third", 0.2))
     env.run()
     assert order == ["first", "second", "third"]
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, tag, arrive, prio):
-        yield env.timeout(arrive)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(10.0)
-
-    env.process(user(env, "holder", 0.0, 0))
-    env.process(user(env, "low-prio", 1.0, 5))
-    env.process(user(env, "high-prio", 2.0, 1))
-    env.run()
-    assert order == ["holder", "high-prio", "low-prio"]
 
 
 def test_release_without_hold_raises():
@@ -151,94 +132,29 @@ def test_store_get_blocks_until_item():
     assert got == [("late", 5.0)]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("put-a", env.now))
-        yield store.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(3.0)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("put-a", 0.0), ("got", "a", 3.0), ("put-b", 3.0)]
-
-
-def test_store_filter_get():
+def test_store_put_resumes_before_the_getter_it_wakes():
     env = Environment()
     store = Store(env)
-    got = []
+    log = []
 
-    def setup(env):
-        yield store.put({"kind": "x", "id": 1})
-        yield store.put({"kind": "y", "id": 2})
-        item = yield store.get(lambda it: it["kind"] == "y")
-        got.append(item["id"])
+    def consumer(env, tag):
         item = yield store.get()
-        got.append(item["id"])
+        log.append((tag, item, env.now))
 
-    env.process(setup(env))
+    def producer(env):
+        yield env.timeout(1.0)
+        for item in ("x", "y", "z"):
+            yield store.put(item)
+            log.append(("put", item, env.now))
+
+    env.process(consumer(env, "a"))
+    env.process(consumer(env, "b"))
+    env.process(producer(env))
     env.run()
-    assert got == [2, 1]
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=5.0)
-    log = []
-
-    def drainer(env):
-        yield tank.get(4.0)
-        log.append(("got4", tank.level, env.now))
-        yield tank.get(4.0)  # blocks: only 1 left
-        log.append(("got4-again", tank.level, env.now))
-
-    def filler(env):
-        yield env.timeout(2.0)
-        yield tank.put(6.0)
-
-    env.process(drainer(env))
-    env.process(filler(env))
-    env.run()
-    assert log == [("got4", 1.0, 0.0), ("got4-again", 3.0, 2.0)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=5.0, init=5.0)
-    log = []
-
-    def putter(env):
-        yield tank.put(2.0)
-        log.append(("room", env.now))
-
-    def getter(env):
-        yield env.timeout(4.0)
-        yield tank.get(3.0)
-
-    env.process(putter(env))
-    env.process(getter(env))
-    env.run()
-    assert log == [("room", 4.0)]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=1.0, init=2.0)
-    tank = Container(env, capacity=1.0)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(-1)
+    # Waiting getters are served FIFO; each put's own event fires first.
+    assert log == [
+        ("put", "x", 1.0), ("a", "x", 1.0),
+        ("put", "y", 1.0), ("b", "y", 1.0),
+        ("put", "z", 1.0),
+    ]
+    assert list(store.items) == ["z"]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.simcore import Environment, RandomStreams
+from repro.simcore import Environment, Interrupt, RandomStreams
 from repro.storage import OperationTimeoutError, OpSpec, PartitionServer
 from repro.storage.queue import QueueService
-from repro.storage.table import TableService
+from repro.storage.table import TableService, make_entity
 
 
 def _drive(env, server, ops, errors=None):
@@ -278,3 +278,51 @@ def test_shed_request_error_carries_server_context():
     assert isinstance(err, OperationTimeoutError)
     assert err.service == server.name
     assert err.op == "big"
+
+
+def test_idle_latches_are_dropped():
+    env = Environment()
+    svc = TableService(env, RandomStreams(0).stream("table"))
+    svc.create_table("t")
+    server = svc.server_for("t", "p")
+
+    def driver(env):
+        for i in range(2000):
+            yield from svc.insert("t", make_entity("p", f"r{i}"))
+            yield from svc.update("t", make_entity("p", f"r{i}"))
+            yield from svc.delete("t", "p", f"r{i}")
+
+    env.process(driver(env))
+    env.run()
+    assert svc.entity_count("t", "p") == 0
+    # No per-entity latch (nor the index latch) outlives its last user.
+    assert server._latches == {}
+
+
+def test_a_withdrawn_waiter_leaves_the_held_latch_in_place():
+    env = Environment()
+    server = _server(env, frontend_c_s=0.0)
+    op = OpSpec(name="w", exclusive_s=2.0, latch_key="k", deterministic=True)
+    done = []
+
+    def client(env, tag):
+        try:
+            yield from server.execute(op)
+            done.append((tag, env.now))
+        except Interrupt:
+            done.append((tag, "withdrawn", env.now))
+
+    env.process(client(env, "holder"))
+    waiter = env.process(client(env, "waiter"))
+
+    def late(env):
+        yield env.timeout(1.0)
+        waiter.interrupt()
+        yield from client(env, "late")
+
+    env.process(late(env))
+    env.run()
+    # The late request still waits for the holder: the latch it queues on
+    # is the one the holder holds.
+    assert done == [("waiter", "withdrawn", 1.0), ("holder", 2.0), ("late", 4.0)]
+    assert server._latches == {}

@@ -336,10 +336,6 @@ def test_seeded_rows_keep_the_partition_contract():
 
     _, err = _run(env, svc.insert("t", make_entity("p", "r2")))
     assert isinstance(err, EntityAlreadyExistsError)
-    _, err = _run(
-        env, svc.insert_batch("t", [make_entity("p", "n"), make_entity("p", "r3")])
-    )
-    assert isinstance(err, EntityAlreadyExistsError)
     assert svc.entity_count("t", "p") == 4
 
     # An update keeps the row's place; a delete removes it; a deleted
@@ -365,13 +361,14 @@ def test_seeded_rows_keep_the_partition_contract():
 
 
 def _etag_script():
-    """Insert, batch, seed and update on a fresh service; returns the
+    """Insert, seed and update on a fresh service; returns the
     etags of the rows it stored, in scan order."""
     env = Environment()
     svc = _svc(env)
     svc.create_table("t")
     _run(env, svc.insert("t", make_entity("p", "a")))
-    _run(env, svc.insert_batch("t", [make_entity("p", "b"), make_entity("p", "c")]))
+    _run(env, svc.insert("t", make_entity("p", "b")))
+    _run(env, svc.insert("t", make_entity("p", "c")))
     svc.seed_entity("t", make_entity("p", "d"))
     _run(env, svc.update("t", make_entity("p", "b", f1=1)))
     hits, _ = _run(env, svc.query_by_property("t", "p", ("f2", "eq", 0)))

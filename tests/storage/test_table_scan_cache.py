@@ -1,6 +1,6 @@
 """The property-scan snapshot and match cache against an uncached oracle.
 
-A random script interleaves inserts, updates, deletes, batches and
+A random script interleaves inserts, updates, deletes and
 administrative seeding (entities, or columns into an empty partition)
 with concurrent property scans.  It runs twice with the same seed: once
 on :class:`TableService`, once on :class:`_UncachedTables`, which seeds
@@ -85,8 +85,7 @@ def _script(seed, n_steps=60):
     for _ in range(n_steps):
         pk = rnd.choice(PARTITIONS)
         kind = rnd.choice(
-            ("insert", "update", "delete", "batch", "seed", "columns",
-             "scan", "scan")
+            ("insert", "update", "delete", "seed", "columns", "scan", "scan")
         )
         # Columns seed only an empty partition, so mostly early on.
         start = rnd.uniform(0.0, 0.3 if kind == "columns" else 1.5)
@@ -94,9 +93,6 @@ def _script(seed, n_steps=60):
             args = (pk, rnd.choice(ROWS), rnd.randrange(3))
         elif kind == "delete":
             args = (pk, rnd.choice(ROWS))
-        elif kind == "batch":
-            rows = rnd.sample(ROWS, rnd.randint(1, 3))
-            args = (pk, tuple((rk, rnd.randrange(3)) for rk in rows))
         elif kind == "columns":
             # f1 as an array (one value per row) or as one scalar.
             count = rnd.randint(1, len(ROWS))
@@ -157,11 +153,6 @@ def _play(steps, oracle):
             elif kind == "delete":
                 yield from svc.delete("t", pk, args[1])
                 del flat[(pk, args[1])]
-            elif kind == "batch":
-                batch = [make_entity(pk, rk, f1=v) for rk, v in args[1]]
-                yield from svc.insert_batch("t", batch)
-                for entity in batch:
-                    flat[entity.key] = entity
             elif kind == "seed":
                 entity = make_entity(pk, args[1], f1=args[2])
                 svc.seed_entities("t", [entity])
@@ -337,9 +328,6 @@ def _check_every_write_kind(columnar):
         lambda: run(svc.insert("t", make_entity("pk", "new", f1=1))),
         lambda: run(svc.update("t", make_entity("pk", "r0", f1=1))),
         lambda: run(svc.delete("t", "pk", "r1")),
-        lambda: run(
-            svc.insert_batch("t", [make_entity("pk", "b0"), make_entity("pk", "b1")])
-        ),
         lambda: svc.seed_entity("t", make_entity("pk", "seeded", f1=1)),
     ]
     for write in writes:

@@ -1,4 +1,4 @@
-"""The table service's interned op specs.
+"""The table and queue services' interned op specs.
 
 Insert, query and delete requests share one frozen :class:`OpSpec` per
 (kind, entity size, latch key); update latches its own entity, so each
@@ -135,12 +135,27 @@ def test_a_missing_entity_is_sized_at_half_a_kilobyte(kind):
     assert seen == [_fresh(kind, 0.5, LATCH[kind])]
 
 
-def test_the_spec_table_is_bounded(monkeypatch):
+def test_the_spec_table_is_bounded():
     from repro.storage import table
 
-    monkeypatch.setattr(table, "_SPECS_KEPT", 3)
-    env = Environment()
-    svc = TableService(env, RandomStreams(0).stream("table"))
-    specs = [svc._shared_op("insert", float(k), "index") for k in range(7)]
-    assert len(svc._specs) <= 3
-    assert [s.payload_mb for s in specs] == [k / 1024.0 for k in range(7)]
+    memo = table._interned_op
+    assert memo.cache_info().maxsize == 1024
+    specs = [memo("insert", float(k), "index") for k in range(1100)]
+    assert memo.cache_info().currsize <= 1024
+    assert [s.payload_mb for s in specs] == [k / 1024.0 for k in range(1100)]
+
+
+def test_queue_specs_use_the_same_bounded_memo():
+    from repro.storage import queue
+
+    assert queue._op.cache_info().maxsize == 1024
+    first = queue._op("add", 4.0)
+    assert queue._op("add", 4.0) is first
+    assert first == OpSpec(
+        name="queue.add",
+        cpu_s=cal.QUEUE_CPU_S["add"] + cal.QUEUE_CPU_PER_KB_S * 4.0,
+        exclusive_s=cal.QUEUE_EXCLUSIVE_S["add"],
+        latch_key="replica-commit",
+        payload_mb=4.0 / 1024.0,
+        frontend_scale=1.0,
+    )
