@@ -93,10 +93,3 @@ class ShapeCheck:
 
     def render(self) -> str:
         return "\n".join(str(r) for r in self.results)
-
-    def assert_all(self) -> None:
-        failed = [r for r in self.results if not r.passed]
-        if failed:
-            raise AssertionError(
-                "shape checks failed:\n" + "\n".join(str(r) for r in failed)
-            )

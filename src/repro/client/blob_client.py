@@ -73,10 +73,3 @@ class BlobClient(ServiceClient):
 
     def exists(self, container: str, name: str) -> bool:
         return self.service.exists(container, name)
-
-    def delete(self, container: str, name: str) -> Generator:
-        result = yield from self._call(
-            "blob.delete",
-            lambda: self.service.delete_blob(container, name),
-        )
-        return result

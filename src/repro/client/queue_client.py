@@ -56,21 +56,6 @@ class QueueClient(ServiceClient):
         )
         return result
 
-    def receive_batch(
-        self,
-        queue: str,
-        max_messages: int = 32,
-        visibility_timeout_s: Optional[float] = None,
-    ) -> Generator:
-        """GetMessages: up to 32 messages per round trip (may be empty)."""
-        result = yield from self._call(
-            "queue.receive_batch",
-            lambda: self.service.receive_batch(
-                queue, max_messages, visibility_timeout_s
-            ),
-        )
-        return result
-
     def delete(
         self, queue: str, message: QueueMessage, pop_receipt: int
     ) -> Generator:

@@ -110,8 +110,9 @@ class FaultStats:
 class FaultInjector:
     """Applies a window schedule to the servers it is attached to.
 
-    ``window_stats[i]`` holds the decisions charged to the *i*-th added
-    window; :attr:`stats` aggregates them (the seed API).
+    :attr:`windows` is kept in decision order, ``(start_s, insertion)``;
+    ``window_stats[i]`` holds the decisions charged to ``windows[i]``,
+    and :attr:`stats` aggregates them (the seed API).
     """
 
     def __init__(self, env: Environment, rng: np.random.Generator) -> None:
@@ -136,8 +137,13 @@ class FaultInjector:
         magnitude: float = 0.0,
     ) -> FaultWindow:
         window = FaultWindow(start_s, duration_s, kind, magnitude)
-        self.windows.append(window)
-        self.window_stats.append(FaultStats())
+        # Insert after every window that starts no later: windows mostly
+        # arrive in start order, so the scan is usually empty.
+        i = len(self.windows)
+        while i and self.windows[i - 1].start_s > start_s:
+            i -= 1
+        self.windows.insert(i, window)
+        self.window_stats.insert(i, FaultStats())
         return window
 
     def stats_for(self, window: FaultWindow) -> FaultStats:
@@ -153,17 +159,6 @@ class FaultInjector:
             raise ValueError(f"{server.name} already has a fault injector")
         server.fault_injector = self
 
-    def _schedule(self) -> List[Tuple[FaultWindow, FaultStats]]:
-        """Windows with their stats, in (start_s, insertion) order."""
-        order = sorted(
-            range(len(self.windows)), key=lambda i: (self.windows[i].start_s, i)
-        )
-        return [(self.windows[i], self.window_stats[i]) for i in order]
-
-    def active_windows(self, now: float) -> List[FaultWindow]:
-        """Active windows in decision order."""
-        return [w for w, _s in self._schedule() if w.covers(now)]
-
     # -- the hook the partition server calls ---------------------------------
     def intercept(self, server: PartitionServer, op: OpSpec) -> Generator:
         """Applied at request admission; may delay or raise.
@@ -171,7 +166,7 @@ class FaultInjector:
         At most one decision fires per pass (see module docstring).
         """
         now = self.env.now
-        for window, stats in self._schedule():
+        for window, stats in zip(self.windows, self.window_stats):
             if not window.covers(now):
                 continue
             if window.kind == "blackout":

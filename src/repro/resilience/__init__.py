@@ -33,7 +33,6 @@ from repro.resilience.backoff import (
 from repro.resilience.breaker import CircuitBreaker, CircuitOpenError
 from repro.resilience.budget import RetryBudget
 from repro.resilience.campaign import (
-    CampaignFault,
     CampaignReport,
     CampaignSpec,
     PolicySpec,
@@ -53,7 +52,6 @@ from repro.resilience.hedging import (
 __all__ = [
     "NO_RETRY",
     "BackoffStrategy",
-    "CampaignFault",
     "CampaignReport",
     "CampaignSpec",
     "CappedExponentialBackoff",

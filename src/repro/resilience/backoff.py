@@ -89,6 +89,10 @@ class FullJitterBackoff:
             CappedExponentialBackoff(self.base_s, self.factor, self.cap_s),
         )
 
+    def ceiling(self, attempt: int) -> float:
+        """The upper bound of retry ``attempt``'s uniform draw."""
+        return self._ceiling.delay(attempt)
+
     def delay(self, attempt: int) -> float:
         return float(self.rng.uniform(0.0, self._ceiling.delay(attempt)))
 
@@ -98,8 +102,7 @@ class RetryPolicy:
     """Bounded retry with a pluggable backoff strategy.
 
     The 2009 StorageClient defaulted to 3 retries with ~1 s linear
-    backoff, which remains the default here (``strategy=None`` keeps the
-    seed's ``backoff_s * (attempt + 1)`` schedule).  Only
+    backoff, which remains the default strategy here.  Only
     transport/server-side failures are retryable -- semantic failures
     (not-found, already-exists, precondition) never are; the
     classification is shared with the circuit breaker via
@@ -107,8 +110,7 @@ class RetryPolicy:
     """
 
     max_retries: int = cal.STORAGE_RETRY_COUNT
-    backoff_s: float = cal.STORAGE_RETRY_BACKOFF_S
-    strategy: Optional[BackoffStrategy] = None
+    strategy: BackoffStrategy = LinearBackoff(cal.STORAGE_RETRY_BACKOFF_S)
 
     def should_retry(self, error: BaseException, attempt: int) -> bool:
         """Whether ``attempt`` (0-based) may be retried after ``error``."""
@@ -118,9 +120,7 @@ class RetryPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt + 1``."""
-        if self.strategy is not None:
-            return self.strategy.delay(attempt)
-        return self.backoff_s * (attempt + 1)
+        return self.strategy.delay(attempt)
 
 
 #: Policy that never retries (used to expose raw service behaviour).

@@ -9,8 +9,8 @@ surveys: an operation fails only when the client's whole call —
 retries, hedges and cross-replica failover included — fails.
 
 The schedule has two layers, either of which may be empty: correlated
-**domain faults** (:class:`CampaignFault` over a node → rack → zone →
-region tree, via :class:`repro.faults.DomainFaultInjector`) and
+**domain faults** (:class:`repro.faults.DomainFault` over a node → rack
+→ zone → region tree, via :class:`repro.faults.DomainFaultInjector`) and
 per-server **fault windows** (:class:`repro.faults.FaultWindow` — 503
 storms, crash/restarts, HTTP-500 bursts — on the partition every write
 hits).  The grid crosses client policies (:class:`PolicySpec`: backoff,
@@ -42,7 +42,12 @@ import numpy as np
 
 from repro.analysis import ascii_table
 from repro.cluster.domains import FailureDomain, register_account
-from repro.faults import DomainFaultInjector, FaultInjector, FaultWindow
+from repro.faults import (
+    DomainFault,
+    DomainFaultInjector,
+    FaultInjector,
+    FaultWindow,
+)
 from repro.observability.histogram import Histogram
 from repro.observability.slo import (
     SLOReport,
@@ -93,19 +98,15 @@ class PolicySpec:
         self, env: Environment, rng: np.random.Generator
     ) -> Tuple[Any, Optional[RetryBudget], Optional[CircuitBreaker]]:
         """Instantiate (retry_policy, budget, breaker) for one run."""
-        strategy = None
-        if self.backoff != "linear" or self.backoff_base_s != 1.0:
-            strategy = make_backoff(
+        policy = RetryPolicy(
+            max_retries=self.max_retries,
+            strategy=make_backoff(
                 self.backoff,
                 self.backoff_base_s,
                 self.backoff_factor,
                 self.backoff_cap_s,
                 rng=rng,
-            )
-        policy = RetryPolicy(
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_base_s,
-            strategy=strategy,
+            ),
         )
         budget = None
         if self.budget_ratio is not None:
@@ -161,25 +162,12 @@ def default_policy_matrix() -> List[PolicySpec]:
 
 
 @dataclass(frozen=True)
-class CampaignFault:
-    """One correlated outage in a campaign schedule (see
-    :class:`repro.faults.DomainFault`; ``mttr_s`` draws the repair time
-    instead of fixing it)."""
-
-    domain: str
-    start_s: float
-    duration_s: Optional[float] = None
-    kind: str = "blackout"
-    mttr_s: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class CampaignSpec:
     """One reproducible campaign: fault schedule, (policy × mode) grid,
     workload, replication policy and SLO targets."""
 
     name: str
-    faults: Tuple[CampaignFault, ...]
+    faults: Tuple[DomainFault, ...]
     #: Per-server fault windows on the partition every write hits.
     windows: Tuple[FaultWindow, ...] = ()
     #: The grid: every policy is replayed under every failover mode.
@@ -441,6 +429,14 @@ class CampaignReport:
         )
 
 
+#: The domain the primary account hangs off: its health is what the
+#: automatic-failover monitor probes.
+PRIMARY_DOMAIN = "rack-a1"
+#: The domains whose loss severs the secondary from the clients' region:
+#: its own rack, and the WAN that reaching region B at all crosses.
+SECONDARY_DOMAINS = ("rack-b1", "wan")
+
+
 def _build_domains(env: Environment) -> FailureDomain:
     """The campaign's two-region tree (region A holds the primary and
     the clients; region B the secondary; ``wan`` models reachability of
@@ -463,10 +459,10 @@ class CampaignWorld:
     Both drivers build the identical world through
     :func:`build_campaign_world` — same construction order, same
     name-keyed RNG streams, same schedules — and differ only in which
-    client operations they *really* simulate: the event-level path
-    schedules all of them, the piecewise-stationary fast path only those
-    inside guard bands (phase 2) or none at all (phase 1, the
-    timeline-realization run).
+    client operations :meth:`start_issuer` *really* simulates: the
+    event-level path issues all of them, the piecewise-stationary fast
+    path only those inside guard bands (phase 2) or none at all (phase
+    1, the timeline-realization run).
     """
 
     spec: CampaignSpec
@@ -525,6 +521,41 @@ class CampaignWorld:
         return sum(
             s.stats.started for a in self.accounts for s in a.tables.servers()
         )
+
+    def start_issuer(
+        self, ts: np.ndarray, idx: np.ndarray, k: np.ndarray
+    ) -> None:
+        """Start the one kernel process that issues client ops: it
+        advances to each instant of the chronological ``ts``, counts the
+        op if a server window covers it, and starts op ``(idx, k)``
+        without waiting for it (open loop).  The event-level driver runs
+        it over every op, the fast-forward driver over its guard-band
+        ops."""
+        env, windows = self.env, self.spec.windows
+        schedule = zip(ts.tolist(), idx.tolist(), k.tolist())
+
+        def issuer() -> Generator:
+            for t, i, j in schedule:
+                if t > env.now:
+                    yield env.timeout(t - env.now)
+                if windows and any(w.covers(env.now) for w in windows):
+                    self.window_ops += 1
+                env.process(self.one_op(i, j))
+
+        env.process(issuer())
+
+
+def issue_schedule(
+    spec: CampaignSpec,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every client op's issue instant and ``(idx, k)``, in
+    chronological order: client ``idx`` issues op ``k`` at
+    ``idx * interval / n + k * interval``, so the clients' open-loop
+    arrivals are staggered evenly over each interval."""
+    n, interval = spec.n_clients, spec.op_interval_s
+    k = np.repeat(np.arange(spec.ops_per_client), n)
+    idx = np.tile(np.arange(n), spec.ops_per_client)
+    return idx * interval / n + k * interval, idx, k
 
 
 def build_campaign_world(
@@ -592,11 +623,9 @@ def build_campaign_world(
             breaker=breaker,
             hedge=HedgePolicy(percentile=99.0, default_delay_s=2.0),
         )
-        register_account(root.find("rack-b1"), geo.secondary)
-        # Reaching region B at all crosses the WAN: a WAN partition
-        # makes the secondary unreachable from the clients' region.
-        register_account(root.find("wan"), geo.secondary)
-    register_account(root.find("rack-a1"), primary)
+        for name in SECONDARY_DOMAINS:
+            register_account(root.find(name), geo.secondary)
+    register_account(root.find(PRIMARY_DOMAIN), primary)
 
     for account in accounts:
         account.tables.create_table("t")
@@ -611,7 +640,7 @@ def build_campaign_world(
         )
     if geo is not None and mode == "automatic":
         geo.start_monitor(
-            lambda: not injector.is_down("rack-a1"),
+            lambda: not injector.is_down(PRIMARY_DOMAIN),
             horizon_s=spec.duration_s,
         )
 
@@ -704,21 +733,8 @@ def _run_mode(
     """One (policy, mode) cell at event level: every client operation
     really simulated."""
     world = build_campaign_world(spec, mode, policy=policy)
-    env, windows = world.env, spec.windows
-
-    def arrivals(idx: int):
-        # Staggered open-loop arrivals: one op per interval, fired
-        # whether or not the previous one completed.
-        yield env.timeout(idx * spec.op_interval_s / spec.n_clients)
-        for k in range(spec.ops_per_client):
-            if windows and any(w.covers(env.now) for w in windows):
-                world.window_ops += 1
-            env.process(world.one_op(idx, k))
-            yield env.timeout(spec.op_interval_s)
-
-    for idx in range(spec.n_clients):
-        env.process(arrivals(idx))
-    env.run(until=spec.duration_s + spec.grace_s)
+    world.start_issuer(*issue_schedule(spec))
+    world.env.run(until=spec.duration_s + spec.grace_s)
     return collect_mode_result(world)
 
 
@@ -800,10 +816,10 @@ def month_campaign_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
         name="month",
         duration_s=30 * day,
         faults=(
-            CampaignFault("rack-a1", 3 * day, 2 * hour, "crash_restart"),
-            CampaignFault("zone-a", 10 * day, 4 * hour, "blackout"),
-            CampaignFault("wan", 17 * day, 8 * hour, "blackout"),
-            CampaignFault("region-a", 24 * day, 6 * hour, "blackout"),
+            DomainFault("rack-a1", 3 * day, 2 * hour, "crash_restart"),
+            DomainFault("zone-a", 10 * day, 4 * hour, "blackout"),
+            DomainFault("wan", 17 * day, 8 * hour, "blackout"),
+            DomainFault("region-a", 24 * day, 6 * hour, "blackout"),
         ),
         seed=seed,
         slo_availability=0.999,
@@ -818,9 +834,9 @@ def day_campaign_spec(seed: int = 3, scale: float = 1.0) -> CampaignSpec:
         name="day",
         duration_s=24 * hour,
         faults=(
-            CampaignFault("rack-a1", 2 * hour, 0.5 * hour, "crash_restart"),
-            CampaignFault("zone-a", 8 * hour, 1.5 * hour, "blackout"),
-            CampaignFault("wan", 16 * hour, 2 * hour, "blackout"),
+            DomainFault("rack-a1", 2 * hour, 0.5 * hour, "crash_restart"),
+            DomainFault("zone-a", 8 * hour, 1.5 * hour, "blackout"),
+            DomainFault("wan", 16 * hour, 2 * hour, "blackout"),
         ),
         n_clients=4,
         op_interval_s=60.0,
@@ -914,18 +930,20 @@ __all__ = [
     "CAMPAIGN_MODES",
     "CAMPAIGN_SCENARIOS",
     "GEO_POLICY",
-    "CampaignFault",
     "CampaignReport",
     "CampaignSpec",
     "CampaignWorld",
     "ModeResult",
+    "PRIMARY_DOMAIN",
     "PolicySpec",
+    "SECONDARY_DOMAINS",
     "build_campaign_world",
     "collect_mode_result",
     "crash_drill_spec",
     "day_campaign_spec",
     "default_policy_matrix",
     "error_burst_drill_spec",
+    "issue_schedule",
     "month_campaign_spec",
     "run_campaign",
     "storm_drill_spec",

@@ -12,8 +12,10 @@ classification of the replica topology — and emits the results as
 batched observations, dropping to event-level simulation only inside a
 **guard band** around each transition.
 
-Two phases, both through :func:`~repro.resilience.campaign.\
-build_campaign_world` (the exact world the event-level driver builds):
+The fast driver is the event driver plus an analytic fold.  Two
+phases, both through :func:`~repro.resilience.campaign.\
+build_campaign_world` (the exact world the event-level driver builds,
+with the same domain wiring, fault records, retry policy and budget):
 
 1. **Timeline realization** — the same world with *no client ops*, run
    to the horizon.  Domain faults draw repairs from the dedicated
@@ -22,10 +24,14 @@ build_campaign_world` (the exact world the event-level driver builds):
    ``state_log`` are *exactly* the event-level timeline (client ops
    never touch either).
 2. **Guard-band replay + analytic fold** — a fresh identical world in
-   which only ops issued within ``guard_band_s`` of a transition are
-   really simulated (real client stack, real retries, real
-   replication-lag ledger — so ``lost_writes`` and the geo counters are
-   exact).  Every other op is folded analytically:
+   which the event driver's own op issuer
+   (:meth:`~repro.resilience.campaign.CampaignWorld.start_issuer`, over
+   :func:`~repro.resilience.campaign.issue_schedule`'s instants) runs
+   over only the ops issued within ``guard_band_s`` of a transition
+   (real client stack, real retries, real replication-lag ledger — so
+   ``lost_writes`` and the geo counters are exact).  With a band that
+   covers the horizon the fold is empty and the cell is bit for bit the
+   event-level one.  Every other op is folded analytically:
 
    * **outcome** from ``classify``: mode, geo state and per-replica
      reachability decide direct success / cross-replica failover
@@ -35,12 +41,13 @@ build_campaign_world` (the exact world the event-level driver builds):
      (failing ops resolve well inside the guard radius, so no analytic
      op's outcome straddles a transition);
    * **latency** from the stationary cohort solve, drawn through the
-     cohort driver's own stage sampler; failing passes add full-jitter
-     backoff ladder sums drawn per granted retry;
+     cohort driver's own stage sampler; failing passes add backoff
+     ladder sums drawn per granted retry, under the ceilings of the
+     world's own :class:`~repro.resilience.backoff.FullJitterBackoff`;
    * **retries/sheds** from a chronological token-bucket ledger that
-     mirrors the client retry budget over *all* ops (guard ops
-     participate as virtual entries so the token trajectory tracks the
-     event-level world's).
+     mirrors the world's own retry budget (its ratio, cap and starting
+     balance) over *all* ops (guard ops participate as virtual entries
+     so the token trajectory tracks the event-level world's).
 
 Known approximations (latency/retry tails only; availability, minute
 counts and the availability burn are unaffected): hedge backup legs are
@@ -60,13 +67,17 @@ from typing import Any, List, Optional, Sequence, Tuple, cast
 import numpy as np
 
 from repro.faults import domain_down_intervals, fault_transition_times
+from repro.resilience.backoff import FullJitterBackoff
 from repro.resilience.campaign import (
+    PRIMARY_DOMAIN,
+    SECONDARY_DOMAINS,
     CampaignSpec,
     CampaignWorld,
     ModeResult,
     PolicySpec,
     build_campaign_world,
     collect_mode_result,
+    issue_schedule,
 )
 from repro.service.tracing import RequestTracer
 from repro.storage.account import GEO_FAILING_OVER, GEO_PRIMARY, GEO_SECONDARY
@@ -75,13 +86,6 @@ from repro.workloads.cohort import (
     solve_stationary,
     stationary_op_model,
 )
-
-#: The domain the primary's health (and the clients' view of it) hangs
-#: off, and the domains whose loss severs the secondary from the
-#: clients' region — must match ``build_campaign_world``'s
-#: ``register_account`` wiring.
-_PRIMARY_DOMAIN = "rack-a1"
-_SECONDARY_DOMAINS = ("rack-b1", "wan")
 
 _STATE_CODES = {GEO_PRIMARY: 0, GEO_FAILING_OVER: 1, GEO_SECONDARY: 2}
 
@@ -140,10 +144,10 @@ def realize_timeline(spec: CampaignSpec, mode: str) -> TransitionTimeline:
     world.env.run(until=horizon)
     log = world.injector.log
     primary_down = domain_down_intervals(
-        log, _with_ancestors(world.root, [_PRIMARY_DOMAIN]), horizon
+        log, _with_ancestors(world.root, [PRIMARY_DOMAIN]), horizon
     )
     secondary_down = domain_down_intervals(
-        log, _with_ancestors(world.root, _SECONDARY_DOMAINS), horizon
+        log, _with_ancestors(world.root, SECONDARY_DOMAINS), horizon
     )
     state_log = (
         list(world.geo.state_log)
@@ -236,21 +240,21 @@ def classify_ops(
 
 
 def _run_budget_ledger(
-    pspec: PolicySpec, cat: np.ndarray, analytic: np.ndarray
+    world: CampaignWorld, cat: np.ndarray, analytic: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Chronological token-bucket mirror of the client retry budget.
 
-    Returns per-op granted retries for the first and second client
-    passes, plus how many *analytic* retries were shed.  Guard-band ops
-    participate (deposits and spends) so the token trajectory tracks
-    the event-level run's, but their realized retries come from the
-    real simulation.
+    Starts from the world's own budget and retry policy before any op
+    runs.  Returns per-op granted retries for the first and second
+    client passes, plus how many *analytic* retries were shed.
+    Guard-band ops participate (deposits and spends) so the token
+    trajectory tracks the event-level run's, but their realized retries
+    come from the real simulation.  The token arithmetic is inline: a
+    budget object per op costs more than the rest of the ledger.
     """
-    assert pspec.budget_ratio is not None
-    tokens = float(pspec.budget_initial)
-    cap = float(pspec.budget_max)
-    ratio = float(pspec.budget_ratio)
-    max_r = int(pspec.max_retries)
+    budget = world.budget
+    tokens, cap, ratio = budget.tokens, budget.max_tokens, budget.ratio
+    max_r = world.client.retry.max_retries
     r1 = np.zeros(cat.size, dtype=np.int64)
     r2 = np.zeros(cat.size, dtype=np.int64)
     shed = 0
@@ -284,16 +288,6 @@ def _run_budget_ledger(
         if c != CAT_OK_FAILOVER_READ:
             r2[i] = spend(ana[i])
     return r1, r2, shed
-
-
-def _backoff_ceilings(pspec: PolicySpec) -> List[float]:
-    return [
-        min(
-            pspec.backoff_cap_s,
-            pspec.backoff_base_s * pspec.backoff_factor**j,
-        )
-        for j in range(int(pspec.max_retries))
-    ]
 
 
 def fast_run_mode(
@@ -343,16 +337,7 @@ def fast_run_mode(
     world = build_campaign_world(
         spec, mode, tracer=RequestTracer(), policy=pspec
     )
-    env = world.env
-    n, opc = spec.n_clients, spec.ops_per_client
-    interval = spec.op_interval_s
-
-    # Exact issue times in chronological order: t = idx*interval/n +
-    # k*interval, the identical binary floats the event path's timeout
-    # accumulation realizes.
-    k_arr = np.repeat(np.arange(opc), n)
-    idx_arr = np.tile(np.arange(n), opc)
-    ts = idx_arr * interval / n + k_arr * interval
+    ts, idx_arr, k_arr = issue_schedule(spec)
     is_read = world.mix[idx_arr, k_arr]
     minutes = np.minimum(
         (ts // world.avail.window_s).astype(np.int64),
@@ -372,22 +357,12 @@ def fast_run_mode(
     analytic = ~guard
 
     cat = classify_ops(mode, is_read, p_down, s_down, state)
-    r1, r2, analytic_shed = _run_budget_ledger(pspec, cat, analytic)
+    r1, r2, analytic_shed = _run_budget_ledger(world, cat, analytic)
 
-    # Phase 2: really simulate only the guard-band ops, at their exact
-    # issue instants, through the real client/failover/fault stack.
-    guard_pos = np.flatnonzero(guard)
-
-    def chaser():
-        for i in guard_pos.tolist():
-            t = float(ts[i])
-            if t > env.now:
-                yield env.timeout(t - env.now)
-            env.process(world.one_op(int(idx_arr[i]), int(k_arr[i])))
-
-    if guard_pos.size:
-        env.process(chaser())
-    env.run(until=spec.duration_s + spec.grace_s)
+    # Phase 2: the event driver's own issuer over the guard-band ops
+    # only, through the real client/failover/fault stack.
+    world.start_issuer(ts[guard], idx_arr[guard], k_arr[guard])
+    world.env.run(until=spec.duration_s + spec.grace_s)
 
     extra = _fold_analytic(
         world, spec, minutes, is_read, cat, r1, r2, analytic
@@ -412,7 +387,10 @@ def _fold_analytic(
     """Solve the stationary windows and batch-ingest every analytic op
     into the same sinks the event path feeds one op at a time."""
     rng = world.streams.batched("campaign.fast")
-    ceilings = _backoff_ceilings(world.policy_spec)
+    retry = world.client.retry
+    # fast_run_mode admits only full-jitter ladders.
+    assert isinstance(retry.strategy, FullJitterBackoff)
+    ceilings = [retry.strategy.ceiling(j) for j in range(retry.max_retries)]
 
     def backoff_sums(r: np.ndarray) -> np.ndarray:
         """Full-jitter ladder sums for ``r`` granted retries each."""

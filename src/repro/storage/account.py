@@ -318,15 +318,3 @@ class GeoReplicatedAccount:
             on_commit=self.on_commit,
             **kwargs,
         )
-
-    def queue_client(self, **kwargs: Any) -> Any:
-        from repro.client import QueueClient
-
-        return QueueClient(
-            self.primary.queues,
-            secondary=self.secondary.queues,
-            route_hint=self.read_replica,
-            write_guard=self.write_guard,
-            on_commit=self.on_commit,
-            **kwargs,
-        )

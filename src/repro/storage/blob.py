@@ -347,23 +347,6 @@ class BlobService:
         )
         return result
 
-    def delete_blob(self, container: str, name: str) -> Generator:
-        """Remove a blob."""
-
-        def commit() -> None:
-            blobs = self._containers.get(container, {})
-            if name not in blobs:
-                raise BlobNotFoundError(
-                    f"{container}/{name}", service=self.name, op="blob.delete"
-                )
-            del blobs[name]
-
-        yield from self.pipeline.execute(
-            "blob.delete",
-            base_latency_s=cal.BLOB_REQUEST_LATENCY_S,
-            commit=commit,
-        )
-
     # -- extended API: copies, block upload -------------------------------
     def copy_blob(
         self,

@@ -288,55 +288,6 @@ class QueueService:
         )
         return result
 
-    def receive_batch(
-        self,
-        queue: str,
-        max_messages: int = 32,
-        visibility_timeout_s: Optional[float] = None,
-    ) -> Generator:
-        """Dequeue up to ``max_messages`` visible messages in one call
-        (the 2009 GetMessages API, capped at 32).
-
-        One request round trip and one head-latch acquisition amortized
-        over the whole batch, so it is the Section 6.1 remedy for
-        consumers bottlenecked on per-receive overhead.  Returns a
-        possibly-empty list (unlike :meth:`receive`, an empty queue is
-        not an error -- matching the REST semantics).
-        """
-        if not 1 <= max_messages <= 32:
-            raise ValueError("max_messages must be in [1, 32]")
-        vt = self._validated_visibility(visibility_timeout_s)
-        state = self._state(queue)
-        # The batch holds the head latch once; marshalling cost grows
-        # with the batch size.
-        op = _op("receive", 0.5)
-
-        def commit() -> List[QueueMessage]:
-            batch: List[QueueMessage] = []
-            while len(batch) < max_messages:
-                msg = state.front_visible(self.env.now)
-                if msg is None:
-                    break
-                self._dequeue(state, msg, vt)
-                batch.append(msg)
-            return batch
-
-        result = yield from self.pipeline.execute(
-            "queue.receive_batch",
-            OpSpec(
-                name="queue.receive_batch",
-                cpu_s=op.cpu_s * (1 + 0.15 * (max_messages - 1)),
-                exclusive_s=op.exclusive_s,
-                latch_key=op.latch_key,
-                payload_mb=op.payload_mb * max_messages,
-                frontend_scale=op.frontend_scale,
-            ),
-            base_latency_s=cal.QUEUE_BASE_LATENCY_S["receive"],
-            route=queue,
-            commit=commit,
-        )
-        return result
-
     def delete(self, queue: str, message: QueueMessage, pop_receipt: int) -> Generator:
         """Remove a received message permanently.
 

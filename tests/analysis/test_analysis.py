@@ -45,8 +45,6 @@ def test_shapecheck_within():
     assert not sc.all_passed
     assert "[PASS] x" in sc.render()
     assert "[FAIL] y" in sc.render()
-    with pytest.raises(AssertionError):
-        sc.assert_all()
 
 
 def test_shapecheck_ratio():
@@ -65,9 +63,3 @@ def test_shapecheck_monotone():
     )
     assert not sc.check_monotone("not-down", [10.0, 12.0], decreasing=True)
     assert sc.results[-1].passed is False
-
-
-def test_shapecheck_assert_all_passes_quietly():
-    sc = ShapeCheck()
-    sc.check("fine", True)
-    sc.assert_all()

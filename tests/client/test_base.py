@@ -4,7 +4,7 @@ import pytest
 
 from repro.client import ClientTimeoutError, RetryPolicy, race_timeout
 from repro.client.base import with_retries
-from repro.resilience.backoff import NO_RETRY
+from repro.resilience.backoff import NO_RETRY, LinearBackoff
 from repro.simcore import Environment
 from repro.storage.errors import (
     EntityNotFoundError,
@@ -101,7 +101,7 @@ def test_with_retries_retries_retryable_errors():
             raise ServerBusyError("busy")
         return "ok"
 
-    policy = RetryPolicy(max_retries=3, backoff_s=1.0)
+    policy = RetryPolicy(max_retries=3, strategy=LinearBackoff(1.0))
     result, err = _run(env, with_retries(env, flaky, policy, None))
     assert err is None and result == "ok"
     assert attempts["n"] == 3
@@ -118,7 +118,7 @@ def test_with_retries_gives_up_after_max():
         yield env.timeout(0.1)
         raise ServerBusyError("busy")
 
-    policy = RetryPolicy(max_retries=2, backoff_s=0.5)
+    policy = RetryPolicy(max_retries=2, strategy=LinearBackoff(0.5))
     _, err = _run(env, with_retries(env, always_busy, policy, None))
     assert isinstance(err, ServerBusyError)
     assert attempts["n"] == 3  # initial + 2 retries

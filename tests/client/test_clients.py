@@ -199,22 +199,3 @@ def test_tcp_send_validation():
     )
     with pytest.raises(ValueError):
         next(pair.send(0.0))
-
-
-def test_queue_client_receive_batch():
-    env, account = _account(seed=4)
-    account.queues.create_queue("q")
-    client = QueueClient(account.queues)
-
-    def scenario(env):
-        for i in range(6):
-            yield from client.add("q", i)
-        batch = yield from client.receive_batch("q", max_messages=4)
-        for msg in batch:
-            yield from client.delete("q", msg, msg.pop_receipt)
-        return [m.payload for m in batch]
-
-    payloads, err = _run(env, scenario(env))
-    assert err is None
-    assert payloads == [0, 1, 2, 3]
-    assert account.queues.queue_length("q") == 2

@@ -154,11 +154,13 @@ def test_rack_fault_takes_down_all_partition_servers_atomically():
     def watcher(env):
         yield env.timeout(11.0)  # inside the fault
         observed["during"] = [
-            s.fault_injector.active_windows(env.now) for s in servers
+            [w for w in s.fault_injector.windows if w.covers(env.now)]
+            for s in servers
         ]
         yield env.timeout(25.0)  # t=36, after the repair
         observed["after"] = [
-            s.fault_injector.active_windows(env.now) for s in servers
+            [w for w in s.fault_injector.windows if w.covers(env.now)]
+            for s in servers
         ]
 
     env.process(watcher(env))
@@ -352,8 +354,8 @@ def test_servers_created_after_fault_fire_join_later_faults_only():
         late = account.tables.server_for("t", "p9")
         counts["during_first"] = late.fault_injector
         yield env.timeout(25.0 - env.now)  # mid-second-outage
-        counts["during_second"] = len(
-            late.fault_injector.active_windows(env.now)
+        counts["during_second"] = sum(
+            w.covers(env.now) for w in late.fault_injector.windows
         )
 
     env.process(scenario(env))

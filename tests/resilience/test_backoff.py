@@ -83,7 +83,8 @@ def test_retry_policy_uses_strategy_when_given():
 
 
 def test_retry_policy_default_is_seed_linear():
-    policy = RetryPolicy(max_retries=3, backoff_s=1.0)
+    policy = RetryPolicy(max_retries=3)
+    assert policy.strategy == LinearBackoff(1.0)
     assert [policy.backoff(a) for a in range(3)] == [1.0, 2.0, 3.0]
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.base import with_retries
-from repro.resilience.backoff import RetryPolicy
+from repro.resilience.backoff import LinearBackoff, RetryPolicy
 from repro.resilience import RetryBudget
 from repro.simcore import Environment
 from repro.storage.errors import ServerBusyError
@@ -70,7 +70,7 @@ def test_with_retries_sheds_when_budget_empty():
         raise ServerBusyError("busy")
 
     budget = RetryBudget(ratio=0.0, initial_tokens=1.0)
-    policy = RetryPolicy(max_retries=10, backoff_s=1.0)
+    policy = RetryPolicy(max_retries=10, strategy=LinearBackoff(1.0))
     _, err = _run(
         env, with_retries(env, always_busy, policy, None, budget=budget)
     )
@@ -86,7 +86,7 @@ def test_budget_is_shared_across_calls():
     """The bucket is group state: call N's deposits fund call M's retry."""
     env = Environment()
     budget = RetryBudget(ratio=0.5, initial_tokens=0.0)
-    policy = RetryPolicy(max_retries=1, backoff_s=0.01)
+    policy = RetryPolicy(max_retries=1, strategy=LinearBackoff(0.01))
 
     def ok():
         yield env.timeout(0.01)

@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.faults import DomainFault
 from repro.resilience.campaign import (
     CAMPAIGN_MODES,
     CAMPAIGN_SCENARIOS,
-    CampaignFault,
     CampaignSpec,
     _run_mode,
     day_campaign_spec,
@@ -29,11 +29,23 @@ def day_report():
 def test_spec_derives_op_count_and_fault_windows():
     spec = CampaignSpec(
         name="x",
-        faults=(CampaignFault("rack-a1", 100.0, 50.0),),
+        faults=(DomainFault("rack-a1", 100.0, 50.0),),
         duration_s=3600.0,
         op_interval_s=60.0,
     )
     assert spec.ops_per_client == 60
+
+
+def test_a_bad_fault_fails_when_the_spec_is_built():
+    """A campaign's faults are the domain injector's own records, so a
+    fault with both a fixed and a drawn repair time is refused before
+    any cell runs."""
+    with pytest.raises(ValueError, match="exactly one of"):
+        CampaignSpec(
+            name="x",
+            faults=(DomainFault("rack-a1", 100.0, 50.0, mttr_s=30.0),),
+            duration_s=3600.0,
+        )
 
 
 def test_standard_scenarios_cover_the_planned_outages():

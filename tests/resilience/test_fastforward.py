@@ -19,6 +19,7 @@ from repro.resilience.campaign import (
     CAMPAIGN_MODES,
     _run_mode,
     day_campaign_spec,
+    month_campaign_spec,
     run_campaign,
 )
 from repro.resilience.fastforward import (
@@ -166,6 +167,26 @@ def test_classification_geo_reads_fail_over_and_writes_guard():
     cat = classify_ops("manual", is_read, p_down, s_down, state)
     # During secondary-active (state 2) writes land on the secondary.
     assert cat.tolist() == [2, 3, 0, 4, 5, 1]
+
+
+@pytest.mark.parametrize("mode", CAMPAIGN_MODES)
+@pytest.mark.parametrize("name", ["day", "month"])
+def test_a_guard_band_over_the_horizon_is_the_event_driver(name, mode):
+    """Phase 2 is the event driver's own issuer over the guard ops: with
+    every op inside the band, fast-forward folds nothing and reports bit
+    for bit what the event-level driver does."""
+    if name == "day":
+        spec = day_campaign_spec(seed=3)
+    else:
+        spec = month_campaign_spec(3, scale=0.02)
+    ev = _run_mode(spec, mode)
+    fa = fast_run_mode(
+        spec, mode, guard_band_s=spec.duration_s + spec.grace_s
+    )
+    assert fa.to_dict() == ev.to_dict()
+    assert (fa.retries, fa.shed_retries, fa.server_attempts) == (
+        ev.retries, ev.shed_retries, ev.server_attempts
+    )
 
 
 def test_narrower_guard_band_still_matches_availability(spec):

@@ -109,16 +109,6 @@ def test_corruption_injection():
     assert isinstance(err, CorruptBlobError)
 
 
-def test_delete_blob():
-    env, _net, svc, clients = _setup()
-    _run(env, svc.upload(clients[0], "c", "b", 1.0))
-    _, err = _run(env, svc.delete_blob("c", "b"))
-    assert err is None
-    assert not svc.exists("c", "b")
-    _, err = _run(env, svc.delete_blob("c", "b"))
-    assert isinstance(err, BlobNotFoundError)
-
-
 def test_single_client_download_near_per_client_cap():
     """One reader should see ~13 MB/s (the Section 6.1 limitation)."""
     env, _net, svc, clients = _setup()

@@ -110,8 +110,8 @@ def test_queue_errors_carry_service_and_op():
 
 
 def test_blob_errors_carry_service():
-    env, account = _account()
+    _env, account = _account()
     account.blobs.create_container("c")
-    err = _run(env, account.blobs.delete_blob("c", "missing"))
-    assert isinstance(err, BlobNotFoundError)
-    assert err.service == account.blobs.name
+    with pytest.raises(BlobNotFoundError) as info:
+        account.blobs.get_meta("c", "missing")
+    assert info.value.service == account.blobs.name

@@ -190,94 +190,3 @@ def test_operation_cost_independent_of_queue_depth():
     _run(env2, svc2.receive("q"))
     shallow_latency = env2.now - t0
     assert deep_latency < shallow_latency * 3
-
-
-def test_receive_batch_drains_up_to_max():
-    env = Environment()
-    svc = _svc(env)
-    results = {}
-
-    def scenario(env):
-        for i in range(5):
-            yield from svc.add("q", i)
-        batch = yield from svc.receive_batch("q", max_messages=3)
-        results["first"] = [m.payload for m in batch]
-        rest = yield from svc.receive_batch("q", max_messages=32)
-        results["rest"] = [m.payload for m in rest]
-        empty = yield from svc.receive_batch("q")
-        results["empty"] = empty
-
-    env.process(scenario(env))
-    env.run()
-    assert results["first"] == [0, 1, 2]
-    assert results["rest"] == [3, 4]
-    assert results["empty"] == []
-
-
-def test_receive_batch_hides_all_returned_messages():
-    env = Environment()
-    svc = _svc(env)
-    results = {}
-
-    def scenario(env):
-        for i in range(4):
-            yield from svc.add("q", i)
-        batch = yield from svc.receive_batch(
-            "q", max_messages=4, visibility_timeout_s=100.0
-        )
-        assert all(m.dequeue_count == 1 for m in batch)
-        follow_up = yield from svc.receive_batch("q")
-        results["follow_up"] = follow_up
-        # Delete two; the other two reappear after the timeout.
-        for m in batch[:2]:
-            yield from svc.delete("q", m, m.pop_receipt)
-        yield env.timeout(120.0)
-        reappeared = yield from svc.receive_batch("q")
-        results["reappeared"] = sorted(m.payload for m in reappeared)
-
-    env.process(scenario(env))
-    env.run()
-    assert results["follow_up"] == []
-    assert results["reappeared"] == [2, 3]
-
-
-def test_receive_batch_validation():
-    env = Environment()
-    svc = _svc(env)
-    with pytest.raises(ValueError):
-        next(svc.receive_batch("q", max_messages=0))
-    with pytest.raises(ValueError):
-        next(svc.receive_batch("q", max_messages=33))
-    with pytest.raises(ValueError):
-        next(svc.receive_batch("q", visibility_timeout_s=0.0))
-
-
-def test_receive_batch_cheaper_than_singletons():
-    env = Environment()
-    svc = _svc(env)
-    from repro.storage.queue import QueueMessage
-
-    state = svc._queues["q"]
-    for i in range(64):
-        state.push(QueueMessage(payload=i, size_kb=0.5, visible_at=0.0))
-
-    def batched(env):
-        got = 0
-        while got < 32:
-            batch = yield from svc.receive_batch("q", max_messages=32)
-            got += len(batch)
-
-    t0 = env.now
-    env.process(batched(env))
-    env.run()
-    batch_time = env.now - t0
-
-    def singles(env):
-        for _ in range(32):
-            yield from svc.receive("q")
-
-    t0 = env.now
-    env.process(singles(env))
-    env.run()
-    singles_time = env.now - t0
-    assert batch_time < singles_time / 4

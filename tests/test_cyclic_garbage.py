@@ -18,7 +18,7 @@ from repro.faults import FaultInjector
 from repro.network import FlowNetwork, Link
 from repro.network.flows import Flow
 from repro.resilience import HedgePolicy, hedged_call
-from repro.resilience.backoff import RetryPolicy
+from repro.resilience.backoff import LinearBackoff, RetryPolicy
 from repro.resilience.campaign import day_campaign_spec, run_campaign
 from repro.simcore import Environment, Event, Race, RandomStreams, Timeout
 from repro.simcore.process import Process
@@ -109,7 +109,7 @@ def test_failed_and_retried_table_calls_leave_no_cyclic_garbage():
         env, account = _table_world((0.0, 1e9, "server_busy_storm", 0.5))
         client = TableClient(
             account.tables, timeout_s=30.0,
-            retry=RetryPolicy(max_retries=1, backoff_s=0.1),
+            retry=RetryPolicy(max_retries=1, strategy=LinearBackoff(0.1)),
         )
         _table_calls(env, client, 40, outcomes)
         return env, account, client
@@ -128,7 +128,7 @@ def test_timed_out_table_calls_leave_no_cyclic_garbage():
         env, account = _table_world((0.0, 1e9, "latency_spike", 1.0))
         client = TableClient(
             account.tables, timeout_s=0.3,
-            retry=RetryPolicy(max_retries=1, backoff_s=0.1),
+            retry=RetryPolicy(max_retries=1, strategy=LinearBackoff(0.1)),
         )
         _table_calls(env, client, 40, outcomes)
         return env, account, client

@@ -221,9 +221,9 @@ def test_overlapping_windows_single_decision_in_schedule_order():
     # Inserted out of order: the blackout starts later but is added first.
     blackout = injector.add_window(5.0, 100.0, "blackout")
     crash = injector.add_window(0.0, 100.0, "crash_restart")
-    assert [w.kind for w in injector.active_windows(10.0)] == [
-        "crash_restart", "blackout",
-    ]
+    # The injector keeps its windows in decision order as they are added.
+    assert [w.kind for w in injector.windows] == ["crash_restart", "blackout"]
+    assert injector.window_stats[0] is injector.stats_for(crash)
     client = TableClient(svc, retry=NO_RETRY)
 
     def scenario(env):

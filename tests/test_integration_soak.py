@@ -16,7 +16,7 @@ the properties long-running cloud apps rely on.
 import pytest
 
 from repro.client import BlobClient, QueueClient, TableClient, TcpEndpointPair
-from repro.resilience.backoff import RetryPolicy
+from repro.resilience.backoff import LinearBackoff, RetryPolicy
 from repro.cluster import SpilloverPlacement, VMInstance, make_nodes
 from repro.cluster.sizes import get_size
 from repro.faults import FaultInjector
@@ -45,7 +45,7 @@ def test_full_platform_soak():
         "produced": 0, "consumed": 0, "uploads": 0, "downloads": 0,
         "status_rows": 0, "pings": 0, "errors": 0,
     }
-    retry = RetryPolicy(max_retries=8, backoff_s=0.5)
+    retry = RetryPolicy(max_retries=8, strategy=LinearBackoff(0.5))
 
     def producer(env, idx):
         queue = QueueClient(account.queues, retry=retry)
